@@ -206,7 +206,13 @@ def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
     The benchmark ships defaults; the sup-norm errors of both methods depend
     only on the Robin weight ``b`` among the three, so overriding ``a`` or
     ``c`` merely shifts the solution.
+
+    :raises ValueError: for ``b = -1``, where the problem is resonant.
     """
+    if b == -1.0:
+        raise ValueError(
+            "case 3 is resonant at b = -1: every line u = s*x meets "
+            "u'(1) - u(1) = 0, so the Robin condition fixes no solution")
     slope = _affine_coeff_robin(a, b, c, oscillatory_first_integral,
                                 oscillatory_second_integral)
     return CaseSpec(

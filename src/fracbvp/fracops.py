@@ -11,7 +11,8 @@ with ``alpha`` in ``[-2, 0)``, lower terminal fixed at zero) are provided:
 
 All three map a :class:`~fracbvp.grid.GridFunction` to another on the same
 grid, are linear in the input, and return 0 at the left node, the value the
-integral from 0 to 0 forces.
+integral from 0 to 0 forces.  Each is one matrix of a common form, built by
+:func:`stage_kernel` and applied by direct convolution.
 """
 
 from __future__ import annotations
@@ -76,15 +77,68 @@ def gl_coefficients(alpha: float, count: int) -> np.ndarray:
     """First ``count`` series weights ``w_j = (-1)^j * binom(alpha, j)``.
 
     Computed by the stable recursion ``w_0 = 1``,
-    ``w_j = w_{j-1} * (1 - (alpha + 1)/j)``.
+    ``w_j = w_{j-1} * (1 - (alpha + 1)/j)``, as a running product.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    w = np.empty(count)
-    w[0] = 1.0
-    for j in range(1, count):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return w
+    factors = 1.0 - (alpha + 1.0) / np.arange(1, count)
+    return np.concatenate(([1.0], np.cumprod(factors)))
+
+
+def _gl_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
+    w = gl_coefficients(-mu, n + 1)
+    if policy.mode == "truncated":
+        if policy.window_length < MIN_WINDOW_STEPS * h:
+            raise ValueError(
+                f"window_length {policy.window_length} is below "
+                f"{MIN_WINDOW_STEPS} grid steps"
+            )
+        keep = int(math.floor(policy.window_length / h + 1e-12))
+        w[keep + 1:] = 0.0
+    return h**mu * w, np.zeros(n + 1)
+
+
+def _rect_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
+    k = np.arange(n + 1, dtype=float)
+    b = np.zeros(n + 1)
+    b[1:] = k[1:] ** mu - (k[1:] - 1.0) ** mu
+    return h**mu / gamma_fn(mu + 1.0) * b, np.zeros(n + 1)
+
+
+def _abm_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
+    k = np.arange(n + 1, dtype=float)
+    # interior weights depend on n - j only; the j = 0 column is special
+    d = np.ones(n + 1)
+    d[1:] = (k[1:] + 1.0) ** (mu + 1.0) + (k[1:] - 1.0) ** (mu + 1.0) \
+        - 2.0 * k[1:] ** (mu + 1.0)
+    e = np.zeros(n + 1)
+    e[1:] = (k[1:] - 1.0) ** (mu + 1.0) - k[1:] ** mu * (k[1:] - mu - 1.0)
+    scale = h**mu / gamma_fn(mu + 2.0)
+    # the j = 0 weight replaces the interior one the convolution puts there
+    return scale * d, scale * (e - d)
+
+
+_KERNELS = {"gl": _gl_kernel, "rect": _rect_kernel, "abm": _abm_kernel}
+
+
+def stage_kernel(scheme: str, alpha: float, n: int, h: float,
+                 policy: MemoryPolicy = FULL_MEMORY) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix of one fractional integration on ``n + 1`` nodes, as a pair.
+
+    Every scheme here is a lower-triangular Toeplitz convolution plus a
+    correction in column 0: the value at ``x_i`` is
+    ``sum_j kernel[i-j] f(x_j) + col0[i] f(x_0)``.  ``col0[0]`` cancels
+    ``kernel[0]``, so node 0 maps to 0 and the pairs of successive stages
+    compose into a pair of the same form.
+    """
+    try:
+        build = _KERNELS[scheme]
+    except KeyError:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
+                         f"{sorted(_KERNELS)}") from None
+    kernel, col0 = build(_check_integration_order(alpha), n, h, policy)
+    col0[0] = -kernel[0]
+    return kernel, col0
 
 
 def gl_apply(f: GridFunction, alpha: float,
@@ -95,19 +149,7 @@ def gl_apply(f: GridFunction, alpha: float,
     sum over the full history, or over ``j <= window_length/h`` under a
     truncated policy.  First-order accurate in ``h`` for smooth ``f``.
     """
-    mu = _check_integration_order(alpha)
-    w = gl_coefficients(alpha, f.n + 1)
-    if policy.mode == "truncated":
-        if policy.window_length < MIN_WINDOW_STEPS * f.h:
-            raise ValueError(
-                f"window_length {policy.window_length} is below "
-                f"{MIN_WINDOW_STEPS} grid steps"
-            )
-        keep = int(math.floor(policy.window_length / f.h + 1e-12))
-        w[keep + 1:] = 0.0
-    out = f.h**mu * np.convolve(w, f.values)[: f.n + 1]
-    out[0] = 0.0
-    return f.with_values(out)
+    return apply_scheme("gl", f, alpha, policy)
 
 
 def rect_apply(f: GridFunction, alpha: float) -> GridFunction:
@@ -118,14 +160,7 @@ def rect_apply(f: GridFunction, alpha: float) -> GridFunction:
     value ``h**mu / Gamma(mu+1) * sum_{j<n} ((n-j)**mu - (n-j-1)**mu) f(x_j)``
     at ``x_n``.  First-order accurate.
     """
-    mu = _check_integration_order(alpha)
-    k = np.arange(f.n + 1, dtype=float)
-    b = np.zeros(f.n + 1)
-    b[1:] = k[1:] ** mu - (k[1:] - 1.0) ** mu
-    scale = f.h**mu / gamma_fn(mu + 1.0)
-    out = scale * np.convolve(b, f.values)[: f.n + 1]
-    out[0] = 0.0
-    return f.with_values(out)
+    return apply_scheme("rect", f, alpha)
 
 
 def abm_apply(rhs_values: GridFunction, alpha: float) -> GridFunction:
@@ -145,36 +180,14 @@ def abm_apply(rhs_values: GridFunction, alpha: float) -> GridFunction:
       for ``1 <= j <= n-1``
     * ``a_{n,n} = c``
     """
-    mu = _check_integration_order(alpha)
-    f = rhs_values.values
-    n = rhs_values.n
-    k = np.arange(n + 1, dtype=float)
-    # interior weights depend on n - j only; the j = 0 column is special
-    d = np.zeros(n + 1)
-    d[1:] = (k[1:] + 1.0) ** (mu + 1.0) + (k[1:] - 1.0) ** (mu + 1.0) \
-        - 2.0 * k[1:] ** (mu + 1.0)
-    e = np.zeros(n + 1)
-    e[1:] = (k[1:] - 1.0) ** (mu + 1.0) - k[1:] ** mu * (k[1:] - mu - 1.0)
-    scale = rhs_values.h**mu / gamma_fn(mu + 2.0)
-    conv = np.convolve(d, f)[: n + 1]
-    out = scale * (conv - d * f[0] + f + e * f[0])
-    out[0] = 0.0
-    return rhs_values.with_values(out)
-
-
-SCHEMES = {
-    "gl": lambda f, alpha, policy: gl_apply(f, alpha, policy),
-    "rect": lambda f, alpha, policy: rect_apply(f, alpha),
-    "abm": lambda f, alpha, policy: abm_apply(f, alpha),
-}
+    return apply_scheme("abm", rhs_values, alpha)
 
 
 def apply_scheme(scheme: str, f: GridFunction, alpha: float,
                  policy: MemoryPolicy = FULL_MEMORY) -> GridFunction:
-    """Dispatch one fractional integration by scheme name."""
-    try:
-        fn = SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
-                         f"{sorted(SCHEMES)}") from None
-    return fn(f, alpha, policy)
+    """One fractional integration by scheme name, by direct convolution
+    with the pair of :func:`stage_kernel`."""
+    kernel, col0 = stage_kernel(scheme, alpha, f.n, f.h, policy)
+    out = np.convolve(kernel, f.values)[: f.n + 1] + col0 * f.values[0]
+    out[0] = 0.0
+    return f.with_values(out)

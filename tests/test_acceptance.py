@@ -54,6 +54,11 @@ def _within_factor(value: float, target: float, factor: float) -> bool:
     return target / factor <= value <= target * factor
 
 
+def _fmt(value, spec: str = ".2e") -> str:
+    """An error for a detail string; it is None when the solve failed."""
+    return "None" if value is None else format(value, spec)
+
+
 def _decade(value: float) -> int:
     return math.floor(math.log10(value))
 
@@ -154,12 +159,13 @@ def test_criterion_5a_case4_method_ordering(case4_reports):
     e_fdm = case4_reports["fdm"].sup_error
     predicted = case4_fdm_error_prediction(50)
     ok = _line("5a (case-4 ordering)",
-               abs(e_fdm / predicted - 1.0) <= 0.02
+               e_fdm is not None and e_ifoi is not None
+               and abs(e_fdm / predicted - 1.0) <= 0.02
                and e_fdm < e_ifoi
                and e_ifoi < CASE4_IFOI_TARGET
                and e_fdm < CASE4_FDM_RECORDED,
-               f"fdm={e_fdm:.3e} predicted={predicted:.3e} "
-               f"ifoi={e_ifoi:.2e}; recorded ifoi={CASE4_IFOI_TARGET:.1e} "
+               f"fdm={_fmt(e_fdm, '.3e')} predicted={predicted:.3e} "
+               f"ifoi={_fmt(e_ifoi)}; recorded ifoi={CASE4_IFOI_TARGET:.1e} "
                f"fdm={CASE4_FDM_RECORDED:.1e}")
     assert ok
 
@@ -173,12 +179,14 @@ def test_criterion_5b_case4_ifoi_decade(case4_reports):
                                   spacing="regular", scheme="abm"))[0].sup_error
               for n in (25, 100)]
     errors.insert(1, e_ifoi)
-    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    solved = None not in errors
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])] \
+        if solved else []
     ok = _line("5b (case-4 error decade)",
-               all(1.9 <= p <= 2.1 for p in orders)
+               solved and all(1.9 <= p <= 2.1 for p in orders)
                and _decade(e_ifoi) == -4
                and e_ifoi < CASE4_IFOI_TARGET,
-               f"ifoi={e_ifoi:.2e} orders={[f'{p:.3f}' for p in orders]}; "
+               f"ifoi={_fmt(e_ifoi)} orders={[f'{p:.3f}' for p in orders]}; "
                f"recorded {CASE4_IFOI_TARGET:.1e}")
     assert ok
 

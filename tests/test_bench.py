@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracbvp
 from fracbvp import RunConfig, run, run_quiet, sweep, table1
 from fracbvp import bench as bench_mod
 from fracbvp import cli
@@ -204,6 +209,19 @@ def test_cli_sweep_requires_n_list(tmp_path, capsys):
 
 def test_cli_missing_case_is_usage_error(capsys):
     assert cli.main(["run", "--method", "fdm"]) == 2
+
+
+def test_cli_resonant_case3_weight_is_usage_error(tmp_path):
+    # a real process, so that an uncaught exception would show its traceback
+    src = Path(fracbvp.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "fracbvp.cli", "run", "--case", "3",
+         "--case3-b", "-1", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 2
+    assert "resonant at b = -1" in done.stderr
+    assert "Traceback" not in done.stderr + done.stdout
 
 
 def test_cli_table1(tmp_path, capsys):

@@ -53,6 +53,15 @@ def test_gl_coefficients_examples():
     assert gl_coefficients(-2.0, 4) == pytest.approx([1.0, 2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("alpha", [-2.0, -1.3, -0.2, -0.05])
+def test_gl_coefficients_equal_the_recursion(alpha):
+    expect = [1.0]
+    for j in range(1, 5000):
+        expect.append(expect[-1] * (1.0 - (alpha + 1.0) / j))
+    assert np.array_equal(gl_coefficients(alpha, 5000), expect)
+    assert np.array_equal(gl_coefficients(alpha, 1), [1.0])
+
+
 def test_gl_coefficients_needs_positive_count():
     with pytest.raises(ValueError):
         gl_coefficients(-0.5, 0)

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from fracbvp import (GridFunction, IfoiDivergenceError, IvpProblem,
-                     compose_check, ifoi_solve_ivp, make_alpha_partition)
+                     MemoryPolicy, apply_scheme, compose_check, get_case,
+                     ifoi_solve_ivp, make_alpha_partition, make_ivp_solver,
+                     solve_bvp)
 from fracbvp.cases import gauss_forcing, rk4_solve_ivp
+from fracbvp.fracops import MIN_WINDOW_STEPS, stage_kernel
+from fracbvp.ifoi import ComposedOperator
 
 from oracles import simpson_double, total_variation
 
@@ -206,3 +210,125 @@ def test_picard_cap_trips_on_non_settling_feedback():
         ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
     assert err.value.iterations == 200
     assert err.value.last_update > 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+def test_stage_guard_trips_on_large_constant_forcing(scheme):
+    """The first stage of 1e8 already passes 1e8 near x = 1, since the
+    order-0.2 integral of 1 is x**0.2 / Gamma(1.2) > 1 there.  At 5e7 every
+    stage stays under the guard: the integrals of 1 peak at
+    1 / Gamma(1.4) < 1.13."""
+    partition = make_alpha_partition("regular", 10)
+    big = IvpProblem(lambda x, u: np.full_like(x, 1e8), u0=0.0, s0=0.0)
+    with pytest.raises(IfoiDivergenceError, match="intermediate stage") as err:
+        ifoi_solve_ivp(big, partition, 100, scheme)
+    assert err.value.iterations == 0
+    assert err.value.last_update >= 1e8
+    half = IvpProblem(lambda x, u: np.full_like(x, 5e7), u0=0.0, s0=0.0)
+    solution, _ = ifoi_solve_ivp(half, partition, 100, scheme)
+    assert np.all(np.isfinite(solution.values))
+
+
+# ---------------------------------------------------------------------------
+# the composed operator against the staged composition
+# ---------------------------------------------------------------------------
+
+def _staged(values, partition, scheme, policy, n):
+    g = GridFunction(1.0 / n, values)
+    for alpha in partition.stage_orders:
+        g = apply_scheme(scheme, g, alpha, policy)
+    return g.values
+
+
+# rect keeps its case's five stages: its kernel is strictly lower
+# triangular, so ten stages on the nine nodes of n = 8 are the zero matrix,
+# which the FFT reproduces only to rounding (2e-17 against a sup of 0)
+@pytest.mark.parametrize("n", [8, 50, 1000, 4000])
+@pytest.mark.parametrize("scheme,spacing,m,truncated", [
+    ("gl", "regular", 10, False), ("gl", "quadratic", 10, False),
+    ("rect", "regular", 5, False), ("rect", "quadratic", 5, False),
+    ("abm", "regular", 10, False), ("abm", "quadratic", 10, False),
+    ("gl", "regular", 10, True),
+])
+def test_composed_operator_matches_staged_composition(n, scheme, spacing, m,
+                                                      truncated):
+    partition = make_alpha_partition(spacing, m)
+    policy = MemoryPolicy("truncated", max(0.5, MIN_WINDOW_STEPS / n)) \
+        if truncated else MemoryPolicy()
+    values = np.random.default_rng(n).normal(size=n + 1)
+    staged = _staged(values, partition, scheme, policy, n)
+    composed = ComposedOperator(scheme, partition, n, policy).apply(values)
+    assert composed[0] == 0.0
+    gap = np.max(np.abs(composed - staged))
+    assert gap <= 1e-12 * np.max(np.abs(staged))
+
+
+def _staged_reference_solver(partition, n, scheme):
+    """The IVP solver as one direct convolution per stage and pass."""
+    x = np.arange(n + 1) / n
+
+    def solve(problem):
+        ic = problem.u0 + problem.s0 * x
+
+        def one_pass(u):
+            rhs = np.broadcast_to(np.asarray(problem.rhs(x, u), dtype=float),
+                                  x.shape)
+            return ic + _staged(rhs, partition, scheme, MemoryPolicy(), n)
+
+        if not problem.depends_on_u:
+            return GridFunction(1.0 / n, one_pass(np.zeros(n + 1)))
+        u = np.full(n + 1, float(problem.u0))
+        for _ in range(200):
+            unew = one_pass(u)
+            update = np.max(np.abs(unew - u))
+            u = unew
+            if update < 1e-10:
+                return GridFunction(1.0 / n, u)
+        raise AssertionError("reference Picard did not settle")
+
+    return solve
+
+
+@pytest.mark.parametrize("n", [50, 400, 3000])
+@pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
+def test_case_solutions_match_staged_reference(case_id, n):
+    case = get_case(case_id)
+    partition, scheme = case.default_partition, case.default_scheme
+    solution, _ = solve_bvp(case, make_ivp_solver(partition, n, scheme))
+    reference, _ = solve_bvp(case, _staged_reference_solver(partition, n,
+                                                            scheme))
+    gap = np.max(np.abs(solution.values - reference.values))
+    assert gap <= 1e-12 * np.max(np.abs(reference.values))
+
+
+@pytest.mark.parametrize("case_id", ["1", "4"])
+def test_solver_builds_its_operator_once(case_id, monkeypatch):
+    """Both IVPs of a shooting solve and all their Picard passes share one
+    composition; a new solver builds its own, so nothing is kept between
+    solvers."""
+    import fracbvp.ifoi as ifoi_mod
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stage_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(ifoi_mod, "stage_kernel", counted)
+    case = get_case(case_id)
+    partition = case.default_partition
+    for solves in (1, 2):
+        solve_bvp(case, make_ivp_solver(partition, 50, case.default_scheme))
+        assert len(calls) == solves * partition.stage_count
+
+
+def test_operator_for_other_settings_is_refused():
+    problem = IvpProblem(lambda x, u: np.ones_like(x), u0=0.0, s0=0.0)
+    partition = make_alpha_partition("regular", 10)
+    with pytest.raises(ValueError, match="other settings"):
+        ifoi_solve_ivp(problem, partition, 50, "gl",
+                       operator=ComposedOperator("gl", partition, 60))
+    shared = ComposedOperator("gl", partition, 50)
+    solution, _ = ifoi_solve_ivp(problem, partition, 50, "gl",
+                                 operator=shared)
+    np.testing.assert_array_equal(
+        solution.values, ifoi_solve_ivp(problem, partition, 50, "gl")[0].values)
