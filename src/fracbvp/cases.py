@@ -3,19 +3,19 @@
 Every case lives on [0, 1].  Cases 1 and 2 share a Gaussian forcing and have
 closed-form solutions in terms of the error function; case 3 carries an
 oscillatory forcing with an elementary closed form; case 4 couples the
-unknown back into the right-hand side and its reference solution is built
-by high-resolution classical shooting (RK4 at one-million steps, cached per
-process).
+unknown back into the right-hand side and its reference solution is an
+entire power series (Airy functions of ``-2^(1/3) x``) whose ten-term
+coefficient rows are computed at import.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .grid import GridFunction
 from .ifoi import AlphaPartition, make_alpha_partition
@@ -24,9 +24,6 @@ from .shooting import BoundaryCondition, dirichlet, robin
 SQRT10 = math.sqrt(10.0)
 SQRT10PI = math.sqrt(10.0 * math.pi)
 OMEGA = 200.0
-
-#: RK4 steps for the case-4 reference solution.
-ORACLE_STEPS = 1_000_000
 
 CASE1_CONSTANTS = {"a": -3.0, "b": -2.0}
 CASE2_CONSTANTS = {"a": 5.0, "b": 200.0, "c": 0.1}
@@ -119,8 +116,30 @@ def oscillatory_second_integral(x):
 
 
 # ---------------------------------------------------------------------------
-# classical RK4 integration, the brute-force reference for case 4
+# case 4: the power-series reference, and classical RK4 to check it by
 # ---------------------------------------------------------------------------
+
+def _case4_oracle():
+    """``u = 5 + A(x^3) + x B(x^3)``, with the rows of ``A`` and ``B``
+    computed once.
+
+    ``u = 5 + w`` turns ``u'' = 2x(5 - u)`` into ``w'' = -2x w``, whose
+    power series obey ``c_{k+3} = -2 c_k / ((k+2)(k+3))``; ten terms leave a
+    tail below ``1e-19`` on [0, 1].  ``A`` starts at ``w(0)`` and the weight
+    of ``B`` meets ``w(1)``.
+    """
+    k = 3.0 * np.arange(9)  # nine ratios, ten terms per row
+    even = np.cumprod(np.r_[1.0, -2.0 / ((k + 2) * (k + 3))])
+    odd = np.cumprod(np.r_[1.0, -2.0 / ((k + 3) * (k + 4))])
+    w0, w1 = CASE4_CONSTANTS["a"] - 5.0, CASE4_CONSTANTS["b"] - 5.0
+    even, odd = w0 * even, (w1 - w0 * even.sum()) / odd.sum() * odd
+
+    def oracle(x):
+        x = np.asarray(x, dtype=float)
+        t = x**3
+        return 5.0 + P.polyval(t, even) + x * P.polyval(t, odd)
+    return oracle
+
 
 def rk4_dense(rhs: Callable[[float, float], float], u0: float, s0: float,
               nsteps: int) -> np.ndarray:
@@ -151,31 +170,6 @@ def rk4_solve_ivp(rhs: Callable[[float, float], float], u0: float, s0: float,
     """RK4 solution of ``u'' = rhs(x, u)`` sampled on n+1 uniform nodes."""
     dense = rk4_dense(rhs, u0, s0, n * substeps)
     return GridFunction(1.0 / n, dense[::substeps].copy())
-
-
-def _case4_rhs_scalar(x: float, u: float) -> float:
-    return 2.0 * x * (5.0 - u)
-
-
-def _case4_hom_scalar(x: float, u: float) -> float:
-    return -2.0 * x * u
-
-
-@functools.lru_cache(maxsize=2)
-def _case4_dense(nsteps: int = ORACLE_STEPS) -> np.ndarray:
-    """Dense case-4 reference: RK4 shooting at 1/nsteps resolution."""
-    v = rk4_dense(_case4_rhs_scalar, CASE4_CONSTANTS["a"], 0.0, nsteps)
-    w = rk4_dense(_case4_hom_scalar, 0.0, 1.0, nsteps)
-    c = (CASE4_CONSTANTS["b"] - v[-1]) / w[-1]
-    return v + c * w
-
-
-def _case4_oracle(x):
-    x = np.asarray(x, dtype=float)
-    dense = _case4_dense()
-    # node values are exact; linear interpolation between 1e-6 spaced nodes
-    # costs ~u''*h^2/8 ~ 3e-13, below every tolerance in use
-    return np.interp(x, np.linspace(0.0, 1.0, dense.size), dense)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +268,7 @@ def _build_registry() -> dict[str, CaseSpec]:
         depends_on_u=True,
         default_scheme="abm",
         default_partition=make_alpha_partition("regular", 10),
-        oracle=_case4_oracle,
+        oracle=_case4_oracle(),
         default_n=50,
     )
     return {c.id: c for c in (case1, case2, case3, case4)}

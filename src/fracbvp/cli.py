@@ -7,9 +7,10 @@ Subcommands::
     fracbvp sweep  --case 3 --n-list 40,80,200 [...]
 
 Exit code 0 covers every completed scientific run, including a solver that
-diverges (that outcome lands in the ``status`` column); nonzero codes are
-reserved for usage and I/O faults.  Flags override values from an optional
-``key=value`` config file; the environment is never consulted.
+diverges (that outcome lands in the ``status`` column); exit 2 is a usage
+fault and exit 1 an I/O fault, each with a message.  Flags override values
+from an optional ``key=value`` config file; the environment is never
+consulted.
 """
 
 from __future__ import annotations
@@ -24,32 +25,22 @@ _CONFIG_KEYS = {"case", "method", "n", "m", "alpha_spacing", "scheme",
                 "repeats", "out", "n_list"}
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The entries of a ``key=value`` file as ``--key=value`` flags, so that
+    the parser checks their values as it checks the command line's."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected key=value, got {line!r}")
+            parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_KEYS:
-            raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Config file fills options the command line left unset."""
-    if not getattr(args, "config", None):
-        return args
-    loaded = _load_config_file(args.config)
-    casts = {"n": int, "m": int, "repeats": int}
-    for key, value in loaded.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, casts.get(key, str)(value))
-    return args
+            parser.error(f"{path}:{lineno}: unknown key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _add_common(p: argparse.ArgumentParser, with_case: bool = True) -> None:
@@ -124,13 +115,20 @@ def _report_lines(reports) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    args = _merge_config(args)
-    out_dir = args.out if args.out is not None else "."
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
 
     try:
+        if args.config:
+            # config entries go in ahead of the command line's own flags,
+            # which win; entries this subcommand does not take are ignored
+            flags = _config_flags(parser, args.config)
+            args, _ = parser.parse_known_args(argv[:1] + flags + argv[1:])
+        out_dir = args.out if args.out is not None else "."
+        repeats = args.repeats if args.repeats is not None else 1
         if args.command == "table1":
-            path = table1(out_dir, repeats=args.repeats or 1)
+            path = table1(out_dir, repeats=repeats)
             print(f"wrote {path}")
             return 0
 
@@ -143,7 +141,7 @@ def main(argv=None) -> int:
             n=args.n, m=args.m,
             spacing=args.alpha_spacing,
             scheme=args.scheme,
-            repeats=args.repeats or 1,
+            repeats=repeats,
             output_dir=out_dir,
             emit_trace=getattr(args, "trace", False),
             case3_constants=_case3_constants(args),

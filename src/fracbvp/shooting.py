@@ -48,8 +48,8 @@ class BoundaryCondition:
             raise ValueError(f"unknown condition kind {self.kind!r}")
         if self.at not in ("left", "right"):
             raise ValueError(f"unknown end {self.at!r}")
-        if self.kind == "robin" and not np.isfinite(self.robin_weight):
-            raise ValueError("robin condition needs a finite weight")
+        if not (np.isfinite(self.value) and np.isfinite(self.robin_weight)):
+            raise ValueError(f"{self.kind} condition needs finite constants")
 
 
 def dirichlet(at: str, value: float) -> BoundaryCondition:

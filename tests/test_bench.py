@@ -211,17 +211,39 @@ def test_cli_missing_case_is_usage_error(capsys):
     assert cli.main(["run", "--method", "fdm"]) == 2
 
 
-def test_cli_resonant_case3_weight_is_usage_error(tmp_path):
+def _cli_process(*argv) -> subprocess.CompletedProcess:
     # a real process, so that an uncaught exception would show its traceback
     src = Path(fracbvp.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-m", "fracbvp.cli", "run", "--case", "3",
-         "--case3-b", "-1", "--out", str(tmp_path)],
+        [sys.executable, "-m", "fracbvp.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=120)
+    assert "Traceback" not in done.stderr + done.stdout
+    return done
+
+
+def test_cli_resonant_case3_weight_is_usage_error(tmp_path):
+    done = _cli_process("run", "--case", "3", "--case3-b", "-1",
+                        "--out", str(tmp_path))
     assert done.returncode == 2
     assert "resonant at b = -1" in done.stderr
-    assert "Traceback" not in done.stderr + done.stdout
+
+
+def test_cli_bad_config_value_is_usage_error(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("method=fdm\nn=abc\n", encoding="utf-8")
+    done = _cli_process("run", "--case", "1", "--config", str(cfg),
+                        "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert "argument --n: invalid int value: 'abc'" in done.stderr
+
+
+def test_cli_missing_config_file_is_io_error(tmp_path):
+    done = _cli_process("run", "--case", "1", "--config",
+                        str(tmp_path / "absent.cfg"), "--out", str(tmp_path))
+    assert done.returncode == 1
+    assert done.stderr.startswith("i/o error: ")
+    assert "absent.cfg" in done.stderr
 
 
 def test_cli_table1(tmp_path, capsys):

@@ -3,10 +3,10 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from fracbvp import GridFunction, get_case, make_case3, oracle_solution, sup_error
-from fracbvp.cases import (CASE3_CONSTANTS, _case4_dense,
-                           gauss_first_integral, gauss_forcing,
-                           gauss_second_integral, oscillatory_first_integral,
-                           oscillatory_forcing, oscillatory_second_integral)
+from fracbvp.cases import (CASE3_CONSTANTS, gauss_first_integral,
+                           gauss_forcing, gauss_second_integral,
+                           oscillatory_first_integral, oscillatory_forcing,
+                           oscillatory_second_integral, rk4_dense)
 from fracbvp.grid import sup_distance
 
 from oracles import (CASE4_SERIES, case4_operator_series, case4_series,
@@ -132,9 +132,7 @@ def test_oracle_satisfies_its_equation(case_id, d, tol):
     """Central second difference of the oracle matches rhs(x, oracle(x))."""
     case = get_case(case_id)
     rng = np.random.default_rng(42)
-    # case 4 is interpolated from a 1e-6 lattice; keeping the difference
-    # points on that lattice avoids interpolation noise in the stencil
-    x = np.round(rng.uniform(2 * d, 1.0 - 2 * d, 1000) / d) * d
+    x = rng.uniform(2 * d, 1.0 - 2 * d, 1000)
     up = oracle_solution(case, x + d)
     u0 = oracle_solution(case, x)
     um = oracle_solution(case, x - d)
@@ -143,10 +141,15 @@ def test_oracle_satisfies_its_equation(case_id, d, tol):
     assert np.max(np.abs(second - target)) <= tol
 
 
-def test_case4_richardson_confirmation():
-    coarse = _case4_dense(1_000_000)
-    fine = _case4_dense(2_000_000)
-    assert np.max(np.abs(coarse - fine[::2])) <= 1e-10
+def test_case4_oracle_matches_rk4_shooting():
+    """The series oracle against classical RK4 shooting at one million
+    steps, at the RK4 nodes; RK4's own error there is about 1e-13."""
+    steps = 1_000_000
+    v = rk4_dense(lambda x, u: 2.0 * x * (5.0 - u), 3.0, 0.0, steps)
+    w = rk4_dense(lambda x, u: -2.0 * x * u, 0.0, 1.0, steps)
+    shot = v + (-2.0 - v[-1]) / w[-1] * w
+    x = np.linspace(0.0, 1.0, steps + 1)
+    assert np.max(np.abs(oracle_solution(4, x) - shot)) <= 1e-10
 
 
 def test_case4_series_solves_its_boundary_value_problems():
@@ -166,8 +169,8 @@ def test_case4_series_solves_its_boundary_value_problems():
 
 
 def test_case4_oracle_matches_power_series():
-    """The RK4 oracle that scores case 4 against the independent
-    Taylor-series solution."""
+    """The series oracle that scores case 4 against the independent
+    Taylor series in ``x`` of ``tests/oracles.py``."""
     x = np.linspace(0.0, 1.0, 100_001)
     assert np.max(np.abs(oracle_solution(4, x) - case4_series(x))) <= 1e-12
 

@@ -1,13 +1,17 @@
-"""Observed convergence orders, measured against package-independent
-references."""
+"""Observed convergence orders.
+
+Case 4 is measured against the package-independent series of
+``tests/oracles.py``; cases 1-3 against their closed forms, which
+``test_cases.py`` checks against brute-force quadrature.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from fracbvp import (fdm_newton, get_case, make_alpha_partition,
-                     make_ivp_solver, solve_bvp)
+from fracbvp import (fdm_linear, fdm_newton, get_case, make_alpha_partition,
+                     make_ivp_solver, solve_bvp, sup_error)
 
 from oracles import case4_series
 
@@ -44,3 +48,61 @@ def _case4_ifoi(n):
 def test_case4_convergence_order(solve, low, high):
     orders = _observed_orders([_case4_error(solve(n)) for n in GRIDS])
     assert all(low <= p <= high for p in orders), orders
+
+
+COARSE = (100, 200, 400, 800)
+FINE = (800, 1600, 3200, 6400)
+
+
+def _closed_form_errors(case_id, method, grids) -> list[float]:
+    """Sup errors of a linear case with its default scheme and schedule."""
+    case = get_case(case_id)
+
+    def solve(n):
+        if method == "fdm":
+            return fdm_linear(case, n)
+        solver = make_ivp_solver(case.default_partition, n,
+                                 case.default_scheme)
+        return solve_bvp(case, solver)[0]
+
+    return [sup_error(solve(n), case) for n in grids]
+
+
+@pytest.mark.parametrize("case_id,method,grids,low,high", [
+    # the Grunwald-Letnikov series is first order and approaches 1 from
+    # below: measured 0.994, 0.997, 0.999
+    (1, "ifoi", COARSE, 0.95, 1.05),
+    # the product rectangle rule is first order and approaches 1 from
+    # above: measured 1.052, 1.031, 1.020
+    (2, "ifoi", COARSE, 0.95, 1.1),
+    # the product trapezoid is second order, but the cos(200x) part of the
+    # forcing is under-resolved on these grids (h*200 = 2 .. 0.25), so the
+    # order climbs slowly: measured 1.686, 1.699, 1.727 ...
+    (3, "ifoi", COARSE, 1.6, 1.8),
+    # ... and 1.802, 1.855, 1.888 once h*200 <= 0.25
+    (3, "ifoi", FINE, 1.75, 1.95),
+    # three-point differences are second order: measured 2.000-2.001
+    (1, "fdm", COARSE, 1.95, 2.05),
+    (2, "fdm", COARSE, 1.95, 2.05),
+    # the first halving, from h*200 = 2, is pre-asymptotic: measured
+    # 1.731, 2.010, 2.045 ...
+    (3, "fdm", COARSE, 1.65, 2.1),
+    # ... and 2.033, 2.019, 2.010 on the finer grids
+    (3, "fdm", FINE, 1.95, 2.05),
+], ids=["case1-ifoi-gl", "case2-ifoi-rect", "case3-ifoi-abm-coarse",
+        "case3-ifoi-abm-fine", "case1-fdm", "case2-fdm", "case3-fdm-coarse",
+        "case3-fdm-fine"])
+def test_closed_form_case_convergence_order(case_id, method, grids, low,
+                                            high):
+    orders = _observed_orders(_closed_form_errors(case_id, method, grids))
+    assert all(low <= p <= high for p in orders), orders
+
+
+def test_case3_ifoi_order_climbs_towards_two():
+    """Case 3's slow approach, as a whole: the observed order of the staged
+    trapezoid solve rises on every halving from n = 100 to 6400 and stays
+    below 2."""
+    orders = _observed_orders(
+        _closed_form_errors(3, "ifoi", COARSE + FINE[1:]))
+    assert all(a < b for a, b in zip(orders, orders[1:])), orders
+    assert orders[-1] < 2.0, orders

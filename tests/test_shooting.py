@@ -36,6 +36,14 @@ def test_condition_validation():
         BoundaryCondition("robin", "right", 0.0, robin_weight=np.inf)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_condition_rejects_non_finite_value(value):
+    with pytest.raises(ValueError, match="finite constants"):
+        BoundaryCondition("dirichlet", "left", value)
+    with pytest.raises(ValueError, match="finite constants"):
+        BoundaryCondition("robin", "right", value, robin_weight=1.0)
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
