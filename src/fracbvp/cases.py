@@ -31,6 +31,10 @@ CASE2_CONSTANTS = {"a": 5.0, "b": 200.0, "c": 0.1}
 # is the one constant the benchmark errors are sensitive to.
 CASE3_CONSTANTS = {"a": 0.0, "b": 200.0, "c": 0.0}
 CASE4_CONSTANTS = {"a": 3.0, "b": -2.0}
+# Largest magnitude of the case-3 constants and of the solution's slope.
+# Finite-difference rows scale the solution by 1/h**2, so a larger solution
+# can overflow inside the solvers; this leaves room for any grid in memory.
+CASE3_MAX_SCALE = 1e150
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,11 @@ class SolveReport:
 # closed-form machinery for the Gaussian forcing of cases 1 and 2
 # ---------------------------------------------------------------------------
 
-_erf = np.vectorize(math.erf, otypes=[float])
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``math.erf`` at every element of ``x``, in the shape of ``x``."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
 
 
 def gauss_forcing(x, u=None):
@@ -201,19 +209,27 @@ def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
     only on the Robin weight ``b`` among the three, so overriding ``a`` or
     ``c`` merely shifts the solution.
 
-    :raises ValueError: for ``b = -1``, where the problem is resonant.
+    :raises ValueError: for ``b = -1``, where the problem is resonant, for
+        non-finite constants, and for constants whose solution is too large
+        to solve for (see :data:`CASE3_MAX_SCALE`).
     """
     if b == -1.0:
         raise ValueError(
             "case 3 is resonant at b = -1: every line u = s*x meets "
             "u'(1) - u(1) = 0, so the Robin condition fixes no solution")
+    left_bc, right_bc = dirichlet("left", a), robin("right", b, c)
     slope = _affine_coeff_robin(a, b, c, oscillatory_first_integral,
                                 oscillatory_second_integral)
+    if not max(abs(a), abs(c), abs(b * a), abs(slope)) <= CASE3_MAX_SCALE:
+        raise ValueError(
+            f"case-3 constants a={a!r}, b={b!r}, c={c!r} are out of range: "
+            f"a, c, b*a and the solution's slope (here {slope!r}) must stay "
+            f"within {CASE3_MAX_SCALE:.0e} in magnitude")
     return CaseSpec(
         id="case3",
         rhs=oscillatory_forcing,
-        left_bc=dirichlet("left", a),
-        right_bc=robin("right", b, c),
+        left_bc=left_bc,
+        right_bc=right_bc,
         depends_on_u=False,
         default_scheme="abm",
         default_partition=make_alpha_partition("quadratic", 10),

@@ -99,20 +99,21 @@ def _gl_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
 
 
 def _rect_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
-    k = np.arange(n + 1, dtype=float)
+    p = np.arange(n + 1, dtype=float) ** mu
     b = np.zeros(n + 1)
-    b[1:] = k[1:] ** mu - (k[1:] - 1.0) ** mu
+    b[1:] = p[1:] - p[:-1]
     return h**mu / gamma_fn(mu + 1.0) * b, np.zeros(n + 1)
 
 
 def _abm_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
-    k = np.arange(n + 1, dtype=float)
+    # j**mu and j**(mu+1) over j = 0..n+1, read at j-1, j and j+1 by slices
+    j = np.arange(n + 2, dtype=float)
+    p, q = j**mu, j ** (mu + 1.0)
     # interior weights depend on n - j only; the j = 0 column is special
     d = np.ones(n + 1)
-    d[1:] = (k[1:] + 1.0) ** (mu + 1.0) + (k[1:] - 1.0) ** (mu + 1.0) \
-        - 2.0 * k[1:] ** (mu + 1.0)
+    d[1:] = q[2:] + q[:-2] - 2.0 * q[1:-1]
     e = np.zeros(n + 1)
-    e[1:] = (k[1:] - 1.0) ** (mu + 1.0) - k[1:] ** mu * (k[1:] - mu - 1.0)
+    e[1:] = q[:-2] - p[1:-1] * (j[1:-1] - mu - 1.0)
     scale = h**mu / gamma_fn(mu + 2.0)
     # the j = 0 weight replaces the interior one the convolution puts there
     return scale * d, scale * (e - d)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -179,10 +180,16 @@ class ComposedOperator:
     solve and by all their Picard passes.
 
     Each stage output is 0 at node 0, so the column-0 term of a later stage
-    never acts and the composition is ``k = (k_m * ... * k_2) * k_1``,
-    ``v = (k_m * ... * k_2) * v_1``.  Every product is truncated to
+    never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
+    ``P = k_m * ... * k_2``.  Products of lower-triangular Toeplitz
+    matrices commute, so ``P`` is built from one kernel per distinct stage
+    order, raised to its multiplicity by repeated squaring.  Orders are
+    grouped by exact equality only: orders that are merely close give
+    kernels that differ beyond rounding.  Every product is truncated to
     ``n + 1`` terms before the next: the spectra of all stages multiplied
-    at once would alias the tail of the full-length product.
+    at once would alias the tail of the full-length product.  GL weights
+    are the coefficients of ``(1 - z)**-mu``, so under full memory the GL
+    stages compose in closed form and need no products at all.
     """
 
     scheme: str
@@ -192,20 +199,35 @@ class ComposedOperator:
 
     @functools.cached_property
     def _built(self) -> tuple[np.ndarray, np.ndarray, int, float]:
-        n = self.n
+        n, h = self.n, 1.0 / self.n
         size = _fft_size(2 * n + 1)
+        orders = self.partition.stage_orders
+        pairs = {alpha: stage_kernel(self.scheme, alpha, n, h, self.policy)
+                 for alpha in dict.fromkeys(orders)}
+        growth = np.cumprod([_row_sum_norm(*pairs[alpha]) for alpha in orders])
+        k, v = pairs[orders[0]]
+        if len(orders) > 1 and self.scheme == "gl" \
+                and self.policy.mode == "full":
+            # P is the GL kernel of order 2 - mu_1, and v_1 is v_1[0] e_0
+            k = stage_kernel("gl", -TOTAL_ORDER, n, h)[0]
+            v = v[0] * stage_kernel(
+                "gl", self.partition.cumulative[1] - TOTAL_ORDER, n, h)[0]
+        elif len(orders) > 1:
+            def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+                return np.fft.rfft(np.fft.irfft(a * b, size)[: n + 1], size)
 
-        def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size),
-                                size)[..., : n + 1]
-
-        pairs = [stage_kernel(self.scheme, alpha, n, 1.0 / n, self.policy)
-                 for alpha in self.partition.stage_orders]
-        growth = np.cumprod([_row_sum_norm(*pair) for pair in pairs])
-        (k, v), *later = pairs
-        if later:
-            k, v = product(np.stack([k, v]),
-                           functools.reduce(product, [kl for kl, _ in later]))
+            rest = None  # the spectrum of P
+            for alpha, count in Counter(orders[1:]).items():
+                power = np.fft.rfft(pairs[alpha][0], size)
+                while True:
+                    if count & 1:
+                        rest = power if rest is None else times(rest, power)
+                    count >>= 1
+                    if not count:
+                        break
+                    power = times(power, power)
+            k, v = np.fft.irfft(rest * np.fft.rfft(np.stack([k, v]), size),
+                                size)[:, : n + 1]
         # v is copied so that it keeps no padded product alive; the margin
         # covers rounding in the staged sums the bound stands for
         return (np.fft.rfft(k, size), v.copy(), size,

@@ -76,20 +76,22 @@ def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
     """Solve the particular and homogeneous halves of a case.
 
     ``u1`` carries the forcing and the left value with zero slope; ``u2``
-    solves ``rhs(x, u) - rhs(x, 0)`` (identically zero for forcing-only
-    cases, so ``u2 = x``) from zero value and unit slope.
+    solves ``rhs(x, u) - rhs(x, 0)`` from zero value and unit slope.  For
+    forcing-only cases that right-hand side is identically zero, so ``u2``
+    is the line ``x`` itself and the solver is not called for it.
     """
     if case.left_bc.kind != "dirichlet":
         raise ValueError("decomposition requires a Dirichlet left condition")
     rhs = case.rhs
+    u1 = solver(IvpProblem(rhs, u0=case.left_bc.value, s0=0.0,
+                           depends_on_u=case.depends_on_u))
+    if not case.depends_on_u:
+        return ShootingPair(u1, u1.with_values(u1.nodes))
 
     def homogeneous(x, u):
         return np.asarray(rhs(x, u), dtype=float) - np.asarray(rhs(x, 0.0 * u), dtype=float)
 
-    u1 = solver(IvpProblem(rhs, u0=case.left_bc.value, s0=0.0,
-                           depends_on_u=case.depends_on_u))
-    u2 = solver(IvpProblem(homogeneous, u0=0.0, s0=1.0,
-                           depends_on_u=case.depends_on_u))
+    u2 = solver(IvpProblem(homogeneous, u0=0.0, s0=1.0, depends_on_u=True))
     return ShootingPair(u1, u2)
 
 

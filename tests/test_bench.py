@@ -229,6 +229,14 @@ def test_cli_resonant_case3_weight_is_usage_error(tmp_path):
     assert "resonant at b = -1" in done.stderr
 
 
+def test_cli_overflowing_case3_constants_are_usage_error(tmp_path):
+    done = _cli_process("run", "--case", "3", "--case3-a=1e308",
+                        "--case3-c=-1e308", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert "case-3 constants a=1e+308, b=200.0, c=-1e+308" in done.stderr
+    assert "Warning" not in done.stderr
+
+
 def test_cli_bad_config_value_is_usage_error(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("method=fdm\nn=abc\n", encoding="utf-8")

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 from fracbvp import GridFunction, get_case, make_case3, oracle_solution, sup_error
-from fracbvp.cases import (CASE3_CONSTANTS, gauss_first_integral,
+from fracbvp.cases import (CASE3_CONSTANTS, _erf, gauss_first_integral,
                            gauss_forcing, gauss_second_integral,
                            oscillatory_first_integral, oscillatory_forcing,
                            oscillatory_second_integral, rk4_dense)
@@ -85,6 +87,15 @@ def test_oscillatory_antiderivatives_vs_simpson(x):
                - simpson(oscillatory_forcing, x, 1e-7)) <= 1e-9
     assert abs(oscillatory_second_integral(x)
                - simpson_double(oscillatory_forcing, x, 1e-7)) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [0.3, np.float64(-1.2), np.array(0.5),
+                               np.linspace(-3.0, 3.0, 6001),
+                               np.linspace(-1.0, 1.0, 12).reshape(3, 4)])
+def test_erf_is_math_erf_at_every_element(x):
+    out = _erf(x)
+    assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+    assert np.array_equal(out, np.vectorize(math.erf, otypes=[float])(x))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +205,18 @@ def test_case3_override_keeps_oracle_consistent():
     second = (custom.oracle(x + d) - 2 * custom.oracle(x)
               + custom.oracle(x - d)) / d**2
     assert np.max(np.abs(second - custom.rhs(x, 0.0))) <= 1e-3
+
+
+@pytest.mark.parametrize("a,b,c", [(1e308, 200.0, -1e308), (1e151, 0.0, 0.0),
+                                   (0.0, 0.0, -1e151), (1e80, 1e80, 0.0)])
+def test_case3_constants_beyond_the_scale_are_refused(a, b, c):
+    with pytest.raises(ValueError, match="case-3 constants .* out of range"):
+        make_case3(a=a, b=b, c=c)
+
+
+def test_case3_constants_at_the_scale_are_kept():
+    custom = make_case3(a=1e150, b=0.0, c=-1e150)
+    assert custom.oracle(0.0) == 1e150
 
 
 def test_case3_defaults_recorded():

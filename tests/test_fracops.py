@@ -7,6 +7,7 @@ from fracbvp import (FULL_MEMORY, GridFunction, MemoryPolicy, abm_apply,
                      apply_scheme, gamma_fn, gl_apply, gl_coefficients,
                      rect_apply)
 from fracbvp.cases import gauss_forcing, oscillatory_forcing
+from fracbvp.fracops import stage_kernel
 
 from oracles import direct_gl_weight, direct_rect_sum, simpson, simpson_double
 
@@ -183,6 +184,34 @@ def test_rect_weights_integrate_the_left_step_interpolant():
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     reference = float(np.sum(w * kernel * step) * (t[1] - t[0]) / 3.0)
     assert abs(out.values[-1] - reference) <= 1e-5
+
+
+def _pointwise_kernels(mu, n, h):
+    """The rect and abm kernels with one ``**`` per shifted index, the
+    reference for kernels that share their powers between neighbouring
+    weights."""
+    k = np.arange(n + 1, dtype=float)
+    rect = np.zeros(n + 1)
+    rect[1:] = k[1:] ** mu - (k[1:] - 1.0) ** mu
+    d = np.ones(n + 1)
+    d[1:] = (k[1:] + 1.0) ** (mu + 1.0) + (k[1:] - 1.0) ** (mu + 1.0) \
+        - 2.0 * k[1:] ** (mu + 1.0)
+    e = np.zeros(n + 1)
+    e[1:] = (k[1:] - 1.0) ** (mu + 1.0) - k[1:] ** mu * (k[1:] - mu - 1.0)
+    scale = h**mu / gamma_fn(mu + 2.0)
+    return h**mu / gamma_fn(mu + 1.0) * rect, scale * d, scale * (e - d)
+
+
+@pytest.mark.parametrize("n", [8, 50, 4000])
+@pytest.mark.parametrize("alpha", [-0.06000000000000001, -0.19999999999999996,
+                                   -0.2, -0.4, -1.0, -1.5, -2.0])
+def test_shared_power_kernels_equal_the_pointwise_formulas(n, alpha):
+    h = 1.0 / n
+    rect, d, col0 = _pointwise_kernels(-alpha, n, h)
+    col0[0] = -d[0]
+    assert np.array_equal(stage_kernel("rect", alpha, n, h)[0], rect)
+    abm = stage_kernel("abm", alpha, n, h)
+    assert np.array_equal(abm[0], d) and np.array_equal(abm[1], col0)
 
 
 def test_abm_oscillatory_vs_quadrature():

@@ -243,12 +243,18 @@ def _staged(values, partition, scheme, policy, n):
 # rect keeps its case's five stages: its kernel is strictly lower
 # triangular, so ten stages on the nine nodes of n = 8 are the zero matrix,
 # which the FFT reproduces only to rounding (2e-17 against a sup of 0)
-@pytest.mark.parametrize("n", [8, 50, 1000, 4000])
+# one and two stages leave P (the product of stages 2..m) empty or a single
+# kernel, in the closed gl form and in the grouped products alike
+@pytest.mark.parametrize("n", [8, 50, 1000, 4000, 10_000])
 @pytest.mark.parametrize("scheme,spacing,m,truncated", [
     ("gl", "regular", 10, False), ("gl", "quadratic", 10, False),
     ("rect", "regular", 5, False), ("rect", "quadratic", 5, False),
     ("abm", "regular", 10, False), ("abm", "quadratic", 10, False),
     ("gl", "regular", 10, True),
+    ("gl", "regular", 1, False), ("gl", "quadratic", 2, False),
+    ("rect", "regular", 1, False), ("rect", "regular", 2, False),
+    ("abm", "regular", 1, False), ("abm", "quadratic", 2, False),
+    ("gl", "regular", 2, True),
 ])
 def test_composed_operator_matches_staged_composition(n, scheme, spacing, m,
                                                       truncated):
@@ -316,9 +322,12 @@ def test_solver_builds_its_operator_once(case_id, monkeypatch):
     monkeypatch.setattr(ifoi_mod, "stage_kernel", counted)
     case = get_case(case_id)
     partition = case.default_partition
+    # one kernel per distinct stage order (the regular ten-stage schedule
+    # has four distinct floats), and gl's two closed-form kernels
+    per_build = {"1": 4 + 2, "4": 4}[case_id]
     for solves in (1, 2):
         solve_bvp(case, make_ivp_solver(partition, 50, case.default_scheme))
-        assert len(calls) == solves * partition.stage_count
+        assert len(calls) == solves * per_build
 
 
 def test_operator_for_other_settings_is_refused():

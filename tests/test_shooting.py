@@ -6,6 +6,7 @@ from fracbvp import (GridFunction, SingularShootingError, combine, decompose,
                      match_coefficient, solve_bvp, sup_error)
 from fracbvp.cases import (CaseSpec, gauss_second_integral, rk4_dense,
                            rk4_solve_ivp)
+from fracbvp.ifoi import IvpProblem
 from fracbvp.shooting import BoundaryCondition, ShootingPair, dirichlet, robin
 
 
@@ -53,6 +54,25 @@ def test_case1_homogeneous_solution_is_the_identity_ramp():
     assert np.max(np.abs(pair.u2.values - pair.u2.nodes)) <= 1e-12
     assert pair.u1.values[0] == get_case(1).left_bc.value
     assert pair.u2.values[0] == 0.0
+
+
+@pytest.mark.parametrize("case_id", ["1", "2", "3"])
+def test_forcing_only_cases_solve_one_ivp(case_id):
+    """The homogeneous half of a forcing-only case is the line ``x``,
+    bit for bit what the staged solver returns for its zero right-hand
+    side, so only the particular half is solved."""
+    case = get_case(case_id)
+    staged = make_ivp_solver(case.default_partition, 50, case.default_scheme)
+    problems = []
+
+    def counted(problem):
+        problems.append(problem)
+        return staged(problem)
+
+    pair = decompose(case, counted)
+    assert len(problems) == 1 and problems[0].s0 == 0.0
+    zero = IvpProblem(lambda x, u: np.zeros_like(x), u0=0.0, s0=1.0)
+    assert np.array_equal(pair.u2.values, staged(zero).values)
 
 
 def test_case4_homogeneous_endpoint_matches_brute_force_integration():
