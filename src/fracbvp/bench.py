@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -83,38 +82,17 @@ def _timed(solve, repeats: int):
     return result, statistics.median(times)
 
 
-def _run_fdm(case: CaseSpec, n: int, repeats: int, params: dict) -> SolveReport:
-    solver = (lambda: fdm.fdm_newton(case, n)) if case.depends_on_u \
-        else (lambda: fdm.fdm_linear(case, n))
+def _run(method: str, case: CaseSpec, params: dict, repeats: int,
+         solve) -> SolveReport:
+    """Time ``solve``, which returns the solution and the report's extras,
+    and score it; a diverging or singular solve becomes its status."""
     try:
-        solution, wall = _timed(solver, repeats)
-    except fdm.NewtonConvergenceError:
-        return SolveReport("fdm", "diverged", params, 0.0)
-    except fdm.SingularSystemError:
-        return SolveReport("fdm", "singular", params, 0.0)
-    return SolveReport("fdm", "converged", params, wall, solution,
-                       sup_error(solution, case))
-
-
-def _run_ifoi(case: CaseSpec, n: int, partition: AlphaPartition, scheme: str,
-              repeats: int, params: dict) -> SolveReport:
-    traces: list[IfoiTrace] = []
-
-    def solve():
-        traces.clear()
-        solver = make_ivp_solver(partition, n, scheme, trace_sink=traces)
-        return shooting.solve_bvp(case, solver)
-
-    try:
-        (solution, coeff), wall = _timed(solve, repeats)
-    except IfoiDivergenceError:
-        return SolveReport("ifoi", "diverged", params, 0.0)
-    except shooting.SingularShootingError:
-        return SolveReport("ifoi", "singular", params, 0.0)
-    # traces arrive in solve order: the particular solution first
-    extra = {"trace": traces[0], "coefficient": coeff,
-             "picard_iterations": traces[0].picard_iterations}
-    return SolveReport("ifoi", "converged", params, wall, solution,
+        (solution, extra), wall = _timed(solve, repeats)
+    except (fdm.NewtonConvergenceError, IfoiDivergenceError):
+        return SolveReport(method, "diverged", params, 0.0)
+    except (fdm.SingularSystemError, shooting.SingularShootingError):
+        return SolveReport(method, "singular", params, 0.0)
+    return SolveReport(method, "converged", params, wall, solution,
                        sup_error(solution, case), extra)
 
 
@@ -124,13 +102,22 @@ def run_quiet(config: RunConfig) -> list[SolveReport]:
     n, partition, scheme = _resolve_params(config, case)
     params = {"case": case.id, "n": n, "m": partition.stage_count,
               "spacing": partition.spacing, "scheme": scheme}
-    reports = []
-    if config.method in ("fdm", "both"):
-        reports.append(_run_fdm(case, n, config.repeats, params))
-    if config.method in ("ifoi", "both"):
-        reports.append(_run_ifoi(case, n, partition, scheme, config.repeats,
-                                 params))
-    return reports
+
+    def solve_fdm():
+        solver = fdm.fdm_newton if case.depends_on_u else fdm.fdm_linear
+        return solver(case, n), {}
+
+    def solve_ifoi():
+        traces: list[IfoiTrace] = []
+        solver = make_ivp_solver(partition, n, scheme, trace_sink=traces)
+        solution, coeff = shooting.solve_bvp(case, solver)
+        # traces arrive in solve order: the particular solution first
+        return solution, {"trace": traces[0], "coefficient": coeff,
+                          "picard_iterations": traces[0].picard_iterations}
+
+    return [_run(method, case, params, config.repeats, solve)
+            for method, solve in (("fdm", solve_fdm), ("ifoi", solve_ifoi))
+            if config.method in (method, "both")]
 
 
 def run(config: RunConfig) -> list[SolveReport]:
@@ -148,21 +135,12 @@ def run(config: RunConfig) -> list[SolveReport]:
     return reports
 
 
-def sweep(case_id: str, n_list: Sequence[int], config: RunConfig,
-          parallel: bool = False) -> list[SolveReport]:
-    """Run one case across several grid sizes; one ``results.csv`` for all.
-
-    Parallel execution is only honored for untimed runs (``repeats == 1``);
-    timing runs stay sequential so measurements do not contend.
-    """
-    configs = [replace(config, case_id=case_id, n=n, emit_trace=False)
-               for n in n_list]
-    if parallel and config.repeats == 1:
-        with ThreadPoolExecutor() as pool:
-            chunks = list(pool.map(run_quiet, configs))
-    else:
-        chunks = [run_quiet(cfg) for cfg in configs]
-    reports = [r for chunk in chunks for r in chunk]
+def sweep(case_id: str, n_list: Sequence[int],
+          config: RunConfig) -> list[SolveReport]:
+    """Run one case across several grid sizes, one after another; one
+    ``results.csv`` for all."""
+    reports = [r for n in n_list for r in run_quiet(
+        replace(config, case_id=case_id, n=n, emit_trace=False))]
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", reports)

@@ -99,9 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--n-list", dest="n_list", default=None,
                          help="comma-separated grid sizes, e.g. 40,80,200")
-    p_sweep.add_argument("--parallel", action="store_true",
-                         help="solve independent grids concurrently "
-                              "(ignored when timing with --repeats > 1)")
     return parser
 
 
@@ -153,7 +150,7 @@ def main(argv=None) -> int:
                 print("error: sweep requires --n-list", file=sys.stderr)
                 return 2
             n_list = [int(v) for v in str(args.n_list).split(",") if v]
-            reports = sweep(args.case, n_list, config, parallel=args.parallel)
+            reports = sweep(args.case, n_list, config)
         for line in _report_lines(reports):
             print(line)
         return 0

@@ -1,10 +1,11 @@
 """Finite-difference reference solvers for the benchmark problems.
 
-``fdm_linear`` discretizes ``u'' = f(x)`` with central second differences
-and solves the resulting tridiagonal system directly; ``fdm_newton`` handles
-right-hand sides that read ``u`` by Newton iteration on the same stencil.
-Robin conditions at the right end use the second-order one-sided difference,
-with the out-of-band node eliminated through the last interior equation so
+Both use central second differences.  For forcing-only cases the interior
+rows are a discrete IVP: ``fdm_linear`` sums it in closed form and leaves
+the right-end condition to :mod:`fracbvp.shooting`, as the staged solver
+does.  ``fdm_newton`` iterates on right-hand sides that read ``u``, with a
+guarded Thomas sweep per step; its Robin row eliminates the out-of-band
+node of the one-sided difference through the last interior equation, so
 the system stays tridiagonal.
 """
 
@@ -16,6 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import GridFunction
+from .ifoi import IvpProblem
+from .shooting import solve_bvp
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -77,54 +80,35 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _assemble(case: "CaseSpec", n: int, f_nodes: np.ndarray) -> TridiagonalSystem:
-    """Rows for u'' = f with the case's boundary conditions."""
+def _march(problem: IvpProblem, n: int) -> GridFunction:
+    """The central-difference IVP ``U[i+1] = 2 U[i] - U[i-1] + h^2 f[i]``
+    from ``U[0] = u0`` and ``U[1] = u0 + s0 h``, summed in closed form."""
     h = 1.0 / n
-    sub = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    sup = np.zeros(n + 1)
-    rhs = np.zeros(n + 1)
-
-    diag[0] = 1.0
-    rhs[0] = case.left_bc.value
-
-    sub[1:n] = 1.0 / h**2
-    diag[1:n] = -2.0 / h**2
-    sup[1:n] = 1.0 / h**2
-    rhs[1:n] = f_nodes[1:n]
-
-    right = case.right_bc
-    if right.kind == "dirichlet":
-        diag[n] = 1.0
-        rhs[n] = right.value
-    else:
-        # (3u_n - 4u_{n-1} + u_{n-2})/(2h) + B u_n = C, with u_{n-2}
-        # eliminated via the last interior equation; this keeps the row
-        # second-order and the matrix tridiagonal.
-        B, C = right.robin_weight, right.value
-        sub[n] = -1.0 / h
-        diag[n] = 1.0 / h + B
-        rhs[n] = C - 0.5 * h * f_nodes[n - 1]
-    return TridiagonalSystem(sub, diag, sup, rhs)
+    x = np.arange(n + 1) * h
+    f = np.broadcast_to(
+        np.asarray(problem.rhs(x, np.zeros(n + 1)), dtype=float), x.shape)
+    u = problem.u0 + problem.s0 * x
+    u[2:] += h * h * np.cumsum(np.cumsum(f[1:n]))
+    return GridFunction(h, u)
 
 
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
-    """Direct solve of ``u'' = f(x)`` for forcing-only cases.
+    """Central-difference solve of ``u'' = f(x)`` for forcing-only cases.
 
-    Central second differences at the ``n - 1`` interior nodes, boundary
-    rows per the case.  Exact for solutions that are polynomials of degree
-    at most two, second-order otherwise.
+    The ``n - 1`` interior rows are marched as an IVP and the right-end
+    condition, with the second-order one-sided slope under Robin, is matched
+    by shooting along the line ``x``.  Exact for solutions that are
+    polynomials of degree at most two, second-order otherwise.
+
+    :raises SingularShootingError: when the line ``x`` already meets the
+        homogeneous right condition, so that no slope matches it.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")
     if case.depends_on_u:
         raise ValueError("right-hand side reads u; use fdm_newton")
-    h = 1.0 / n
-    x = np.arange(n + 1) * h
-    f_nodes = np.broadcast_to(
-        np.asarray(case.rhs(x, np.zeros(n + 1)), dtype=float), x.shape)
-    system = _assemble(case, n, f_nodes)
-    return GridFunction(h, solve_tridiagonal(system))
+    solution, _ = solve_bvp(case, lambda problem: _march(problem, n))
+    return solution
 
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,

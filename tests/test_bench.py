@@ -12,7 +12,9 @@ from fracbvp import RunConfig, run, run_quiet, sweep, table1
 from fracbvp import bench as bench_mod
 from fracbvp import cli
 from fracbvp.bench import read_results_csv
+from fracbvp.fdm import SingularSystemError
 from fracbvp.ifoi import IfoiDivergenceError
+from fracbvp.shooting import SingularShootingError
 from fracbvp.svgplot import ramp_color
 
 
@@ -80,11 +82,11 @@ def test_csv_layout(tmp_path):
     assert re.fullmatch(r"-?\d\.\d{16}e[+-]\d{2}", error_field)
 
 
-def test_singular_solve_is_a_reported_status(tmp_path, monkeypatch):
-    from fracbvp.fdm import SingularSystemError
-
+@pytest.mark.parametrize("error", [SingularSystemError,
+                                   SingularShootingError])
+def test_singular_solve_is_a_reported_status(tmp_path, monkeypatch, error):
     def singular(case, n):
-        raise SingularSystemError("synthetic")
+        raise error("synthetic")
 
     monkeypatch.setattr(bench_mod.fdm, "fdm_linear", singular)
     reports = run(RunConfig("1", method="fdm", n=50, output_dir=tmp_path))
@@ -154,16 +156,6 @@ def test_sweep_collects_all_grids(tmp_path):
     assert [int(r["n"]) for r in rows] == [40, 40, 80, 80]
 
 
-def test_parallel_sweep_matches_sequential(tmp_path):
-    seq = sweep("1", [40, 80], RunConfig("1", method="fdm",
-                                         output_dir=tmp_path / "s"))
-    par = sweep("1", [40, 80], RunConfig("1", method="fdm",
-                                         output_dir=tmp_path / "p"),
-                parallel=True)
-    for a, b in zip(seq, par):
-        assert a.sup_error == b.sup_error
-
-
 def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
     def blow_up(problem):
         raise IfoiDivergenceError("synthetic", 200, 1.0)
@@ -227,6 +219,26 @@ def test_cli_resonant_case3_weight_is_usage_error(tmp_path):
                         "--out", str(tmp_path))
     assert done.returncode == 2
     assert "resonant at b = -1" in done.stderr
+
+
+def test_cli_near_resonant_case3_weight_is_singular_for_both_methods(
+        tmp_path):
+    # 1 + b = -1e-13: the line x all but meets the homogeneous Robin
+    # condition, so neither method can match it
+    done = _cli_process("run", "--case", "3", "--case3-b",
+                        "-1.0000000000001", "--n", "40", "--method", "both",
+                        "--out", str(tmp_path))
+    assert done.returncode == 0
+    rows = read_results_csv(tmp_path / "results.csv")
+    assert [(r["method"], r["status"]) for r in rows] == [
+        ("fdm", "singular"), ("ifoi", "singular")]
+
+
+def test_cli_sweep_has_no_parallel_flag(tmp_path):
+    done = _cli_process("sweep", "--case", "1", "--n-list", "40",
+                        "--parallel", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert "unrecognized arguments: --parallel" in done.stderr
 
 
 def test_cli_overflowing_case3_constants_are_usage_error(tmp_path):

@@ -52,6 +52,7 @@ def test_case4_convergence_order(solve, low, high):
 
 COARSE = (100, 200, 400, 800)
 FINE = (800, 1600, 3200, 6400)
+LARGE = (10_000, 20_000, 40_000, 80_000)
 
 
 def _closed_form_errors(case_id, method, grids) -> list[float]:
@@ -89,9 +90,16 @@ def _closed_form_errors(case_id, method, grids) -> list[float]:
     (3, "fdm", COARSE, 1.65, 2.1),
     # ... and 2.033, 2.019, 2.010 on the finer grids
     (3, "fdm", FINE, 1.95, 2.05),
+    # far past the paper's grids the closed-form summation keeps the order:
+    # measured 2.000, 2.000, 2.000 (case 1), 2.000, 2.000, 1.999 (case 2)
+    # and 2.003, 2.002, 2.001 (case 3)
+    (1, "fdm", LARGE, 1.95, 2.05),
+    (2, "fdm", LARGE, 1.95, 2.05),
+    (3, "fdm", LARGE, 1.95, 2.05),
 ], ids=["case1-ifoi-gl", "case2-ifoi-rect", "case3-ifoi-abm-coarse",
         "case3-ifoi-abm-fine", "case1-fdm", "case2-fdm", "case3-fdm-coarse",
-        "case3-fdm-fine"])
+        "case3-fdm-fine", "case1-fdm-large", "case2-fdm-large",
+        "case3-fdm-large"])
 def test_closed_form_case_convergence_order(case_id, method, grids, low,
                                             high):
     orders = _observed_orders(_closed_form_errors(case_id, method, grids))
