@@ -104,8 +104,7 @@ def run_quiet(config: RunConfig) -> list[SolveReport]:
               "spacing": partition.spacing, "scheme": scheme}
 
     def solve_fdm():
-        solver = fdm.fdm_newton if case.depends_on_u else fdm.fdm_linear
-        return solver(case, n), {}
+        return fdm.fdm_linear(case, n), {}
 
     def solve_ifoi():
         traces: list[IfoiTrace] = []

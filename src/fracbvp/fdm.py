@@ -1,12 +1,13 @@
 """Finite-difference reference solvers for the benchmark problems.
 
-Both use central second differences.  For forcing-only cases the interior
-rows are a discrete IVP: ``fdm_linear`` sums it in closed form and leaves
-the right-end condition to :mod:`fracbvp.shooting`, as the staged solver
-does.  ``fdm_newton`` iterates on right-hand sides that read ``u``, with a
-guarded Thomas sweep per step; its Robin row eliminates the out-of-band
-node of the one-sided difference through the last interior equation, so
-the system stays tridiagonal.
+Both use central second differences.  ``fdm_linear`` sums the interior
+rows, a discrete IVP, in closed form (by Picard iteration when the
+right-hand side reads ``u``) and leaves the right-end condition to
+:mod:`fracbvp.shooting`; every package case is solved this way.
+``fdm_newton`` remains for right-hand sides not affine in ``u``: it runs a
+guarded Thomas sweep per step, and its Robin row eliminates the out-of-band
+node of the one-sided difference through the last interior equation, so the
+system stays tridiagonal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import GridFunction
-from .ifoi import IvpProblem
+from .ifoi import IvpProblem, picard
 from .shooting import solve_bvp
 
 if TYPE_CHECKING:
@@ -82,31 +83,40 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
 
 def _march(problem: IvpProblem, n: int) -> GridFunction:
     """The central-difference IVP ``U[i+1] = 2 U[i] - U[i-1] + h^2 f[i]``
-    from ``U[0] = u0`` and ``U[1] = u0 + s0 h``, summed in closed form."""
+    from ``U[0] = u0`` and ``U[1] = u0 + s0 h``, summed in closed form.  The
+    sum at a node reads ``f`` only below it, so Picard converges to ``U``."""
     h = 1.0 / n
     x = np.arange(n + 1) * h
-    f = np.broadcast_to(
-        np.asarray(problem.rhs(x, np.zeros(n + 1)), dtype=float), x.shape)
-    u = problem.u0 + problem.s0 * x
-    u[2:] += h * h * np.cumsum(np.cumsum(f[1:n]))
+    ic = problem.u0 + problem.s0 * x
+
+    def one_pass(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = np.broadcast_to(
+            np.asarray(problem.rhs(x, u), dtype=float), x.shape)
+        out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
+        np.cumsum(f[1:n], out=out[2:])
+        np.cumsum(out[2:], out=out[2:])
+        out *= h * h
+        out += ic
+        return out, f
+
+    u, _, _ = picard(problem, one_pass, n)
     return GridFunction(h, u)
 
 
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
-    """Central-difference solve of ``u'' = f(x)`` for forcing-only cases.
+    """Central-difference solve of ``u'' = f(x, u)`` by shooting.
 
     The ``n - 1`` interior rows are marched as an IVP and the right-end
     condition, with the second-order one-sided slope under Robin, is matched
-    by shooting along the line ``x``.  Exact for solutions that are
-    polynomials of degree at most two, second-order otherwise.
+    by shooting, exactly when ``f`` is affine in ``u``.  Exact for solutions
+    that are polynomials of degree at most two, second-order otherwise.
 
-    :raises SingularShootingError: when the line ``x`` already meets the
-        homogeneous right condition, so that no slope matches it.
+    :raises SingularShootingError: when the homogeneous solution already
+        meets the homogeneous right condition, so that no slope matches it.
+    :raises IfoiDivergenceError: when Picard on the march does not settle.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")
-    if case.depends_on_u:
-        raise ValueError("right-hand side reads u; use fdm_newton")
     solution, _ = solve_bvp(case, lambda problem: _march(problem, n))
     return solution
 
@@ -172,8 +182,9 @@ def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,
 
     Starts from the straight line between the boundary values (or a flat
     profile under a Robin right condition) and stops once the sup-norm
-    update drops below ``tol``.  Affine-in-``u`` right-hand sides converge
-    in a single step because the discrete system is then linear.
+    update drops below ``tol``.  Affine-in-``u`` right-hand sides take two
+    steps, the second confirming the first (three near ``n = 10^5``, where
+    the sweep's rounding passes ``tol``): the discrete system is linear.
 
     :raises NewtonConvergenceError: carrying the last residual norm when
         ``max_iter`` steps do not settle.

@@ -247,6 +247,36 @@ class ComposedOperator:
         return out
 
 
+def picard(problem: IvpProblem,
+           step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+           n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve ``u = step(u)[0]`` on ``n + 1`` nodes, where ``step`` also
+    returns the forcing it summed; returns ``u``, that forcing and the
+    Picard count.  A right-hand side that ignores ``u`` takes one pass and
+    counts none; otherwise passes run from the constant ``u0`` until the
+    sup-norm update drops below ``1e-10``.
+
+    :raises IfoiDivergenceError: if an iterate passes ``1e8`` or the update
+        does not settle within 200 passes.
+    """
+    if not problem.depends_on_u:
+        return (*step(np.zeros(n + 1)), 0)
+    u = np.full(n + 1, float(problem.u0))
+    for iterations in range(1, PICARD_MAX_ITER + 1):
+        unew, forcing = step(u)
+        if not np.all(np.abs(unew) < DIVERGENCE_GUARD):
+            raise IfoiDivergenceError(
+                "solution exceeded the divergence guard",
+                iterations, float(np.max(np.abs(unew))))
+        update = float(np.max(np.abs(unew - u)))
+        u = unew
+        if update < PICARD_TOL:
+            return u, forcing, iterations
+    raise IfoiDivergenceError(
+        f"Picard did not settle in {PICARD_MAX_ITER} iterations",
+        PICARD_MAX_ITER, update)
+
+
 def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
                    scheme: str = "gl", policy: MemoryPolicy = FULL_MEMORY, *,
                    operator: Optional[ComposedOperator] = None,
@@ -265,7 +295,7 @@ def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
 
     When the right-hand side reads ``u``, the whole composition iterates as
     ``u <- u0 + s0*x + I2[rhs(., u)]`` from the constant start ``u0`` until
-    the sup-norm update drops below ``1e-10``.
+    the sup-norm update drops below ``1e-10``, by :func:`picard`.
 
     :raises IfoiDivergenceError: if any intermediate magnitude of the
         staged composition passes ``1e8`` or Picard fails to settle within
@@ -297,25 +327,7 @@ def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
                              policy)
         return ic + operator.apply(values), values
 
-    if not problem.depends_on_u:
-        u, forcing = one_pass(np.zeros(n + 1))
-        iterations = 0
-    else:
-        u = np.full(n + 1, float(problem.u0))
-        for iterations in range(1, PICARD_MAX_ITER + 1):
-            unew, forcing = one_pass(u)
-            if not np.all(np.abs(unew) < DIVERGENCE_GUARD):
-                raise IfoiDivergenceError(
-                    "solution exceeded the divergence guard",
-                    iterations, float(np.max(np.abs(unew))))
-            update = float(np.max(np.abs(unew - u)))
-            u = unew
-            if update < PICARD_TOL:
-                break
-        else:
-            raise IfoiDivergenceError(
-                f"Picard did not settle in {PICARD_MAX_ITER} iterations",
-                PICARD_MAX_ITER, update)
+    u, forcing, iterations = picard(problem, one_pass, n)
 
     solution = GridFunction(h, u)
 

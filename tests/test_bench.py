@@ -170,6 +170,14 @@ def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
     assert row["error"] == ""
 
 
+def test_case4_fdm_picard_cap_is_a_reported_status(monkeypatch):
+    # case 4's FDM march shares the staged solver's Picard loop and its cap
+    monkeypatch.setattr(fracbvp.ifoi, "PICARD_MAX_ITER", 1)
+    reports = run_quiet(RunConfig("4", method="fdm", n=50))
+    assert reports[0].status == "diverged"
+    assert reports[0].sup_error is None
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

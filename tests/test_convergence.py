@@ -10,12 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from fracbvp import (fdm_linear, fdm_newton, get_case, make_alpha_partition,
+from fracbvp import (fdm_linear, get_case, make_alpha_partition,
                      make_ivp_solver, solve_bvp, sup_error)
 
 from oracles import case4_series
 
 GRIDS = (50, 100, 200, 400)
+COARSE = (100, 200, 400, 800)
+FINE = (800, 1600, 3200, 6400)
+LARGE = (10_000, 20_000, 40_000, 80_000)
 
 
 def _observed_orders(errors: list[float]) -> list[float]:
@@ -28,7 +31,7 @@ def _case4_error(solution) -> float:
 
 
 def _case4_fdm(n):
-    return fdm_newton(get_case(4), n)
+    return fdm_linear(get_case(4), n)
 
 
 def _case4_ifoi(n):
@@ -37,22 +40,21 @@ def _case4_ifoi(n):
     return solve_bvp(case, solver)[0]
 
 
-@pytest.mark.parametrize("solve,low,high", [
+@pytest.mark.parametrize("solve,grids,low,high", [
     # three-point differences are second order and case 4 is smooth:
     # measured 2.00 on every halving
-    (_case4_fdm, 1.95, 2.05),
+    (_case4_fdm, GRIDS, 1.95, 2.05),
     # the product trapezoid is second order on smooth data; the ten-stage
     # composition approaches 2 from below, measured 1.96-1.97 here
-    (_case4_ifoi, 1.9, 2.05),
-], ids=["fdm", "ifoi-abm"])
-def test_case4_convergence_order(solve, low, high):
-    orders = _observed_orders([_case4_error(solve(n)) for n in GRIDS])
+    (_case4_ifoi, GRIDS, 1.9, 2.05),
+    # the Picard-summed march keeps the order where a Thomas sweep inside
+    # Newton loses it to rounding (2.000, 1.991, 1.953): measured 2.000,
+    # 2.000, 2.000
+    (_case4_fdm, LARGE, 1.98, 2.02),
+], ids=["fdm", "ifoi-abm", "fdm-large"])
+def test_case4_convergence_order(solve, grids, low, high):
+    orders = _observed_orders([_case4_error(solve(n)) for n in grids])
     assert all(low <= p <= high for p in orders), orders
-
-
-COARSE = (100, 200, 400, 800)
-FINE = (800, 1600, 3200, 6400)
-LARGE = (10_000, 20_000, 40_000, 80_000)
 
 
 def _closed_form_errors(case_id, method, grids) -> list[float]:
