@@ -111,8 +111,13 @@ def _report_lines(reports) -> list[str]:
     return lines
 
 
+# parse_args and parse_known_args leave a parser as they find it, so one
+# serves every call
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _PARSER
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 

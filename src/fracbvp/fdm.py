@@ -114,6 +114,8 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     :raises SingularShootingError: when the homogeneous solution already
         meets the homogeneous right condition, so that no slope matches it.
     :raises IfoiDivergenceError: when Picard on the march does not settle.
+    :raises ValueError: when ``f`` reads ``u`` but is not affine in it; solve
+        such a case with :func:`fdm_newton`.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")

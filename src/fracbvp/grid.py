@@ -40,7 +40,9 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.h
+        x = np.arange(self.values.size, dtype=float)
+        x *= self.h
+        return x
 
     @property
     def endpoint(self) -> float:

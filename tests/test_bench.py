@@ -211,6 +211,20 @@ def test_cli_missing_case_is_usage_error(capsys):
     assert cli.main(["run", "--method", "fdm"]) == 2
 
 
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # the parser built at import serves every call, a refused one included
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: pytest.fail("main rebuilt its parser"))
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--case", "1", "--n", "many"])
+    for _ in range(2):
+        assert cli.main(["run", "--case", "1", "--method", "fdm", "--n", "40",
+                         "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].split(" time=")[0] \
+        == lines[1].split(" time=")[0]
+
+
 def _cli_process(*argv) -> subprocess.CompletedProcess:
     # a real process, so that an uncaught exception would show its traceback
     src = Path(fracbvp.__file__).resolve().parents[1]
