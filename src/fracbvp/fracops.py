@@ -12,7 +12,8 @@ with ``alpha`` in ``[-2, 0)``, lower terminal fixed at zero) are provided:
 All three map a :class:`~fracbvp.grid.GridFunction` to another on the same
 grid, are linear in the input, and return 0 at the left node, the value the
 integral from 0 to 0 forces.  Each is one matrix of a common form, built by
-:func:`stage_kernel` and applied by direct convolution.
+:func:`stage_kernels` for several orders in one vectorized call and applied
+by direct convolution.
 """
 
 from __future__ import annotations
@@ -73,58 +74,134 @@ def _check_integration_order(alpha: float) -> float:
     return -alpha
 
 
-def gl_coefficients(alpha: float, count: int) -> np.ndarray:
+def gl_coefficients(alpha, count: int) -> np.ndarray:
     """First ``count`` series weights ``w_j = (-1)^j * binom(alpha, j)``.
 
     Computed by the stable recursion ``w_0 = 1``,
-    ``w_j = w_{j-1} * (1 - (alpha + 1)/j)``, as a running product.
+    ``w_j = w_{j-1} * (1 - (alpha + 1)/j)``, as a running product.  An
+    array of orders gives one row of weights per order.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    factors = 1.0 - (alpha + 1.0) / np.arange(1, count)
-    return np.concatenate(([1.0], np.cumprod(factors)))
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    w = np.empty(alpha.shape[:-1] + (count,))
+    w[..., 0] = 1.0
+    np.cumprod(1.0 - (alpha + 1.0) / np.arange(1, count), axis=-1,
+               out=w[..., 1:])
+    return w
 
 
-def _gl_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
-    w = gl_coefficients(-mu, n + 1)
-    if policy.mode == "truncated":
-        if policy.window_length < MIN_WINDOW_STEPS * h:
-            raise ValueError(
-                f"window_length {policy.window_length} is below "
-                f"{MIN_WINDOW_STEPS} grid steps"
-            )
-        keep = int(math.floor(policy.window_length / h + 1e-12))
-        w[keep + 1:] = 0.0
-    return h**mu * w, np.zeros(n + 1)
+def _window_steps(n: int, h: float, policy: MemoryPolicy) -> int:
+    """Grid steps of history a GL stage keeps: all ``n``, or the window."""
+    if policy.mode == "full":
+        return n
+    if policy.window_length < MIN_WINDOW_STEPS * h:
+        raise ValueError(
+            f"window_length {policy.window_length} is below "
+            f"{MIN_WINDOW_STEPS} grid steps"
+        )
+    return min(n, int(math.floor(policy.window_length / h + 1e-12)))
 
 
-def _rect_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
+# Each builder takes the orders ``mu`` as an (r, 1) column and returns the
+# (r, n + 1) kernels and column-0 corrections, one row per order.
+
+def _gl_kernels(mu, n: int, h: float, policy: MemoryPolicy):
+    w = gl_coefficients(-mu[:, 0], n + 1)
+    w[:, _window_steps(n, h, policy) + 1:] = 0.0
+    return _scaled(w, [h**m for m in mu[:, 0]]), np.zeros_like(w)
+
+
+def _rect_kernels(mu, n: int, h: float, policy: MemoryPolicy):
     p = np.arange(n + 1, dtype=float) ** mu
-    b = np.zeros(n + 1)
-    b[1:] = p[1:] - p[:-1]
-    return h**mu / gamma_fn(mu + 1.0) * b, np.zeros(n + 1)
+    b = np.zeros_like(p)
+    np.subtract(p[:, 1:], p[:, :-1], out=b[:, 1:])
+    return _scaled(b, [h**m / gamma_fn(m + 1.0) for m in mu[:, 0]]), \
+        np.zeros_like(b)
 
 
-def _abm_kernel(mu: float, n: int, h: float, policy: MemoryPolicy):
-    # j**mu and j**(mu+1) over j = 0..n+1, read at j-1, j and j+1 by slices
-    j = np.arange(n + 2, dtype=float)
+#: First index at which the ``abm`` weights are summed as binomial series.
+ABM_SERIES_FROM = 32
+#: Series terms, ``k = 2 .. 11``; at ``j = 32`` the first one left out is
+#: below 0.1 ulp of the weight.
+_ABM_SERIES_TERMS = 10
+
+
+def _abm_kernels(mu, n: int, h: float, policy: MemoryPolicy):
+    # the interior weight d_j = (j+1)**q + (j-1)**q - 2 j**q, q = mu + 1,
+    # and the column-0 one e_j = (j-1)**q - j**mu (j - mu - 1); the kernel
+    # is d and the correction e - d, since the convolution puts d_j there
+    d = np.empty((mu.shape[0], n + 1))
+    c = np.empty_like(d)
+    d[:, 0], c[:, 0] = 1.0, -1.0
+    # closed forms below the series' start, with j**mu and j**q read at
+    # j - 1, j and j + 1 by slices
+    top = min(n, ABM_SERIES_FROM - 1)
+    j = np.arange(top + 2, dtype=float)
     p, q = j**mu, j ** (mu + 1.0)
-    # interior weights depend on n - j only; the j = 0 column is special
-    d = np.ones(n + 1)
-    d[1:] = q[2:] + q[:-2] - 2.0 * q[1:-1]
-    e = np.zeros(n + 1)
-    e[1:] = q[:-2] - p[1:-1] * (j[1:-1] - mu - 1.0)
-    scale = h**mu / gamma_fn(mu + 2.0)
-    # the j = 0 weight replaces the interior one the convolution puts there
-    return scale * d, scale * (e - d)
+    d[:, 1:top + 1] = q[:, 2:] + q[:, :-2] - 2.0 * q[:, 1:-1]
+    c[:, 1:top + 1] = q[:, :-2] - p[:, 1:-1] * (j[1:-1] - mu - 1.0) \
+        - d[:, 1:top + 1]
+    if n >= ABM_SERIES_FROM:
+        # with x = 1/j and t = x*x, the even and odd terms of
+        # sum_{k >= 2} C(q, k) x**k are t E(t) and x t O(t); then
+        # d_j = 2 j**q t E and e_j - d_j = -j**q t (E + x O), and no term
+        # cancels
+        j = np.arange(ABM_SERIES_FROM, n + 1, dtype=float)
+        x = 1.0 / j
+        t = x * x
+        k = np.arange(2, _ABM_SERIES_TERMS + 2)
+        # C(q, k) = q mu (mu - 1) ... (mu - k + 2) / k!, from mu, not from
+        # the rounded q
+        binom = (mu + 1.0) * np.cumprod((mu - (k - 2.0)) / k, axis=1)
+        even, odd = _polyval(binom[:, 0::2], t), _polyval(binom[:, 1::2], t)
+        # j**q t as j**mu x: q = mu + 1 is rounded, and j**q would carry
+        # that rounding times log(j)
+        scale = j**mu
+        scale *= x
+        series = d[:, ABM_SERIES_FROM:]
+        np.multiply(even, scale, out=series)
+        series *= 2.0
+        odd *= x
+        odd += even
+        np.negative(scale, out=scale)
+        np.multiply(odd, scale, out=c[:, ABM_SERIES_FROM:])
+    scale = [h**m / gamma_fn(m + 2.0) for m in mu[:, 0]]
+    return _scaled(d, scale), _scaled(c, scale)
 
 
-_KERNELS = {"gl": _gl_kernel, "rect": _rect_kernel, "abm": _abm_kernel}
+def _polyval(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_i coef[:, i] * t**i`` for each row of ``coef``, by Horner's
+    rule."""
+    acc = coef[:, -1:] * t
+    for column in coef.T[-2:0:-1]:
+        acc += column[:, None]
+        acc *= t
+    acc += coef[:, :1]
+    return acc
 
 
-def stage_kernel(scheme: str, alpha: float, n: int, h: float,
-                 policy: MemoryPolicy = FULL_MEMORY) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix of one fractional integration on ``n + 1`` nodes, as a pair.
+def _scaled(rows: np.ndarray, factors) -> np.ndarray:
+    rows *= np.array(factors)[:, None]
+    return rows
+
+
+_KERNELS = {"gl": _gl_kernels, "rect": _rect_kernels, "abm": _abm_kernels}
+
+
+def _orders(scheme: str, alphas) -> np.ndarray:
+    if scheme not in _KERNELS:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
+                         f"{sorted(_KERNELS)}")
+    return np.array([[_check_integration_order(a)] for a in alphas])
+
+
+def stage_kernels(scheme: str, alphas, n: int, h: float,
+                  policy: MemoryPolicy = FULL_MEMORY,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of one fractional integration per order in ``alphas`` on
+    ``n + 1`` nodes, built in one vectorized call, as two arrays with one
+    row per order.
 
     Every scheme here is a lower-triangular Toeplitz convolution plus a
     correction in column 0: the value at ``x_i`` is
@@ -132,14 +209,35 @@ def stage_kernel(scheme: str, alpha: float, n: int, h: float,
     ``kernel[0]``, so node 0 maps to 0 and the pairs of successive stages
     compose into a pair of the same form.
     """
-    try:
-        build = _KERNELS[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
-                         f"{sorted(_KERNELS)}") from None
-    kernel, col0 = build(_check_integration_order(alpha), n, h, policy)
-    col0[0] = -kernel[0]
-    return kernel, col0
+    mu = _orders(scheme, alphas)
+    kernels, col0s = _KERNELS[scheme](mu, n, h, policy)
+    col0s[:, 0] = -kernels[:, 0]
+    return kernels, col0s
+
+
+def stage_kernel(scheme: str, alpha: float, n: int, h: float,
+                 policy: MemoryPolicy = FULL_MEMORY) -> tuple[np.ndarray, np.ndarray]:
+    """The (kernel, col0) pair of :func:`stage_kernels` for one order."""
+    kernels, col0s = stage_kernels(scheme, (alpha,), n, h, policy)
+    return kernels[0], col0s[0]
+
+
+def stage_norms(scheme: str, alphas, n: int, h: float,
+                policy: MemoryPolicy = FULL_MEMORY) -> np.ndarray:
+    """Infinity norm of each matrix of :func:`stage_kernels`, in closed form.
+
+    Every weight is nonnegative, so a norm is the largest row sum, the
+    value on ``f = 1`` at ``x = 1``.  ``rect`` and ``abm`` integrate
+    constants exactly, which gives ``1 / Gamma(mu + 1)``.  The partial sums
+    of the GL weights, the coefficients of ``(1 - z)**-mu``, are the
+    coefficients of ``(1 - z)**(-mu - 1)``, which gives
+    ``h**mu * prod_{i <= N} (1 + mu / i)`` with ``N`` the steps kept.
+    """
+    mu = _orders(scheme, alphas)[:, 0]
+    if scheme != "gl":
+        return np.array([1.0 / gamma_fn(m + 1.0) for m in mu])
+    steps = np.arange(1, _window_steps(n, h, policy) + 1)
+    return h**mu * np.prod(1.0 + mu[:, None] / steps, axis=1)
 
 
 def gl_apply(f: GridFunction, alpha: float,
@@ -180,6 +278,11 @@ def abm_apply(rhs_values: GridFunction, alpha: float) -> GridFunction:
     * ``a_{n,j} = c * ((n-j+1)**(mu+1) + (n-j-1)**(mu+1) - 2(n-j)**(mu+1))``
       for ``1 <= j <= n-1``
     * ``a_{n,n} = c``
+
+    Below ``n - j = 32`` these are evaluated as written.  From there on the
+    second difference would lose about ``2 log10(n - j)`` digits to
+    cancellation, so it and ``a_{n,0}`` are summed instead as binomial
+    series in ``1/(n-j)`` whose terms do not cancel, to within a few ulp.
     """
     return apply_scheme("abm", rhs_values, alpha)
 
@@ -188,7 +291,13 @@ def apply_scheme(scheme: str, f: GridFunction, alpha: float,
                  policy: MemoryPolicy = FULL_MEMORY) -> GridFunction:
     """One fractional integration by scheme name, by direct convolution
     with the pair of :func:`stage_kernel`."""
-    kernel, col0 = stage_kernel(scheme, alpha, f.n, f.h, policy)
+    return apply_pair(*stage_kernel(scheme, alpha, f.n, f.h, policy), f)
+
+
+def apply_pair(kernel: np.ndarray, col0: np.ndarray,
+               f: GridFunction) -> GridFunction:
+    """The matrix of a (kernel, col0) pair of :func:`stage_kernels`
+    applied to ``f`` by direct convolution."""
     out = np.convolve(kernel, f.values)[: f.n + 1] + col0 * f.values[0]
     out[0] = 0.0
     return f.with_values(out)

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fracops import FULL_MEMORY, MemoryPolicy, apply_scheme, stage_kernel
+from .fracops import (FULL_MEMORY, MemoryPolicy, apply_pair, apply_scheme,
+                      stage_kernels, stage_norms)
 from .grid import GridFunction, sup_distance
 
 TOTAL_ORDER = 2.0
@@ -131,12 +132,32 @@ class IfoiTrace:
         return self._staged()
 
 
+def _merged_orders(orders: tuple[float, ...],
+                  ) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Stage orders with those that agree to a relative ``1e-12`` merged:
+    the distinct orders by first appearance, and each stage's index among
+    them.  The stages of a regular schedule differ only by rounding (all
+    within ``2e-16`` of ``-2/m``) and merge into one; those of a quadratic
+    one differ by at least ``0.04`` and stay apart."""
+    distinct: list[float] = []
+    index = []
+    for alpha in orders:
+        index.append(next((i for i, d in enumerate(distinct)
+                           if abs(alpha - d) <= 1e-12 * abs(d)),
+                          len(distinct)))
+        if index[-1] == len(distinct):
+            distinct.append(alpha)
+    return tuple(distinct), tuple(index)
+
+
 def _staged_integral(f: GridFunction, partition: AlphaPartition, scheme: str,
                      policy: MemoryPolicy) -> list[GridFunction]:
+    orders, index = _merged_orders(partition.stage_orders)
+    kernels, col0s = stage_kernels(scheme, orders, f.n, f.h, policy)
     out = []
     g = f
-    for alpha in partition.stage_orders:
-        g = apply_scheme(scheme, g, alpha, policy)
+    for i in index:
+        g = apply_pair(kernels[i], col0s[i], g)
         if not np.all(np.abs(g.values) < DIVERGENCE_GUARD):
             raise IfoiDivergenceError(
                 "intermediate stage exceeded the divergence guard",
@@ -164,12 +185,6 @@ def _fft_size(target: int) -> int:
     return best
 
 
-def _row_sum_norm(kernel: np.ndarray, col0: np.ndarray) -> float:
-    """Infinity norm of the matrix that a (kernel, col0) pair stands for."""
-    return float(np.max(np.cumsum(np.abs(kernel))[:-1]
-                        + np.abs(kernel + col0)[1:]))
-
-
 @dataclass(frozen=True)
 class ComposedOperator:
     """A whole staged integration as one matrix ``K f = conv(k, f) + v f[0]``.
@@ -183,13 +198,15 @@ class ComposedOperator:
     never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
     ``P = k_m * ... * k_2``.  Products of lower-triangular Toeplitz
     matrices commute, so ``P`` is built from one kernel per distinct stage
-    order, raised to its multiplicity by repeated squaring.  Orders are
-    grouped by exact equality only: orders that are merely close give
-    kernels that differ beyond rounding.  Every product is truncated to
-    ``n + 1`` terms before the next: the spectra of all stages multiplied
-    at once would alias the tail of the full-length product.  GL weights
-    are the coefficients of ``(1 - z)**-mu``, so under full memory the GL
-    stages compose in closed form and need no products at all.
+    order, raised to its multiplicity by repeated squaring.  Orders that
+    agree to a relative ``1e-12`` count as one, so
+    a regular schedule composes one kernel raised to a power.  All distinct
+    kernels come from one :func:`~fracbvp.fracops.stage_kernels` call and
+    their spectra from one FFT.  Every product is truncated to ``n + 1``
+    terms before the next: the spectra of all stages multiplied at once
+    would alias the tail of the full-length product.  GL weights are the
+    coefficients of ``(1 - z)**-mu``, so under full memory the GL stages
+    compose in closed form and need no products at all.
     """
 
     scheme: str
@@ -201,37 +218,40 @@ class ComposedOperator:
     def _built(self) -> tuple[np.ndarray, np.ndarray, int, float]:
         n, h = self.n, 1.0 / self.n
         size = _fft_size(2 * n + 1)
-        orders = self.partition.stage_orders
-        pairs = {alpha: stage_kernel(self.scheme, alpha, n, h, self.policy)
-                 for alpha in dict.fromkeys(orders)}
-        growth = np.cumprod([_row_sum_norm(*pairs[alpha]) for alpha in orders])
-        k, v = pairs[orders[0]]
-        if len(orders) > 1 and self.scheme == "gl" \
+        orders, index = _merged_orders(self.partition.stage_orders)
+        norms = stage_norms(self.scheme, orders, n, h, self.policy)
+        # the margin covers rounding in the staged sums the bound stands for
+        bound = float(np.max(np.cumprod(norms[list(index)]))) * (1.0 + 1e-6)
+        if len(index) > 1 and self.scheme == "gl" \
                 and self.policy.mode == "full":
-            # P is the GL kernel of order 2 - mu_1, and v_1 is v_1[0] e_0
-            k = stage_kernel("gl", -TOTAL_ORDER, n, h)[0]
-            v = v[0] * stage_kernel(
-                "gl", self.partition.cumulative[1] - TOTAL_ORDER, n, h)[0]
-        elif len(orders) > 1:
-            def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-                return np.fft.rfft(np.fft.irfft(a * b, size)[: n + 1], size)
+            # P is the GL kernel of order 2 - mu_1, and v_1 is -h**mu_1 e_0
+            mu_1 = self.partition.cumulative[1]
+            k, p = stage_kernels("gl", (-TOTAL_ORDER, mu_1 - TOTAL_ORDER),
+                                 n, h)[0]
+            return np.fft.rfft(k, size), -h**mu_1 * p, size, bound
+        kernels, col0s = stage_kernels(self.scheme, orders, n, h, self.policy)
+        spectra = np.fft.rfft(kernels, size)
+        spectrum, v = spectra[index[0]], col0s[index[0]]
+        if len(index) == 1:
+            return spectrum, v, size, bound
 
-            rest = None  # the spectrum of P
-            for alpha, count in Counter(orders[1:]).items():
-                power = np.fft.rfft(pairs[alpha][0], size)
-                while True:
-                    if count & 1:
-                        rest = power if rest is None else times(rest, power)
-                    count >>= 1
-                    if not count:
-                        break
-                    power = times(power, power)
-            k, v = np.fft.irfft(rest * np.fft.rfft(np.stack([k, v]), size),
-                                size)[:, : n + 1]
-        # v is copied so that it keeps no padded product alive; the margin
-        # covers rounding in the staged sums the bound stands for
-        return (np.fft.rfft(k, size), v.copy(), size,
-                float(np.max(growth)) * (1.0 + 1e-6))
+        def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.fft.rfft(np.fft.irfft(a * b, size)[: n + 1], size)
+
+        rest = None  # the spectrum of P
+        for i, count in Counter(index[1:]).items():
+            power = spectra[i]
+            while True:
+                if count & 1:
+                    rest = power if rest is None else times(rest, power)
+                count >>= 1
+                if not count:
+                    break
+                power = times(power, power)
+        k, v = np.fft.irfft(rest * np.stack(
+            [spectrum, np.fft.rfft(v, size)]), size)[:, : n + 1]
+        # v is copied so that it keeps no padded product alive
+        return np.fft.rfft(k, size), v.copy(), size, bound
 
     @property
     def bound(self) -> float:

@@ -51,7 +51,11 @@ def _case4_ifoi(n):
     # Newton loses it to rounding (2.000, 1.991, 1.953): measured 2.000,
     # 2.000, 2.000
     (_case4_fdm, LARGE, 1.98, 2.02),
-], ids=["fdm", "ifoi-abm", "fdm-large"])
+    # with the abm weights summed as series from j = 32 on the order holds
+    # where the cancelling closed forms lost it (1.961, 2.029, 0.697):
+    # measured 1.989, 1.990, 1.991
+    (_case4_ifoi, LARGE, 1.9, 2.05),
+], ids=["fdm", "ifoi-abm", "fdm-large", "ifoi-abm-large"])
 def test_case4_convergence_order(solve, grids, low, high):
     orders = _observed_orders([_case4_error(solve(n)) for n in grids])
     assert all(low <= p <= high for p in orders), orders

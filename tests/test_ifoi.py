@@ -6,8 +6,9 @@ from fracbvp import (GridFunction, IfoiDivergenceError, IvpProblem,
                      ifoi_solve_ivp, make_alpha_partition, make_ivp_solver,
                      solve_bvp)
 from fracbvp.cases import gauss_forcing, rk4_solve_ivp
-from fracbvp.fracops import MIN_WINDOW_STEPS, stage_kernel
-from fracbvp.ifoi import ComposedOperator
+from fracbvp.fracops import (MIN_WINDOW_STEPS, stage_kernel, stage_kernels,
+                             stage_norms)
+from fracbvp.ifoi import ComposedOperator, _merged_orders
 
 from oracles import simpson_double, total_variation
 
@@ -315,19 +316,48 @@ def test_solver_builds_its_operator_once(case_id, monkeypatch):
     import fracbvp.ifoi as ifoi_mod
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return stage_kernel(*args, **kwargs)
+    def counted(scheme, alphas, *args, **kwargs):
+        calls.append(len(alphas))
+        return stage_kernels(scheme, alphas, *args, **kwargs)
 
-    monkeypatch.setattr(ifoi_mod, "stage_kernel", counted)
+    monkeypatch.setattr(ifoi_mod, "stage_kernels", counted)
     case = get_case(case_id)
     partition = case.default_partition
-    # one kernel per distinct stage order (the regular ten-stage schedule
-    # has four distinct floats), and gl's two closed-form kernels
-    per_build = {"1": 4 + 2, "4": 4}[case_id]
+    # one batched call per build: gl's two closed-form kernels, and one
+    # kernel for the ten merged stage orders of a regular abm schedule
+    per_build = {"1": 2, "4": 1}[case_id]
     for solves in (1, 2):
         solve_bvp(case, make_ivp_solver(partition, 50, case.default_scheme))
-        assert len(calls) == solves * per_build
+        assert calls == [per_build] * solves
+
+
+def test_regular_stage_orders_merge_and_quadratic_ones_do_not():
+    regular = make_alpha_partition("regular", 10).stage_orders
+    assert len(set(regular)) == 4    # distinct floats, all within 2e-16
+    assert _merged_orders(regular) == ((regular[0],), (0,) * 10)
+    quadratic = make_alpha_partition("quadratic", 10).stage_orders
+    assert _merged_orders(quadratic) == (quadratic, tuple(range(10)))
+    assert _merged_orders((-0.5, -1.0, -0.5)) == ((-0.5, -1.0), (0, 1, 0))
+
+
+def _row_sum_norm(kernel, col0):
+    """Infinity norm of the matrix that a (kernel, col0) pair stands for."""
+    return float(np.max(np.cumsum(np.abs(kernel))[:-1]
+                        + np.abs(kernel + col0)[1:]))
+
+
+@pytest.mark.parametrize("n", [8, 100, 6000])
+@pytest.mark.parametrize("scheme,truncated", [
+    ("gl", False), ("gl", True), ("rect", False), ("abm", False)])
+def test_closed_form_stage_norms_equal_the_row_sums(scheme, truncated, n):
+    h = 1.0 / n
+    policy = MemoryPolicy("truncated", max(0.5, MIN_WINDOW_STEPS / n)) \
+        if truncated else MemoryPolicy()
+    alphas = (-0.04, -0.2, -0.36, -0.9, -1.5, -2.0)
+    norms = stage_norms(scheme, alphas, n, h, policy)
+    for alpha, norm in zip(alphas, norms):
+        reference = _row_sum_norm(*stage_kernel(scheme, alpha, n, h, policy))
+        assert abs(norm - reference) <= 1e-10 * reference
 
 
 def test_operator_for_other_settings_is_refused():
