@@ -157,15 +157,15 @@ def _abm_kernels(mu, n: int, h: float, policy: MemoryPolicy):
         even, odd = _polyval(binom[:, 0::2], t), _polyval(binom[:, 1::2], t)
         # j**q t as j**mu x: q = mu + 1 is rounded, and j**q would carry
         # that rounding times log(j)
-        scale = j**mu
-        scale *= x
+        jqt = j**mu
+        jqt *= x
         series = d[:, ABM_SERIES_FROM:]
-        np.multiply(even, scale, out=series)
+        np.multiply(even, jqt, out=series)
         series *= 2.0
         odd *= x
         odd += even
-        np.negative(scale, out=scale)
-        np.multiply(odd, scale, out=c[:, ABM_SERIES_FROM:])
+        np.negative(jqt, out=jqt)
+        np.multiply(odd, jqt, out=c[:, ABM_SERIES_FROM:])
     scale = [h**m / gamma_fn(m + 2.0) for m in mu[:, 0]]
     return _scaled(d, scale), _scaled(c, scale)
 
