@@ -154,7 +154,10 @@ def main(argv=None) -> int:
             if not args.n_list:
                 print("error: sweep requires --n-list", file=sys.stderr)
                 return 2
-            n_list = [int(v) for v in str(args.n_list).split(",") if v]
+            n_list = [int(v) for v in str(args.n_list).split(",")
+                      if v.strip()]
+            if not n_list:
+                raise ValueError(f"--n-list {args.n_list!r} names no grid")
             reports = sweep(args.case, n_list, config)
         for line in _report_lines(reports):
             print(line)

@@ -30,7 +30,8 @@ MIN_GRID = 8
 
 
 class IfoiDivergenceError(RuntimeError):
-    """Picard iteration blew past the guard or failed to settle."""
+    """Picard iteration or the FDM march blew past the guard, or Picard
+    failed to settle."""
 
     def __init__(self, message: str, iterations: int, last_update: float):
         super().__init__(message)

@@ -170,9 +170,10 @@ def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
     assert row["error"] == ""
 
 
-def test_case4_fdm_picard_cap_is_a_reported_status(monkeypatch):
-    # case 4's FDM march shares the staged solver's Picard loop and its cap
-    monkeypatch.setattr(fracbvp.ifoi, "PICARD_MAX_ITER", 1)
+def test_case4_fdm_divergence_guard_is_a_reported_status(monkeypatch):
+    # case 4's FDM march checks its values against the staged solver's
+    # divergence guard; at 1.0 the left value 3 already passes it
+    monkeypatch.setattr(fracbvp.fdm, "DIVERGENCE_GUARD", 1.0)
     reports = run_quiet(RunConfig("4", method="fdm", n=50))
     assert reports[0].status == "diverged"
     assert reports[0].sup_error is None
@@ -205,6 +206,16 @@ def test_cli_diverged_run_still_exits_zero(tmp_path, monkeypatch):
 def test_cli_sweep_requires_n_list(tmp_path, capsys):
     rc = cli.main(["sweep", "--case", "1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("n_list", [",", " , "])
+def test_cli_sweep_refuses_empty_n_list(tmp_path, n_list):
+    done = _cli_process("sweep", "--case", "1", "--n-list", n_list,
+                        "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert "names no grid" in done.stderr
+    assert done.stdout == ""
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_cli_missing_case_is_usage_error(capsys):

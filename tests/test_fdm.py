@@ -5,9 +5,10 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      TridiagonalSystem, fdm_linear, fdm_newton, get_case,
                      make_alpha_partition, solve_tridiagonal, sup_error)
 from fracbvp.cases import CaseSpec, rk4_solve_ivp
-from fracbvp.fdm import _newton_iterate
-from fracbvp.ifoi import make_ivp_solver
-from fracbvp.shooting import dirichlet, robin, solve_bvp
+from fracbvp.fdm import _march, _newton_iterate
+from fracbvp.grid import GridFunction
+from fracbvp.ifoi import IfoiDivergenceError, make_ivp_solver
+from fracbvp.shooting import decompose, dirichlet, robin, solve_bvp
 
 
 def synthetic_case(rhs, left, right, rhs_u=None, depends_on_u=False):
@@ -95,17 +96,71 @@ def test_linear_solver_rejects_tiny_grid():
         fdm_linear(get_case(1), 3)
 
 
+def _plain_march(problem, n):
+    # the recurrence that fdm._march solves by blocks, one step at a time
+    h = 1.0 / n
+    x = np.arange(n + 1) * h
+    g = np.broadcast_to(problem.rhs(x, np.zeros(n + 1)), x.shape).tolist()
+    g1 = np.broadcast_to(problem.rhs(x, np.ones(n + 1)), x.shape).tolist()
+    U = [problem.u0, problem.u0 + problem.s0 * h]
+    D = problem.s0 * h
+    for i in range(1, n):
+        D += h * h * (g[i] + (g1[i] - g[i]) * U[i])
+        U.append(U[i] + D)
+    return GridFunction(h, np.array(U))
+
+
+AFFINE_ROBIN = synthetic_case(
+    lambda x, u: -2.0 * (1.0 + x * x) * u + 50.0 * np.exp(x),
+    dirichlet("left", 3.0), robin("right", 2.0, -1.0), depends_on_u=True)
+
+
+# every n from 4 to 70, and n - 1 prime or a perfect square plus or minus
+# one, so that the last block is ragged (or, at n = 1024, whole) at larger
+# widths too
+@pytest.mark.parametrize("n", list(range(4, 71))
+                         + [102, 1010, 1024, 1026, 4100, 10_000, 10_002])
+@pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
+                         ids=["case4", "affine-robin"])
+def test_blocked_march_equals_plain_march(case, n):
+    # both IVP solutions agree to rounding, and so does the solution under
+    # a Dirichlet right end; a Robin match reads an end slope, which scales
+    # rounding by about n (there Newton and the plain march differ by
+    # 7e-13 at n = 10^4), so it is compared through its IVPs only
+    blocked = decompose(case, lambda problem: _march(problem, n))
+    plain = decompose(case, lambda problem: _plain_march(problem, n))
+    pairs = [(blocked.u1, plain.u1), (blocked.u2, plain.u2)]
+    if case.right_bc.kind == "dirichlet":
+        shot = solve_bvp(case, lambda problem: _plain_march(problem, n))[0]
+        pairs.append((fdm_linear(case, n), shot))
+    for got, want in pairs:
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+
+
+def test_march_guard_runs_before_values_turn_non_finite():
+    # k = 1e200 overflows the march; its guard must report that as
+    # divergence before GridFunction refuses the non-finite values
+    case = synthetic_case(lambda x, u: 1e200 * u + 1.0,
+                          dirichlet("left", 1.0), dirichlet("right", 0.0),
+                          depends_on_u=True)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IfoiDivergenceError):
+        fdm_linear(case, 50)
+
+
 # ---------------------------------------------------------------------------
 # Newton solver
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [100, 1000])
-@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+@pytest.mark.parametrize("case_id, n", [
+    (case_id, n) for case_id in (1, 2, 3, 4) for n in (100, 1000)
+] + [(4, 10_000)])
 def test_newton_equals_linear_solve(case_id, n):
     # Newton assembles the Robin row and solves it by the Thomas sweep, an
     # independent route to the same three-point solution: measured within
-    # 4e-15 for cases 1-3 and, through case 4's Picard-summed march and
-    # exact shooting match, within 2.6e-14
+    # 4e-15 for cases 1-3 and, through case 4's blocked march and exact
+    # shooting match, within 1.2e-13
     case = get_case(case_id)
     direct = fdm_linear(case, n)
     newton = fdm_newton(case, n)
