@@ -199,7 +199,8 @@ def plot(reports: Sequence[SolveReport], trace: IfoiTrace, case: CaseSpec,
         return []
     x = converged[0].solution.nodes
 
-    # u enters the plotted forcing only for cases whose rhs reads it
+    # u enters the plotted forcing only for cases whose rhs reads it; the
+    # comparison plot reuses it as the exact series
     u_ref = np.asarray(case.oracle(x), dtype=float)
     forcing = np.broadcast_to(
         np.asarray(case.rhs(x, u_ref), dtype=float), x.shape)
@@ -221,8 +222,7 @@ def plot(reports: Sequence[SolveReport], trace: IfoiTrace, case: CaseSpec,
         render_line_plot(evolution, f"{case.id}: stage evolution"),
         encoding="utf-8")
 
-    comparison = [Series("exact", x, np.asarray(case.oracle(x), dtype=float),
-                         "#444444", 2.2)]
+    comparison = [Series("exact", x, u_ref, "#444444", 2.2)]
     palette = {"fdm": "#d62728", "ifoi": "#2ca02c"}
     for r in converged:
         comparison.append(Series(r.method, r.solution.nodes,

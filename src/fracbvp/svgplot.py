@@ -4,6 +4,11 @@ No plotting library: identical inputs must yield byte-identical files, and
 the output has to be self-contained (inline styling, no fonts fetched, no
 timestamps).  Good enough for overlaying a handful of curves with axes and
 a legend.
+
+Polyline coordinates are computed as numpy arrays, through the same maps
+that place the ticks, and formatted in one ``%`` call.  float64 arithmetic
+gives the same bits elementwise as on Python floats, and ``"%.2f"`` rounds
+as ``f"{v:.2f}"`` does, so the bytes equal per-point ``.2f`` formatting.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ def render_line_plot(series: Sequence[Series], title: str,
     ys = np.concatenate([s.y for s in series])
     xlo, xhi = float(np.min(xs)), float(np.max(xs))
     ylo, yhi = float(np.min(ys)), float(np.max(ys))
+    if xhi == xlo:
+        xlo, xhi = xlo - 1.0, xhi + 1.0
     if yhi == ylo:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     pad = 0.04 * (yhi - ylo)
@@ -88,10 +95,11 @@ def render_line_plot(series: Sequence[Series], title: str,
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    # scalar tick positions, or whole float64 arrays for the polylines
+    def px(x):
         return MARGIN_L + (x - xlo) / (xhi - xlo) * inner_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (yhi - y) / (yhi - ylo) * inner_h
 
     out = [
@@ -138,8 +146,11 @@ def render_line_plot(series: Sequence[Series], title: str,
                f'{ylabel}</text>')
 
     for s in series:
-        pts = " ".join(f"{_fmt(px(float(a)))},{_fmt(py(float(b)))}"
-                       for a, b in zip(s.x, s.y))
+        # float64 arrays through px/py give the scalar maps' bits, and "%.2f"
+        # rounds exactly as _fmt does
+        xy = np.column_stack((px(np.asarray(s.x, dtype=float)),
+                              py(np.asarray(s.y, dtype=float))))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         out.append(f'<polyline fill="none" stroke="{s.color}" '
                    f'stroke-width="{s.width}" points="{pts}"/>')
 
