@@ -19,7 +19,7 @@ import numpy as np
 from . import fdm, shooting
 from .cases import CaseSpec, SolveReport, get_case, make_case3, sup_error
 from .ifoi import (AlphaPartition, IfoiDivergenceError, IfoiTrace,
-                   make_alpha_partition, make_ivp_solver)
+                   IvpProblem, make_alpha_partition, make_ivp_solver)
 from .svgplot import Series, ramp_color, render_line_plot
 
 RESULTS_CSV_HEADER = ["case", "method", "scheme", "n", "m", "spacing",
@@ -88,9 +88,9 @@ def _run(method: str, case: CaseSpec, params: dict, repeats: int,
     and score it; a diverging or singular solve becomes its status."""
     try:
         (solution, extra), wall = _timed(solve, repeats)
-    except (fdm.NewtonConvergenceError, IfoiDivergenceError):
+    except IfoiDivergenceError:
         return SolveReport(method, "diverged", params, 0.0)
-    except (fdm.SingularSystemError, shooting.SingularShootingError):
+    except shooting.SingularShootingError:
         return SolveReport(method, "singular", params, 0.0)
     return SolveReport(method, "converged", params, wall, solution,
                        sup_error(solution, case), extra)
@@ -199,11 +199,10 @@ def plot(reports: Sequence[SolveReport], trace: IfoiTrace, case: CaseSpec,
         return []
     x = converged[0].solution.nodes
 
-    # u enters the plotted forcing only for cases whose rhs reads it; the
-    # comparison plot reuses it as the exact series
+    # the plotted forcing is g + k u at the exact solution, which the
+    # comparison plot reuses as its exact series
     u_ref = np.asarray(case.oracle(x), dtype=float)
-    forcing = np.broadcast_to(
-        np.asarray(case.rhs(x, u_ref), dtype=float), x.shape)
+    forcing = IvpProblem(case.g, case.k, u_ref[0], 0.0).rhs(x, u_ref)
     total = case.default_partition.cumulative[-1]
     stage_series = [
         Series(f"order {order:.2f}", gf.nodes, gf.values,

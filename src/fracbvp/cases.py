@@ -1,14 +1,16 @@
 """The four benchmark problems, their constants, and reference solutions.
 
-Every case lives on [0, 1].  Cases 1 and 2 share a Gaussian forcing and have
-closed-form solutions in terms of the error function, which ``_erf``
-evaluates in numpy within 1 ulp of ``math.erf``; case 3 carries an
-oscillatory forcing with an elementary closed form; case 4 couples the
-unknown back into the right-hand side and its reference solution is an
-entire power series (Airy functions of ``-2^(1/3) x``) whose ten-term
-coefficient rows are computed at import.  The oracles work in place on a
-few arrays of the grid's size, with no Python call per node, so scoring
-costs a small share of a solve at any grid size.
+Every case is ``u'' = g(x) + k(x) u`` on [0, 1], stated by its forcing
+``g`` and its coupling ``k`` (``None`` when there is none).  Cases 1 and 2
+share a Gaussian forcing and have closed-form solutions in terms of the
+error function, which ``_erf`` evaluates in numpy within 1 ulp of
+``math.erf``; case 3 carries an oscillatory forcing with an elementary
+closed form; case 4 couples the unknown back through ``k = -2x`` and its
+reference solution is an entire power series (Airy functions of
+``-2^(1/3) x``) whose ten-term coefficient rows are computed at import.
+The oracles work in place on a few arrays of the grid's size, with no
+Python call per node, so scoring costs a small share of a solve at any
+grid size.
 """
 
 from __future__ import annotations
@@ -44,14 +46,13 @@ class CaseSpec:
     """One benchmark problem plus everything needed to score a solve."""
 
     id: str
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
+    k: Optional[Callable[[np.ndarray], np.ndarray]]
     left_bc: BoundaryCondition
     right_bc: BoundaryCondition
-    depends_on_u: bool
     default_scheme: str
     default_partition: AlphaPartition
     oracle: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    rhs_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     default_n: int = 100
 
 
@@ -131,7 +132,7 @@ def _erf(x) -> np.ndarray:
     return np.copysign(out, x, out=out)
 
 
-def gauss_forcing(x, u=None):
+def gauss_forcing(x):
     return -20.0 * np.exp(-10.0 * (np.asarray(x, dtype=float) - 0.7) ** 2)
 
 
@@ -167,7 +168,7 @@ def gauss_second_integral(x):
 # closed-form machinery for the oscillatory forcing of case 3
 # ---------------------------------------------------------------------------
 
-def oscillatory_forcing(x, u=None):
+def oscillatory_forcing(x):
     x = np.asarray(x, dtype=float)
     return -x * (1.0 - np.sin(100.0 * x) ** 2)
 
@@ -199,7 +200,7 @@ def oscillatory_second_integral(x):
 
 
 # ---------------------------------------------------------------------------
-# case 4: the power-series reference, and classical RK4 to check it by
+# case 4: the power-series reference
 # ---------------------------------------------------------------------------
 
 def _case4_oracle():
@@ -228,37 +229,6 @@ def _case4_oracle():
         out += t
         return out
     return oracle
-
-
-def rk4_dense(rhs: Callable[[float, float], float], u0: float, s0: float,
-              nsteps: int) -> np.ndarray:
-    """Integrate ``u'' = rhs(x, u)`` over [0, 1]; returns all node values."""
-    h = 1.0 / nsteps
-    out = np.empty(nsteps + 1)
-    out[0] = u0
-    u, s = float(u0), float(s0)
-    f = rhs
-    for i in range(nsteps):
-        x = i * h
-        k1u = s
-        k1s = f(x, u)
-        k2u = s + 0.5 * h * k1s
-        k2s = f(x + 0.5 * h, u + 0.5 * h * k1u)
-        k3u = s + 0.5 * h * k2s
-        k3s = f(x + 0.5 * h, u + 0.5 * h * k2u)
-        k4u = s + h * k3s
-        k4s = f(x + h, u + h * k3u)
-        u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-        s += h * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-        out[i + 1] = u
-    return out
-
-
-def rk4_solve_ivp(rhs: Callable[[float, float], float], u0: float, s0: float,
-                  n: int, substeps: int = 1000) -> GridFunction:
-    """RK4 solution of ``u'' = rhs(x, u)`` sampled on n+1 uniform nodes."""
-    dense = rk4_dense(rhs, u0, s0, n * substeps)
-    return GridFunction(1.0 / n, dense[::substeps].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +282,10 @@ def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
             f"within {CASE3_MAX_SCALE:.0e} in magnitude")
     return CaseSpec(
         id="case3",
-        rhs=oscillatory_forcing,
+        g=oscillatory_forcing,
+        k=None,
         left_bc=left_bc,
         right_bc=right_bc,
-        depends_on_u=False,
         default_scheme="abm",
         default_partition=make_alpha_partition("quadratic", 10),
         oracle=_line_plus(a, slope, oscillatory_second_integral),
@@ -327,10 +297,10 @@ def _build_registry() -> dict[str, CaseSpec]:
     a1, b1 = CASE1_CONSTANTS["a"], CASE1_CONSTANTS["b"]
     case1 = CaseSpec(
         id="case1",
-        rhs=gauss_forcing,
+        g=gauss_forcing,
+        k=None,
         left_bc=dirichlet("left", a1),
         right_bc=dirichlet("right", b1),
-        depends_on_u=False,
         default_scheme="gl",
         default_partition=make_alpha_partition("regular", 10),
         oracle=_line_plus(a1, _affine_coeff_dirichlet(a1, b1, gauss_second_integral),
@@ -342,10 +312,10 @@ def _build_registry() -> dict[str, CaseSpec]:
                   CASE2_CONSTANTS["c"])
     case2 = CaseSpec(
         id="case2",
-        rhs=gauss_forcing,
+        g=gauss_forcing,
+        k=None,
         left_bc=dirichlet("left", a2),
         right_bc=robin("right", b2, c2),
-        depends_on_u=False,
         default_scheme="rect",
         # five stages, not ten: the first-order rectangle rule accumulates
         # error linearly in the stage count, and five keeps the benchmark
@@ -362,11 +332,11 @@ def _build_registry() -> dict[str, CaseSpec]:
     a4, b4 = CASE4_CONSTANTS["a"], CASE4_CONSTANTS["b"]
     case4 = CaseSpec(
         id="case4",
-        rhs=lambda x, u: 2.0 * np.asarray(x, dtype=float) * (5.0 - u),
-        rhs_u=lambda x, u: -2.0 * np.asarray(x, dtype=float) + 0.0 * u,
+        # u'' = 2x(5 - u)
+        g=lambda x: 10.0 * np.asarray(x, dtype=float),
+        k=lambda x: -2.0 * np.asarray(x, dtype=float),
         left_bc=dirichlet("left", a4),
         right_bc=dirichlet("right", b4),
-        depends_on_u=True,
         default_scheme="abm",
         default_partition=make_alpha_partition("regular", 10),
         oracle=_case4_oracle(),

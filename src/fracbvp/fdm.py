@@ -1,14 +1,14 @@
 """Finite-difference reference solvers for the benchmark problems.
 
-Both use central second differences.  ``fdm_linear`` marches the interior
-rows, a discrete IVP, and leaves the right-end condition to
-:mod:`fracbvp.shooting`; every package case is solved this way.  A forcing
-is summed in closed form; a right-hand side that reads ``u``, affine in it
-as shooting requires, is marched exactly as a blocked two-level scan.
-``fdm_newton`` remains for right-hand sides not affine in ``u``: it runs a
-guarded Thomas sweep per step, and its Robin row eliminates the out-of-band
-node of the one-sided difference through the last interior equation, so the
-system stays tridiagonal.
+Both use central second differences on ``u'' = g(x) + k(x) u``.
+``fdm_linear`` marches the interior rows, a discrete IVP, and leaves the
+right-end condition to :mod:`fracbvp.shooting`; every package case is
+solved this way.  Without coupling the forcing is summed in closed form;
+with it the rows are marched once per solve as a blocked two-level scan,
+shared by both IVPs.  ``fdm_newton`` is an independent reference on the
+same problems: it runs a guarded Thomas sweep per step, and its Robin row
+eliminates the out-of-band node of the one-sided difference through the
+last interior equation, so the system stays tridiagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .ifoi import DIVERGENCE_GUARD, IfoiDivergenceError, IvpProblem
-from .shooting import solve_bvp
+from .shooting import IvpSolver, solve_bvp
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -83,39 +83,38 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _march(problem: IvpProblem, n: int) -> GridFunction:
+def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
     """The central-difference IVP ``U[i+1] = 2 U[i] - U[i-1] + h^2 f[i]``
-    from ``U[0] = u0`` and ``U[1] = u0 + s0 h``.
+    from ``U[0] = u0`` and ``U[1] = u0 + s0 h``, for the IVPs that
+    :func:`~fracbvp.shooting.decompose` makes of ``case``.
 
-    A right-hand side that ignores ``u`` is summed twice cumulatively.  One
-    that reads ``u`` must be affine in it, as
-    :func:`fracbvp.shooting.decompose` checks: with ``g = rhs(x, 0)`` and
-    ``k = rhs(x, 1) - g`` the rows are the recurrence of 2-vectors
+    Without coupling the forcing ``g`` is summed twice cumulatively.  With
+    ``f = g + k U`` the rows are the recurrence of 2-vectors
     ``D[i] = D[i-1] + h^2 (g[i] + k[i] U[i])``, ``U[i+1] = U[i] + D[i]``
     from ``D[0] = s0 h``, the running sums of the double sum.  It is
     marched exactly as a two-level scan: the ``n - 1`` steps are cut into
     blocks that march at once from the entry states ``(1, 0)``, ``(0, 1)``
     and ``(0, 0)`` plus forcing (rows ``phi``, ``psi`` and ``p``), a scalar
     loop finds each block's entry state ``(alpha, beta)``, and the block's
-    values are ``alpha phi + beta psi + p``.
+    values are ``alpha phi + beta psi + p``.  Both IVPs share ``k``, so the
+    rows are marched once, here, and each IVP joins them from its own
+    start: the particular one with ``p``, the homogeneous one without.
 
-    :raises IfoiDivergenceError: when a marched value passes ``1e8``.
+    The solver raises :class:`IfoiDivergenceError` when a value passes
+    ``1e8``.
     """
     h = 1.0 / n
     x = np.arange(n + 1) * h
-
-    def rhs_at(u: float) -> np.ndarray:
-        return np.broadcast_to(np.asarray(
-            problem.rhs(x, np.broadcast_to(u, x.shape)), dtype=float), x.shape)
-
-    g = rhs_at(0.0)
-    if not problem.depends_on_u:
-        out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
-        np.cumsum(g[1:n], out=out[2:])
-        np.cumsum(out[2:], out=out[2:])
-        out *= h * h
-        out += problem.u0 + problem.s0 * x
-        return GridFunction(h, out)
+    g = np.broadcast_to(np.asarray(case.g(x), dtype=float), x.shape)
+    if case.k is None:
+        def summed(problem: IvpProblem) -> GridFunction:
+            out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
+            np.cumsum(g[1:n], out=out[2:])
+            np.cumsum(out[2:], out=out[2:])
+            out *= h * h
+            out += problem.u0 + problem.s0 * x
+            return GridFunction(h, out)
+        return summed
 
     steps = n - 1
     # steps per block, about sqrt(steps / 8): a step costs four numpy calls
@@ -128,10 +127,10 @@ def _march(problem: IvpProblem, n: int) -> GridFunction:
     # block is padded with zero steps
     coef = np.zeros((width, 2, blocks))
     full, rest = divmod(steps, width)
-    for by_block, f in zip(coef.transpose(1, 2, 0), (rhs_at(1.0), g)):
+    k = np.broadcast_to(np.asarray(case.k(x), dtype=float), x.shape)
+    for by_block, f in zip(coef.transpose(1, 2, 0), (k, g)):
         by_block[:full] = f[1:1 + full * width].reshape(full, width)
         by_block[full:, :rest] = f[1 + full * width:n]
-    coef[:, 0] -= coef[:, 1]
     coef *= h * h
     # rows phi, psi, p of every block, marched together step by step
     table = np.empty((width, 3, blocks))
@@ -140,54 +139,58 @@ def _march(problem: IvpProblem, n: int) -> GridFunction:
     d = np.zeros((3, blocks))
     d[1] = 1.0
     dk = np.empty((3, blocks))
-    for (k, f), row in zip(coef, table):
-        np.multiply(u, k, out=dk)
+    for (kh, gh), row in zip(coef, table):
+        np.multiply(u, kh, out=dk)
         d += dk
-        d[2] += f
+        d[2] += gh
         u = np.add(u, d, out=row)
-    # a block entered at (U, D) = (a, b) exits at a times the exit of row
-    # phi, plus b times that of psi, plus that of p
-    a, b = problem.u0 + problem.s0 * h, problem.s0 * h
-    entries = []
-    for (u_phi, u_psi, u_p), (d_phi, d_psi, d_p) in zip(zip(*u.tolist()),
-                                                        zip(*d.tolist())):
-        entries.append((a, b))
-        a, b = a * u_phi + b * u_psi + u_p, a * d_phi + b * d_psi + d_p
-    alpha, beta = np.array(entries).T
-
+    exits = list(zip(zip(*u.tolist()), zip(*d.tolist())))
     phi, psi, p = table.transpose(1, 0, 2)
-    phi *= alpha
-    psi *= beta
-    phi += psi
-    phi += p
-    out = np.empty(2 + blocks * width)
-    out[0], out[1] = problem.u0, problem.u0 + problem.s0 * h
-    out[2:].reshape(blocks, width)[...] = phi.T
-    out = out[:n + 1]
-    peak = max(float(out.max()), -float(out.min()))
-    if not peak < DIVERGENCE_GUARD:
-        raise IfoiDivergenceError(
-            "the march exceeded the divergence guard", 0, peak)
-    return GridFunction(h, out)
+
+    def joined(problem: IvpProblem) -> GridFunction:
+        # a block entered at (U, D) = (a, b) exits at a times the exit of
+        # row phi, plus b times that of psi, plus that of p if forced
+        forced = problem.g is not None
+        a, b = problem.u0 + problem.s0 * h, problem.s0 * h
+        entries = []
+        for (u_phi, u_psi, u_p), (d_phi, d_psi, d_p) in exits:
+            entries.append((a, b))
+            a, b = a * u_phi + b * u_psi, a * d_phi + b * d_psi
+            if forced:
+                a, b = a + u_p, b + d_p
+        alpha, beta = np.array(entries).T
+        rows = phi * alpha
+        rows += psi * beta
+        if forced:
+            rows += p
+        out = np.empty(2 + blocks * width)
+        out[0], out[1] = problem.u0, problem.u0 + problem.s0 * h
+        out[2:].reshape(blocks, width)[...] = rows.T
+        out = out[:n + 1]
+        peak = max(float(out.max()), -float(out.min()))
+        if not peak < DIVERGENCE_GUARD:
+            raise IfoiDivergenceError(
+                "the march exceeded the divergence guard", 0, peak)
+        return GridFunction(h, out)
+    return joined
 
 
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
-    """Central-difference solve of ``u'' = f(x, u)`` by shooting.
+    """Central-difference solve of ``u'' = g(x) + k(x) u`` by shooting.
 
     The ``n - 1`` interior rows are marched as an IVP and the right-end
     condition, with the second-order one-sided slope under Robin, is matched
-    by shooting, exactly when ``f`` is affine in ``u``.  Exact for solutions
-    that are polynomials of degree at most two, second-order otherwise.
+    by shooting, which is exact for this linear equation.  Exact for
+    solutions that are polynomials of degree at most two, second-order
+    otherwise.
 
     :raises SingularShootingError: when the homogeneous solution already
         meets the homogeneous right condition, so that no slope matches it.
     :raises IfoiDivergenceError: when a marched value passes ``1e8``.
-    :raises ValueError: when ``f`` reads ``u`` but is not affine in it; solve
-        such a case with :func:`fdm_newton`.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")
-    solution, _ = solve_bvp(case, lambda problem: _march(problem, n))
+    solution, _ = solve_bvp(case, _march_solver(case, n))
     return solution
 
 
@@ -199,24 +202,16 @@ def _newton_iterate(case: "CaseSpec", n: int, tol: float,
     right = case.right_bc
     b_guess = right.value if right.kind == "dirichlet" else a
     U = a + (b_guess - a) * x
-
-    def rhs_u(xv, uv):
-        if case.rhs_u is not None:
-            return np.broadcast_to(np.asarray(case.rhs_u(xv, uv), dtype=float),
-                                   xv.shape)
-        eps = 1e-6
-        return (np.asarray(case.rhs(xv, uv + eps), dtype=float)
-                - np.asarray(case.rhs(xv, uv - eps), dtype=float)) / (2 * eps)
+    problem = IvpProblem(case.g, case.k, a, 0.0)
+    dfu = IvpProblem(None, case.k, a, 0.0).rhs(x, 1.0)  # k, the Jacobian
 
     update_norms: list[float] = []
     residual = np.inf
     for _ in range(max_iter):
-        f_nodes = np.broadcast_to(
-            np.asarray(case.rhs(x, U), dtype=float), x.shape)
+        f_nodes = problem.rhs(x, U)
         F = np.zeros(n + 1)
         F[0] = U[0] - a
         F[1:n] = (U[0:n - 1] - 2 * U[1:n] + U[2:n + 1]) / h**2 - f_nodes[1:n]
-        dfu = rhs_u(x, U)
 
         sub = np.zeros(n + 1)
         diag = np.zeros(n + 1)
@@ -252,9 +247,9 @@ def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,
 
     Starts from the straight line between the boundary values (or a flat
     profile under a Robin right condition) and stops once the sup-norm
-    update drops below ``tol``.  Affine-in-``u`` right-hand sides take two
-    steps, the second confirming the first (three near ``n = 10^5``, where
-    the sweep's rounding passes ``tol``): the discrete system is linear.
+    update drops below ``tol``.  The discrete system is linear, with
+    Jacobian ``k``, so it takes two steps, the second confirming the first
+    (three near ``n = 10^5``, where the sweep's rounding passes ``tol``).
 
     :raises NewtonConvergenceError: carrying the last residual norm when
         ``max_iter`` steps do not settle.

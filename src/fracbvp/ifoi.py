@@ -3,9 +3,9 @@
 The order-2 integral of the right-hand side is reached by composing partial
 fractional integrations whose orders follow an :class:`AlphaPartition`
 schedule; the semigroup law of the fractional integral makes the composition
-converge to the plain double integral as the grid refines.  Right-hand sides
-that read the unknown are handled by an outer Picard iteration around the
-whole staged composition.
+converge to the plain double integral as the grid refines.  A problem is
+``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer Picard
+iteration around the whole staged composition.
 """
 
 from __future__ import annotations
@@ -93,17 +93,26 @@ def make_alpha_partition(spacing: str, m: int) -> AlphaPartition:
 
 @dataclass(frozen=True)
 class IvpProblem:
-    """``u'' = rhs(x, u)`` on [0, 1] with ``u(0) = u0`` and ``u'(0) = s0``.
+    """``u'' = g(x) + k(x) u`` on [0, 1] with ``u(0) = u0`` and ``u'(0) = s0``.
 
-    ``depends_on_u`` says whether ``rhs`` actually reads its second argument;
-    it decides whether the solver wraps the staged integration in Picard
-    iteration.
+    ``g`` is the forcing and ``k`` the coupling, each a function of the
+    nodes; ``None`` stands for zero.  A problem without coupling is solved
+    by one staged pass, one with it by Picard iteration.
     """
 
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g: Optional[Callable[[np.ndarray], np.ndarray]]
+    k: Optional[Callable[[np.ndarray], np.ndarray]]
     u0: float
     s0: float
-    depends_on_u: bool = False
+
+    def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``g(x) + k(x) u`` as a new array of the shape of ``x``."""
+        out = np.zeros(np.shape(x))
+        if self.g is not None:
+            out += self.g(x)
+        if self.k is not None:
+            out += self.k(x) * u
+        return out
 
 
 Snapshots = tuple[tuple[float, GridFunction], ...]
@@ -268,36 +277,6 @@ class ComposedOperator:
         return out
 
 
-def picard(problem: IvpProblem,
-           step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-           n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve ``u = step(u)[0]`` on ``n + 1`` nodes, where ``step`` also
-    returns the forcing it summed; returns ``u``, that forcing and the
-    Picard count.  A right-hand side that ignores ``u`` takes one pass and
-    counts none; otherwise passes run from the constant ``u0`` until the
-    sup-norm update drops below ``1e-10``.
-
-    :raises IfoiDivergenceError: if an iterate passes ``1e8`` or the update
-        does not settle within 200 passes.
-    """
-    if not problem.depends_on_u:
-        return (*step(np.zeros(n + 1)), 0)
-    u = np.full(n + 1, float(problem.u0))
-    for iterations in range(1, PICARD_MAX_ITER + 1):
-        unew, forcing = step(u)
-        if not np.all(np.abs(unew) < DIVERGENCE_GUARD):
-            raise IfoiDivergenceError(
-                "solution exceeded the divergence guard",
-                iterations, float(np.max(np.abs(unew))))
-        update = float(np.max(np.abs(unew - u)))
-        u = unew
-        if update < PICARD_TOL:
-            return u, forcing, iterations
-    raise IfoiDivergenceError(
-        f"Picard did not settle in {PICARD_MAX_ITER} iterations",
-        PICARD_MAX_ITER, update)
-
-
 def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
                    scheme: str = "gl", policy: MemoryPolicy = FULL_MEMORY, *,
                    operator: Optional[ComposedOperator] = None,
@@ -314,9 +293,10 @@ def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
     once, after the staging: the integral operators leave zero value and
     zero slope at the origin, so nothing else is consistent.
 
-    When the right-hand side reads ``u``, the whole composition iterates as
-    ``u <- u0 + s0*x + I2[rhs(., u)]`` from the constant start ``u0`` until
-    the sup-norm update drops below ``1e-10``, by :func:`picard`.
+    Without coupling one pass solves the problem and counts no Picard
+    iteration.  With it, the whole composition iterates as
+    ``u <- u0 + s0*x + I2[g + k u]`` from the constant start ``u0`` until
+    the sup-norm update drops below ``1e-10``.
 
     :raises IfoiDivergenceError: if any intermediate magnitude of the
         staged composition passes ``1e8`` or Picard fails to settle within
@@ -335,20 +315,33 @@ def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
     elif operator != own:
         raise ValueError("operator was composed for other settings")
 
-    def one_pass(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.broadcast_to(
-            np.asarray(problem.rhs(x, u), dtype=float), x.shape).copy()
-        if not np.all(np.isfinite(values)):
+    u = np.full(n + 1, float(problem.u0))
+    for iterations in range(1, PICARD_MAX_ITER + 1):
+        forcing = problem.rhs(x, u)
+        if not np.all(np.isfinite(forcing)):
             raise IfoiDivergenceError(
                 "right-hand side overflowed", iterations=0,
                 last_update=math.inf)
-        if not np.max(np.abs(values)) * operator.bound < DIVERGENCE_GUARD:
+        if not np.max(np.abs(forcing)) * operator.bound < DIVERGENCE_GUARD:
             # a stage may pass the guard: the staged pass decides, and raises
-            _staged_integral(GridFunction(h, values), partition, scheme,
+            _staged_integral(GridFunction(h, forcing), partition, scheme,
                              policy)
-        return ic + operator.apply(values), values
-
-    u, forcing, iterations = picard(problem, one_pass, n)
+        unew = ic + operator.apply(forcing)
+        if problem.k is None:
+            u, iterations = unew, 0
+            break
+        if not np.all(np.abs(unew) < DIVERGENCE_GUARD):
+            raise IfoiDivergenceError(
+                "solution exceeded the divergence guard",
+                iterations, float(np.max(np.abs(unew))))
+        update = float(np.max(np.abs(unew - u)))
+        u = unew
+        if update < PICARD_TOL:
+            break
+    else:
+        raise IfoiDivergenceError(
+            f"Picard did not settle in {PICARD_MAX_ITER} iterations",
+            PICARD_MAX_ITER, update)
 
     solution = GridFunction(h, u)
 

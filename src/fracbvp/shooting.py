@@ -1,10 +1,11 @@
 """Two-point BVPs reduced to a pair of IVPs plus one matching coefficient.
 
-``u = u1 + c * u2`` where ``u1`` solves the full equation with the left
-value and zero slope, ``u2`` solves the homogeneous equation with zero value
-and unit slope, and ``c`` is fixed by the right boundary condition.  The
-combination itself is exact linear algebra; all discretization error lives
-in the two IVP solves.
+A case is ``u'' = g(x) + k(x) u``, linear in ``u``, which is what makes
+``u = u1 + c * u2`` exact: ``u1`` solves the full equation with the left
+value and zero slope, ``u2`` solves the homogeneous equation ``u'' = k u``
+with zero value and unit slope, and ``c`` is fixed by the right boundary
+condition.  The combination itself is exact linear algebra; all
+discretization error lives in the two IVP solves.
 """
 
 from __future__ import annotations
@@ -72,57 +73,22 @@ class ShootingPair:
             raise ValueError("shooting pair must share one grid")
 
 
-# Nodes and values at which ``decompose`` checks that a right-hand side is
-# affine in ``u``, and the rounding tolerance of that check.
-PROBE_X = np.array([0.125, 0.375, 0.625, 0.875])
-AFFINE_RTOL = 1e-12
-
-
-def _require_affine(case: "CaseSpec") -> None:
-    """Refuse a right-hand side that is not affine in ``u`` at the probes.
-
-    Affine means ``rhs(x, u) = rhs(x, 0) + k(x) u``, and then
-    ``rhs(x, -2) + 2 rhs(x, 1) - 3 rhs(x, 0)`` vanishes to rounding.
-    """
-    x = PROBE_X
-    f0, f1, f2 = (np.asarray(case.rhs(x, np.full_like(x, u)), dtype=float)
-                  for u in (0.0, 1.0, -2.0))
-    gap = np.abs(f2 + 2.0 * f1 - 3.0 * f0)
-    scale = np.abs(f2) + 2.0 * np.abs(f1) + 3.0 * np.abs(f0)
-    if not np.all(gap <= AFFINE_RTOL * scale):
-        raise ValueError(
-            f"case {case.id}: the right-hand side is not affine in u, so no "
-            f"combination u1 + c*u2 of its IVP solutions solves the BVP; "
-            f"solve it with fdm_newton")
-
-
 def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
     """Solve the particular and homogeneous halves of a case.
 
-    ``u1`` carries the forcing and the left value with zero slope; ``u2``
-    solves ``rhs(x, u) - rhs(x, 0)`` from zero value and unit slope.  For
-    forcing-only cases that right-hand side is identically zero, so ``u2``
-    is the line ``x`` itself and the solver is not called for it.
+    ``u1`` solves ``u'' = g + k u`` from the left value and zero slope;
+    ``u2`` solves ``u'' = k u`` from zero value and unit slope.  Without
+    coupling ``u2`` is the line ``x`` itself and the solver is not called
+    for it.
 
-    :raises ValueError: for a left condition that is not Dirichlet, and for
-        a right-hand side that reads ``u`` but is not affine in it (checked
-        at :data:`PROBE_X`), which shooting cannot solve.
+    :raises ValueError: for a left condition that is not Dirichlet.
     """
     if case.left_bc.kind != "dirichlet":
         raise ValueError("decomposition requires a Dirichlet left condition")
-    if case.depends_on_u:
-        _require_affine(case)
-    rhs = case.rhs
-    u1 = solver(IvpProblem(rhs, u0=case.left_bc.value, s0=0.0,
-                           depends_on_u=case.depends_on_u))
-    if not case.depends_on_u:
+    u1 = solver(IvpProblem(case.g, case.k, case.left_bc.value, 0.0))
+    if case.k is None:
         return ShootingPair(u1, u1.with_values(u1.nodes))
-
-    def homogeneous(x, u):
-        return np.asarray(rhs(x, u), dtype=float) - np.asarray(rhs(x, 0.0 * u), dtype=float)
-
-    u2 = solver(IvpProblem(homogeneous, u0=0.0, s0=1.0, depends_on_u=True))
-    return ShootingPair(u1, u2)
+    return ShootingPair(u1, solver(IvpProblem(None, case.k, 0.0, 1.0)))
 
 
 def _end_slope(values: np.ndarray, h: float) -> float:

@@ -1,14 +1,15 @@
 """Brute-force reference computations for the tests.
 
 Everything here is deliberately independent of the quadrature weights under
-test: plain composite Simpson sums, direct formula evaluation and Taylor
-series only.
+test: plain composite Simpson sums, direct formula evaluation, Taylor
+series, classical RK4 and Chebyshev collocation only.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
 
@@ -150,3 +151,68 @@ def case4_fdm_error_prediction(n: int) -> float:
     h = 1.0 / n
     nodes = np.arange(n + 1) * h
     return h * h * float(np.max(np.abs(P.polyval(nodes, correction))))
+
+
+# ---------------------------------------------------------------------------
+# classical RK4 shooting
+# ---------------------------------------------------------------------------
+
+def rk4_dense(rhs, u0: float, s0: float, nsteps: int) -> np.ndarray:
+    """Integrate ``u'' = rhs(x, u)`` over [0, 1]; returns all node values."""
+    h = 1.0 / nsteps
+    out = np.empty(nsteps + 1)
+    out[0] = u0
+    u, s = float(u0), float(s0)
+    f = rhs
+    for i in range(nsteps):
+        x = i * h
+        k1u = s
+        k1s = f(x, u)
+        k2u = s + 0.5 * h * k1s
+        k2s = f(x + 0.5 * h, u + 0.5 * h * k1u)
+        k3u = s + 0.5 * h * k2s
+        k3s = f(x + 0.5 * h, u + 0.5 * h * k2u)
+        k4u = s + h * k3s
+        k4s = f(x + h, u + h * k3u)
+        u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+        s += h * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
+        out[i + 1] = u
+    return out
+
+
+def rk4_solve_ivp(rhs, u0: float, s0: float, n: int,
+                  substeps: int = 1000) -> np.ndarray:
+    """RK4 solution of ``u'' = rhs(x, u)`` at the n+1 uniform nodes."""
+    return rk4_dense(rhs, u0, s0, n * substeps)[::substeps].copy()
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev collocation for u'' = g(x) + k(x) u on [0, 1]
+# ---------------------------------------------------------------------------
+
+def chebyshev_bvp(g, k, left: float, right: tuple[float, float, float],
+                  terms: int = 60):
+    """The solution of ``u'' = g(x) + k(x) u`` with ``u(0) = left`` and
+    ``p u'(1) + q u(1) = r`` for ``right = (p, q, r)``, by collocation at
+    the interior Chebyshev-Lobatto points (Trefethen, *Spectral Methods in
+    MATLAB*, 2000), as a function of ``x``.
+
+    With ``t = 2x - 1`` the solution is ``sum c_j T_j(t)``, so
+    ``u'' = 4 sum c_j T_j''(t)``; ``T_j(+-1) = (+-1)^j`` and
+    ``T_j'(1) = j^2`` give the boundary rows.
+    """
+    t = np.cos(np.pi * np.arange(1, terms - 1) / (terms - 1))
+    x = (t + 1.0) / 2.0
+    unit = np.eye(terms)
+    values = C.chebvander(t, terms - 1)
+    second = np.stack([C.chebval(t, C.chebder(e, 2)) for e in unit], axis=1)
+    j = np.arange(terms)
+    p, q, r = right
+    matrix = np.vstack([
+        4.0 * second - k(x)[:, None] * values,
+        (-1.0) ** j,
+        2.0 * p * j * j + q,
+    ])
+    coeffs = np.linalg.solve(matrix, np.r_[g(x), left, r])
+    return lambda xs: C.chebval(2.0 * np.asarray(xs, dtype=float) - 1.0,
+                                coeffs)

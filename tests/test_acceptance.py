@@ -301,10 +301,9 @@ def test_criterion_7_structural_suite(tmp_path):
 
     # quadratic exactness of the reference solver
     from fracbvp.cases import CaseSpec
-    quad = CaseSpec(id="quad", rhs=lambda x, u: 2.0 + 0.0 * x,
+    quad = CaseSpec(id="quad", g=lambda x: 2.0 + 0.0 * x, k=None,
                     left_bc=dirichlet("left", 0.0),
-                    right_bc=dirichlet("right", 1.0), depends_on_u=False,
-                    default_scheme="gl",
+                    right_bc=dirichlet("right", 1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x**2)
     if sup_error(fdm_linear(quad, 64), quad) > 1e-12:

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import os
 import subprocess
 import sys
@@ -12,7 +14,6 @@ from fracbvp import RunConfig, run, run_quiet, sweep, table1
 from fracbvp import bench as bench_mod
 from fracbvp import cli
 from fracbvp.bench import read_results_csv
-from fracbvp.fdm import SingularSystemError
 from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import SingularShootingError
 from fracbvp.svgplot import ramp_color
@@ -82,8 +83,7 @@ def test_csv_layout(tmp_path):
     assert re.fullmatch(r"-?\d\.\d{16}e[+-]\d{2}", error_field)
 
 
-@pytest.mark.parametrize("error", [SingularSystemError,
-                                   SingularShootingError])
+@pytest.mark.parametrize("error", [SingularShootingError])
 def test_singular_solve_is_a_reported_status(tmp_path, monkeypatch, error):
     def singular(case, n):
         raise error("synthetic")
@@ -355,3 +355,34 @@ def test_cli_case3_constant_overrides(tmp_path):
     # the weaker Robin weight is known to inflate the error well past the
     # default-constant value
     assert float(row["error"]) > 1e-3
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_names_wrapped_by_the_benchmark_tracer_exist():
+    """Every ``module.attr`` in ``WRAPS`` of ``perfbench/tracing.py``
+    resolves; a missing one would make its spans and metrics read 0.  The
+    table is read as text, so perfbench is not imported."""
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    wraps = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "WRAPS"
+                         for t in node.targets))
+    names = [(row.elts[0].value, row.elts[1].value) for row in wraps.elts]
+    assert names
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fracbvp"}
+    found = set()
+    for path in (REPO / "src" / "fracbvp").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    assert found and found <= allowed, sorted(found - allowed)

@@ -1,19 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      TridiagonalSystem, fdm_linear, fdm_newton, get_case,
                      make_alpha_partition, solve_tridiagonal, sup_error)
-from fracbvp.cases import CaseSpec, rk4_solve_ivp
-from fracbvp.fdm import _march, _newton_iterate
+from fracbvp.cases import CaseSpec
+from fracbvp.fdm import _march_solver, _newton_iterate
 from fracbvp.grid import GridFunction
 from fracbvp.ifoi import IfoiDivergenceError, make_ivp_solver
 from fracbvp.shooting import decompose, dirichlet, robin, solve_bvp
 
+from oracles import rk4_solve_ivp
 
-def synthetic_case(rhs, left, right, rhs_u=None, depends_on_u=False):
-    return CaseSpec(id="synthetic", rhs=rhs, rhs_u=rhs_u, left_bc=left,
-                    right_bc=right, depends_on_u=depends_on_u,
+
+def synthetic_case(g, left, right, k=None):
+    return CaseSpec(id="synthetic", g=g, k=k, left_bc=left, right_bc=right,
                     default_scheme="abm",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: np.zeros_like(x))
@@ -52,7 +55,7 @@ def test_tridiagonal_guards_zero_pivot():
 
 @pytest.mark.parametrize("n", [4, 10, 37, 100])
 def test_exact_on_quadratic_dirichlet(n):
-    case = synthetic_case(lambda x, u: 2.0 + 0.0 * x,
+    case = synthetic_case(lambda x: 2.0 + 0.0 * x,
                           dirichlet("left", 0.0), dirichlet("right", 1.0))
     sol = fdm_linear(case, n)
     assert np.max(np.abs(sol.values - sol.nodes**2)) <= 1e-12
@@ -61,7 +64,7 @@ def test_exact_on_quadratic_dirichlet(n):
 @pytest.mark.parametrize("n", [4, 25, 100])
 def test_exact_on_quadratic_robin(n):
     # u = x^2 satisfies u'(1) + 3 u(1) = 5
-    case = synthetic_case(lambda x, u: 2.0 + 0.0 * x,
+    case = synthetic_case(lambda x: 2.0 + 0.0 * x,
                           dirichlet("left", 0.0), robin("right", 3.0, 5.0))
     sol = fdm_linear(case, n)
     assert np.max(np.abs(sol.values - sol.nodes**2)) <= 1e-12
@@ -111,8 +114,8 @@ def _plain_march(problem, n):
 
 
 AFFINE_ROBIN = synthetic_case(
-    lambda x, u: -2.0 * (1.0 + x * x) * u + 50.0 * np.exp(x),
-    dirichlet("left", 3.0), robin("right", 2.0, -1.0), depends_on_u=True)
+    lambda x: 50.0 * np.exp(x), dirichlet("left", 3.0),
+    robin("right", 2.0, -1.0), k=lambda x: -2.0 * (1.0 + x * x))
 
 
 # every n from 4 to 70, and n - 1 prime or a perfect square plus or minus
@@ -127,7 +130,7 @@ def test_blocked_march_equals_plain_march(case, n):
     # a Dirichlet right end; a Robin match reads an end slope, which scales
     # rounding by about n (there Newton and the plain march differ by
     # 7e-13 at n = 10^4), so it is compared through its IVPs only
-    blocked = decompose(case, lambda problem: _march(problem, n))
+    blocked = decompose(case, _march_solver(case, n))
     plain = decompose(case, lambda problem: _plain_march(problem, n))
     pairs = [(blocked.u1, plain.u1), (blocked.u2, plain.u2)]
     if case.right_bc.kind == "dirichlet":
@@ -138,12 +141,34 @@ def test_blocked_march_equals_plain_march(case, n):
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
+                         ids=["case4", "affine-robin"])
+def test_coupled_solve_marches_once(case):
+    """Both IVPs of a solve join one march, so ``g`` and ``k`` are each
+    sampled once per solve; a new solve marches again, so nothing is kept
+    between solves."""
+    calls = []
+
+    def counted(name, f):
+        def sample(x):
+            calls.append(name)
+            return f(x)
+        return sample
+
+    counted_case = replace(case, g=counted("g", case.g),
+                           k=counted("k", case.k))
+    for solves in (1, 2):
+        solution = fdm_linear(counted_case, 50)
+        assert sorted(calls) == ["g"] * solves + ["k"] * solves
+    np.testing.assert_array_equal(solution.values, fdm_linear(case, 50).values)
+
+
 def test_march_guard_runs_before_values_turn_non_finite():
     # k = 1e200 overflows the march; its guard must report that as
     # divergence before GridFunction refuses the non-finite values
-    case = synthetic_case(lambda x, u: 1e200 * u + 1.0,
+    case = synthetic_case(lambda x: 1.0 + 0.0 * x,
                           dirichlet("left", 1.0), dirichlet("right", 0.0),
-                          depends_on_u=True)
+                          k=lambda x: 1e200 + 0.0 * x)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(IfoiDivergenceError):
         fdm_linear(case, 50)
@@ -174,27 +199,14 @@ def _shoot(case, route, n):
     return solve_bvp(case, solver)[0]
 
 
-@pytest.mark.parametrize("route", ["fdm", "ifoi"])
-def test_shooting_refuses_rhs_not_affine_in_u(route):
-    # u'' = u^3 is not affine in u, so no u1 + c*u2 solves it: such a
-    # combination meets both end values but lies 0.104 from Newton's solution
-    case = synthetic_case(lambda x, u: u**3, dirichlet("left", 0.0),
-                          dirichlet("right", 2.0), depends_on_u=True)
-    with pytest.raises(ValueError, match="not affine in u.*fdm_newton"):
-        _shoot(case, route, 50)
-
-
 def test_shooting_accepts_affine_rhs_in_u():
-    # a u-dependent rhs whose forcing outweighs its u term: the probe check
-    # must let it through; the shooting solves land where Newton does
-    # (measured 1.4e-12 relative for fdm, 3.4e-4 for the staged abm route)
-    case = synthetic_case(lambda x, u: -2.0 * (1.0 + x * x) * u + 50.0 * np.exp(x),
-                          dirichlet("left", 3.0), robin("right", 2.0, -1.0),
-                          depends_on_u=True)
-    newton = fdm_newton(case, 50).values
+    # a coupled case whose forcing outweighs its u term: the shooting solves
+    # land where Newton does (measured 1.4e-12 relative for fdm, 3.4e-4 for
+    # the staged abm route)
+    newton = fdm_newton(AFFINE_ROBIN, 50).values
     scale = np.max(np.abs(newton))
     for route, rtol in (("fdm", 1e-10), ("ifoi", 1e-3)):
-        shot = _shoot(case, route, 50).values
+        shot = _shoot(AFFINE_ROBIN, route, 50).values
         assert np.max(np.abs(shot - newton)) <= rtol * scale
 
 
@@ -210,40 +222,13 @@ def test_newton_case4_against_classical_shooting_oracle():
     sol = fdm_newton(case, 400)
     v = rk4_solve_ivp(lambda x, u: 2.0 * x * (5.0 - u), 3.0, 0.0, 400, 500)
     w = rk4_solve_ivp(lambda x, u: -2.0 * x * u, 0.0, 1.0, 400, 500)
-    c = (case.right_bc.value - v.values[-1]) / w.values[-1]
-    reference = v.values + c * w.values
+    c = (case.right_bc.value - v[-1]) / w[-1]
+    reference = v + c * w
     assert np.max(np.abs(sol.values - reference)) <= 1e-4
 
 
-def test_newton_quadratic_tail():
-    case = synthetic_case(lambda x, u: u**3, dirichlet("left", 0.0),
-                          dirichlet("right", 2.0),
-                          rhs_u=lambda x, u: 3.0 * u**2, depends_on_u=True)
-    _, norms = _newton_iterate(case, 50, 1e-12, 50)
-    assert len(norms) >= 4
-    tail = [norms[i + 1] / norms[i] ** 2
-            for i in range(len(norms) - 2) if norms[i + 1] > 1e-13]
-    assert tail, "no updates above the rounding floor"
-    assert max(tail) <= 1.0
-
-
 def test_newton_reports_non_convergence():
-    case = synthetic_case(lambda x, u: u**3, dirichlet("left", 0.0),
-                          dirichlet("right", 2.0),
-                          rhs_u=lambda x, u: 3.0 * u**2, depends_on_u=True)
     with pytest.raises(NewtonConvergenceError) as err:
-        fdm_newton(case, 50, max_iter=1)
+        fdm_newton(get_case(4), 50, max_iter=1)
     assert err.value.residual_norm > 0.0
     assert err.value.iterations == 1
-
-
-def test_newton_without_analytic_derivative():
-    case = synthetic_case(lambda x, u: u**3, dirichlet("left", 0.0),
-                          dirichlet("right", 2.0), depends_on_u=True)
-    with_fd = fdm_newton(case, 50)
-    case_exact = synthetic_case(lambda x, u: u**3, dirichlet("left", 0.0),
-                                dirichlet("right", 2.0),
-                                rhs_u=lambda x, u: 3.0 * u**2,
-                                depends_on_u=True)
-    with_exact = fdm_newton(case_exact, 50)
-    assert np.max(np.abs(with_fd.values - with_exact.values)) <= 1e-9

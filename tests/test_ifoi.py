@@ -5,12 +5,12 @@ from fracbvp import (GridFunction, IfoiDivergenceError, IvpProblem,
                      MemoryPolicy, apply_scheme, compose_check, get_case,
                      ifoi_solve_ivp, make_alpha_partition, make_ivp_solver,
                      solve_bvp)
-from fracbvp.cases import gauss_forcing, rk4_solve_ivp
+from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import (MIN_WINDOW_STEPS, stage_kernel, stage_kernels,
                              stage_norms)
 from fracbvp.ifoi import ComposedOperator, _merged_orders
 
-from oracles import simpson_double, total_variation
+from oracles import rk4_solve_ivp, simpson_double, total_variation
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_partition_invariants(spacing, m):
 @pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
 @pytest.mark.parametrize("spacing,m", [("regular", 10), ("quadratic", 5)])
 def test_zero_forcing_gives_the_line(scheme, spacing, m):
-    problem = IvpProblem(lambda x, u: 0.0 * x, u0=3.0, s0=-1.0)
+    problem = IvpProblem(lambda x: 0.0 * x, None, u0=3.0, s0=-1.0)
     sol, trace = ifoi_solve_ivp(problem, make_alpha_partition(spacing, m),
                                 50, scheme)
     assert np.allclose(sol.values, 3.0 - sol.nodes, atol=1e-13)
@@ -74,7 +74,7 @@ def test_gaussian_forcing_endpoint_vs_brute_force_quadrature():
     # Staged first-order series integration carries ~0.1 absolute error at
     # this resolution (the per-stage first-order constants add up to the
     # single order-2 constant); 0.15 is the honest ceiling.
-    problem = IvpProblem(gauss_forcing, u0=-3.0, s0=0.0)
+    problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
                             100, "gl")
     expect = -3.0 + simpson_double(gauss_forcing, 1.0)
@@ -82,18 +82,18 @@ def test_gaussian_forcing_endpoint_vs_brute_force_quadrature():
 
 
 def test_u_dependent_forcing_vs_classical_integration():
-    problem = IvpProblem(lambda x, u: 2.0 * x * (5.0 - u), u0=3.0, s0=0.0,
-                         depends_on_u=True)
+    problem = IvpProblem(lambda x: 10.0 * x, lambda x: -2.0 * x, u0=3.0,
+                         s0=0.0)
     sol, trace = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
                                 50, "abm")
     reference = rk4_solve_ivp(lambda x, u: 2.0 * x * (5.0 - u), 3.0, 0.0,
                               50, substeps=2000)
-    assert np.max(np.abs(sol.values - reference.values)) <= 1e-1
+    assert np.max(np.abs(sol.values - reference)) <= 1e-1
     assert 1 <= trace.picard_iterations <= 200
 
 
 def test_rejects_coarse_grid():
-    problem = IvpProblem(lambda x, u: 0.0 * x, 0.0, 0.0)
+    problem = IvpProblem(lambda x: 0.0 * x, None, 0.0, 0.0)
     with pytest.raises(ValueError):
         ifoi_solve_ivp(problem, make_alpha_partition("regular", 2), 4)
 
@@ -104,7 +104,7 @@ def test_rejects_coarse_grid():
 
 @pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
 def test_left_value_is_anchored_exactly(scheme):
-    problem = IvpProblem(gauss_forcing, u0=-3.0, s0=0.5)
+    problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.5)
     sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
                             64, scheme)
     assert sol.values[0] == -3.0
@@ -113,7 +113,7 @@ def test_left_value_is_anchored_exactly(scheme):
 def test_initial_slope_anchors_first_order_scheme():
     errs = []
     for n in (100, 200):
-        problem = IvpProblem(gauss_forcing, u0=-3.0, s0=0.5)
+        problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.5)
         sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
                                 n, "gl")
         v = sol.values
@@ -124,7 +124,7 @@ def test_initial_slope_anchors_first_order_scheme():
 
 
 def test_initial_slope_anchors_second_order_scheme():
-    problem = IvpProblem(gauss_forcing, u0=-3.0, s0=0.5)
+    problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.5)
     sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
                             100, "abm")
     v = sol.values
@@ -133,7 +133,7 @@ def test_initial_slope_anchors_second_order_scheme():
 
 
 def test_trace_orders_and_final_snapshot():
-    problem = IvpProblem(gauss_forcing, u0=-3.0, s0=0.0)
+    problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     partition = make_alpha_partition("regular", 10)
     sol, trace = ifoi_solve_ivp(problem, partition, 100, "gl")
     orders = [s for s, _ in trace.stages]
@@ -143,7 +143,7 @@ def test_trace_orders_and_final_snapshot():
 
 def test_stage_snapshots_smooth_monotonically():
     """Integration smooths: total variation never grows along the stages."""
-    problem = IvpProblem(gauss_forcing, u0=-3.0, s0=0.0)
+    problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     sol, trace = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
                                 100, "gl")
     forcing = GridFunction.sample(gauss_forcing, 100)
@@ -190,26 +190,29 @@ def test_compose_check_single_stage_is_identity():
 # ---------------------------------------------------------------------------
 
 def test_divergence_guard_trips_on_explosive_feedback():
-    problem = IvpProblem(lambda x, u: 1e7 * u, u0=1.0, s0=0.0,
-                         depends_on_u=True)
+    problem = IvpProblem(None, lambda x: 1e7 + 0.0 * x, u0=1.0, s0=0.0)
     with pytest.raises(IfoiDivergenceError):
         ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_rhs_reports_divergence_not_a_type_error():
-    problem = IvpProblem(lambda x, u: np.exp(u), u0=1000.0, s0=0.0,
-                         depends_on_u=True)
-    with pytest.raises(IfoiDivergenceError):
+    # 1e306 * 1000 overflows on the first pass
+    problem = IvpProblem(None, lambda x: 1e306 + 0.0 * x, u0=1000.0, s0=0.0)
+    with pytest.raises(IfoiDivergenceError,
+                       match="right-hand side overflowed"):
         ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
 
 
-def test_picard_cap_trips_on_non_settling_feedback():
-    problem = IvpProblem(lambda x, u: 200.0 * np.cos(40.0 * u), u0=0.0,
-                         s0=0.0, depends_on_u=True)
+def test_picard_cap_trips_on_non_settling_feedback(monkeypatch):
+    # case 4's particular IVP settles in 7 passes here, so a cap of 3 trips
+    import fracbvp.ifoi as ifoi_mod
+    monkeypatch.setattr(ifoi_mod, "PICARD_MAX_ITER", 3)
+    case = get_case(4)
+    problem = IvpProblem(case.g, case.k, u0=3.0, s0=0.0)
     with pytest.raises(IfoiDivergenceError) as err:
         ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
-    assert err.value.iterations == 200
+    assert err.value.iterations == 3
     assert err.value.last_update > 1e-10
 
 
@@ -220,12 +223,12 @@ def test_stage_guard_trips_on_large_constant_forcing(scheme):
     stage stays under the guard: the integrals of 1 peak at
     1 / Gamma(1.4) < 1.13."""
     partition = make_alpha_partition("regular", 10)
-    big = IvpProblem(lambda x, u: np.full_like(x, 1e8), u0=0.0, s0=0.0)
+    big = IvpProblem(lambda x: np.full_like(x, 1e8), None, u0=0.0, s0=0.0)
     with pytest.raises(IfoiDivergenceError, match="intermediate stage") as err:
         ifoi_solve_ivp(big, partition, 100, scheme)
     assert err.value.iterations == 0
     assert err.value.last_update >= 1e8
-    half = IvpProblem(lambda x, u: np.full_like(x, 5e7), u0=0.0, s0=0.0)
+    half = IvpProblem(lambda x: np.full_like(x, 5e7), None, u0=0.0, s0=0.0)
     solution, _ = ifoi_solve_ivp(half, partition, 100, scheme)
     assert np.all(np.isfinite(solution.values))
 
@@ -282,7 +285,7 @@ def _staged_reference_solver(partition, n, scheme):
                                   x.shape)
             return ic + _staged(rhs, partition, scheme, MemoryPolicy(), n)
 
-        if not problem.depends_on_u:
+        if problem.k is None:
             return GridFunction(1.0 / n, one_pass(np.zeros(n + 1)))
         u = np.full(n + 1, float(problem.u0))
         for _ in range(200):
@@ -361,7 +364,7 @@ def test_closed_form_stage_norms_equal_the_row_sums(scheme, truncated, n):
 
 
 def test_operator_for_other_settings_is_refused():
-    problem = IvpProblem(lambda x, u: np.ones_like(x), u0=0.0, s0=0.0)
+    problem = IvpProblem(lambda x: np.ones_like(x), None, u0=0.0, s0=0.0)
     partition = make_alpha_partition("regular", 10)
     with pytest.raises(ValueError, match="other settings"):
         ifoi_solve_ivp(problem, partition, 50, "gl",

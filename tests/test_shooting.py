@@ -4,17 +4,19 @@ import pytest
 from fracbvp import (GridFunction, SingularShootingError, combine, decompose,
                      get_case, make_alpha_partition, make_ivp_solver,
                      match_coefficient, solve_bvp, sup_error)
-from fracbvp.cases import (CaseSpec, gauss_second_integral, rk4_dense,
-                           rk4_solve_ivp)
+from fracbvp.cases import CaseSpec, gauss_second_integral
 from fracbvp.ifoi import IvpProblem
 from fracbvp.shooting import BoundaryCondition, ShootingPair, dirichlet, robin
+
+from oracles import rk4_dense, rk4_solve_ivp
 
 
 def classical_solver(n=50, substeps=200):
     """RK4-based IVP handle, the reference alternative to the staged solver."""
     def solve(problem):
-        return rk4_solve_ivp(lambda x, u: float(problem.rhs(x, u)),
-                             problem.u0, problem.s0, n, substeps)
+        return GridFunction(1.0 / n, rk4_solve_ivp(
+            lambda x, u: float(problem.rhs(x, u)), problem.u0, problem.s0,
+            n, substeps))
     return solve
 
 
@@ -71,7 +73,7 @@ def test_forcing_only_cases_solve_one_ivp(case_id):
 
     pair = decompose(case, counted)
     assert len(problems) == 1 and problems[0].s0 == 0.0
-    zero = IvpProblem(lambda x, u: np.zeros_like(x), u0=0.0, s0=1.0)
+    zero = IvpProblem(lambda x: np.zeros_like(x), None, u0=0.0, s0=1.0)
     assert np.array_equal(pair.u2.values, staged(zero).values)
 
 
@@ -89,10 +91,9 @@ def test_case4_homogeneous_endpoint_via_staged_solver():
 
 
 def test_zero_forcing_zero_left_value_gives_zero_particular():
-    case = CaseSpec(id="null", rhs=lambda x, u: 0.0 * x,
+    case = CaseSpec(id="null", g=lambda x: 0.0 * x, k=None,
                     left_bc=dirichlet("left", 0.0),
-                    right_bc=dirichlet("right", 1.0),
-                    depends_on_u=False, default_scheme="gl",
+                    right_bc=dirichlet("right", 1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x)
     pair = decompose(case, classical_solver())
@@ -100,10 +101,9 @@ def test_zero_forcing_zero_left_value_gives_zero_particular():
 
 
 def test_decompose_needs_dirichlet_left():
-    case = CaseSpec(id="bad", rhs=lambda x, u: 0.0 * x,
+    case = CaseSpec(id="bad", g=lambda x: 0.0 * x, k=None,
                     left_bc=robin("left", 1.0, 0.0),
-                    right_bc=dirichlet("right", 1.0),
-                    depends_on_u=False, default_scheme="gl",
+                    right_bc=dirichlet("right", 1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x)
     with pytest.raises(ValueError):
