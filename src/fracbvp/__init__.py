@@ -17,9 +17,9 @@ from .fdm import (NewtonConvergenceError, SingularSystemError,
 from .fracops import (FULL_MEMORY, MemoryPolicy, abm_apply, apply_scheme,
                       gamma_fn, gl_apply, gl_coefficients, rect_apply)
 from .grid import GridFunction, sup_distance
-from .ifoi import (AlphaPartition, IfoiDivergenceError, IfoiTrace, IvpProblem,
-                   compose_check, ifoi_solve_ivp, make_alpha_partition,
-                   make_ivp_solver)
+from .ifoi import (AlphaPartition, ComposedOperator, IfoiDivergenceError,
+                   IfoiTrace, IvpProblem, compose_check, ifoi_solve_ivp,
+                   make_alpha_partition, make_ivp_solver)
 from .shooting import (BoundaryCondition, ShootingPair, SingularShootingError,
                        combine, decompose, dirichlet, match_coefficient,
                        robin, solve_bvp)
@@ -27,15 +27,15 @@ from .shooting import (BoundaryCondition, ShootingPair, SingularShootingError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaPartition", "BoundaryCondition", "CaseSpec", "FULL_MEMORY",
-    "GridFunction", "IfoiDivergenceError", "IfoiTrace", "IvpProblem",
-    "MemoryPolicy", "NewtonConvergenceError", "RunConfig", "ShootingPair",
-    "SingularShootingError", "SingularSystemError", "SolveReport",
-    "TridiagonalSystem", "abm_apply", "apply_scheme", "combine",
+    "AlphaPartition", "BoundaryCondition", "CaseSpec", "ComposedOperator",
+    "FULL_MEMORY", "GridFunction", "IfoiDivergenceError", "IfoiTrace",
+    "IvpProblem", "MemoryPolicy", "NewtonConvergenceError", "RunConfig",
+    "ShootingPair", "SingularShootingError", "SingularSystemError",
+    "SolveReport", "TridiagonalSystem", "abm_apply", "apply_scheme", "combine",
     "compose_check", "decompose", "dirichlet", "fdm_linear", "fdm_newton",
     "gamma_fn", "get_case", "gl_apply", "gl_coefficients", "ifoi_solve_ivp",
     "make_alpha_partition", "make_case3", "make_ivp_solver",
     "match_coefficient", "oracle_solution", "rect_apply", "robin", "run",
-    "run_quiet", "solve_bvp", "solve_tridiagonal", "sup_distance",
-    "sup_error", "sweep", "table1",
+    "run_quiet", "solve_bvp", "solve_tridiagonal", "sup_distance", "sup_error",
+    "sweep", "table1",
 ]

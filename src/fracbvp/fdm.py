@@ -100,8 +100,9 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
     rows are marched once, here, and each IVP joins them from its own
     start: the particular one with ``p``, the homogeneous one without.
 
-    The solver raises :class:`IfoiDivergenceError` when a value passes
-    ``1e8``.
+    The solver raises :class:`IfoiDivergenceError` when a marched value
+    passes ``1e8`` or a summed one overflows; only the march can diverge,
+    so only it is held to the guard.
     """
     h = 1.0 / n
     x = np.arange(n + 1) * h
@@ -113,6 +114,9 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
             np.cumsum(out[2:], out=out[2:])
             out *= h * h
             out += problem.u0 + problem.s0 * x
+            # a cumulative sum that overflows anywhere ends non-finite
+            if not math.isfinite(out[-1]):
+                raise IfoiDivergenceError("the sum overflowed", 0, math.inf)
             return GridFunction(h, out)
         return summed
 
@@ -186,7 +190,8 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
 
     :raises SingularShootingError: when the homogeneous solution already
         meets the homogeneous right condition, so that no slope matches it.
-    :raises IfoiDivergenceError: when a marched value passes ``1e8``.
+    :raises IfoiDivergenceError: when a marched value passes ``1e8`` or a
+        summed one overflows.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")

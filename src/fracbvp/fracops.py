@@ -189,13 +189,6 @@ def _scaled(rows: np.ndarray, factors) -> np.ndarray:
 _KERNELS = {"gl": _gl_kernels, "rect": _rect_kernels, "abm": _abm_kernels}
 
 
-def _orders(scheme: str, alphas) -> np.ndarray:
-    if scheme not in _KERNELS:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
-                         f"{sorted(_KERNELS)}")
-    return np.array([[_check_integration_order(a)] for a in alphas])
-
-
 def stage_kernels(scheme: str, alphas, n: int, h: float,
                   policy: MemoryPolicy = FULL_MEMORY,
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +202,10 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
     ``kernel[0]``, so node 0 maps to 0 and the pairs of successive stages
     compose into a pair of the same form.
     """
-    mu = _orders(scheme, alphas)
+    if scheme not in _KERNELS:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
+                         f"{sorted(_KERNELS)}")
+    mu = np.array([[_check_integration_order(a)] for a in alphas])
     kernels, col0s = _KERNELS[scheme](mu, n, h, policy)
     col0s[:, 0] = -kernels[:, 0]
     return kernels, col0s
@@ -220,24 +216,6 @@ def stage_kernel(scheme: str, alpha: float, n: int, h: float,
     """The (kernel, col0) pair of :func:`stage_kernels` for one order."""
     kernels, col0s = stage_kernels(scheme, (alpha,), n, h, policy)
     return kernels[0], col0s[0]
-
-
-def stage_norms(scheme: str, alphas, n: int, h: float,
-                policy: MemoryPolicy = FULL_MEMORY) -> np.ndarray:
-    """Infinity norm of each matrix of :func:`stage_kernels`, in closed form.
-
-    Every weight is nonnegative, so a norm is the largest row sum, the
-    value on ``f = 1`` at ``x = 1``.  ``rect`` and ``abm`` integrate
-    constants exactly, which gives ``1 / Gamma(mu + 1)``.  The partial sums
-    of the GL weights, the coefficients of ``(1 - z)**-mu``, are the
-    coefficients of ``(1 - z)**(-mu - 1)``, which gives
-    ``h**mu * prod_{i <= N} (1 + mu / i)`` with ``N`` the steps kept.
-    """
-    mu = _orders(scheme, alphas)[:, 0]
-    if scheme != "gl":
-        return np.array([1.0 / gamma_fn(m + 1.0) for m in mu])
-    steps = np.arange(1, _window_steps(n, h, policy) + 1)
-    return h**mu * np.prod(1.0 + mu[:, None] / steps, axis=1)
 
 
 def gl_apply(f: GridFunction, alpha: float,

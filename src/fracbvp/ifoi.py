@@ -3,9 +3,12 @@
 The order-2 integral of the right-hand side is reached by composing partial
 fractional integrations whose orders follow an :class:`AlphaPartition`
 schedule; the semigroup law of the fractional integral makes the composition
-converge to the plain double integral as the grid refines.  A problem is
-``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer Picard
-iteration around the whole staged composition.
+converge to the plain double integral as the grid refines.  The whole
+schedule is composed once into one convolution, a
+:class:`ComposedOperator`, which also carries every setting of a solve.  A
+problem is ``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer
+Picard iteration around the composed operator, and only its iterates are
+held to the divergence guard.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fracops import (FULL_MEMORY, MemoryPolicy, apply_pair, apply_scheme,
-                      stage_kernels, stage_norms)
+                      stage_kernels)
 from .grid import GridFunction, sup_distance
 
 TOTAL_ORDER = 2.0
@@ -30,8 +33,9 @@ MIN_GRID = 8
 
 
 class IfoiDivergenceError(RuntimeError):
-    """Picard iteration or the FDM march blew past the guard, or Picard
-    failed to settle."""
+    """A solve diverged: a Picard iterate or the coupled FDM march passed
+    the ``1e8`` guard, Picard failed to settle, or a forcing-only solve
+    overflowed to non-finite values."""
 
     def __init__(self, message: str, iterations: int, last_update: float):
         super().__init__(message)
@@ -128,9 +132,10 @@ class IfoiTrace:
     snapshots belong to the final pass.
 
     ``picard_iterations`` is the only public field.  :attr:`stages` is a
-    property computed on first read, by one staged pass over the forcing
-    of the final pass, which the trace holds for that purpose; it is not
-    seen by ``dataclasses.fields``, ``asdict``, ``replace`` or ``==``.
+    property computed on first read, by :meth:`ComposedOperator.staged`
+    over the forcing of the final pass, which the trace holds for that
+    purpose; it is not seen by ``dataclasses.fields``, ``asdict``,
+    ``replace`` or ``==``.
     """
 
     picard_iterations: int
@@ -160,22 +165,6 @@ def _merged_orders(orders: tuple[float, ...],
     return tuple(distinct), tuple(index)
 
 
-def _staged_integral(f: GridFunction, partition: AlphaPartition, scheme: str,
-                     policy: MemoryPolicy) -> list[GridFunction]:
-    orders, index = _merged_orders(partition.stage_orders)
-    kernels, col0s = stage_kernels(scheme, orders, f.n, f.h, policy)
-    out = []
-    g = f
-    for i in index:
-        g = apply_pair(kernels[i], col0s[i], g)
-        if not np.all(np.abs(g.values) < DIVERGENCE_GUARD):
-            raise IfoiDivergenceError(
-                "intermediate stage exceeded the divergence guard",
-                iterations=0, last_update=float(np.max(np.abs(g.values))))
-        out.append(g)
-    return out
-
-
 def _fft_size(target: int) -> int:
     """Smallest ``2**a * 3**b * 5**c >= target``; numpy transforms such
     lengths fastest.  On the benchmark's ``ifoi-large`` workload this gave
@@ -199,10 +188,13 @@ def _fft_size(target: int) -> int:
 class ComposedOperator:
     """A whole staged integration as one matrix ``K f = conv(k, f) + v f[0]``.
 
-    The matrix is composed from the stages of ``partition`` on ``n + 1``
-    nodes when first used, and kept by this object only: a solver from
+    Its fields are all the settings of an IVP solve: the scheme, the
+    schedule, the grid of ``n + 1`` nodes on [0, 1] and the memory policy.
+    The matrix is composed from the stages of ``partition`` when first
+    used, and kept by this object only: a solver from
     :func:`make_ivp_solver` holds one, shared by the IVPs of one shooting
-    solve and by all their Picard passes.
+    solve and by all their Picard passes.  :meth:`staged` runs the stages
+    one by one instead, for the snapshots of :class:`IfoiTrace`.
 
     Each stage output is 0 at node 0, so the column-0 term of a later stage
     never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
@@ -217,6 +209,8 @@ class ComposedOperator:
     would alias the tail of the full-length product.  GL weights are the
     coefficients of ``(1 - z)**-mu``, so under full memory the GL stages
     compose in closed form and need no products at all.
+
+    :raises ValueError: if ``n < 8``.
     """
 
     scheme: str
@@ -224,26 +218,27 @@ class ComposedOperator:
     n: int
     policy: MemoryPolicy = FULL_MEMORY
 
+    def __post_init__(self):
+        if self.n < MIN_GRID:
+            raise ValueError(f"grid too coarse, need n >= {MIN_GRID}")
+
     @functools.cached_property
-    def _built(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+    def _built(self) -> tuple[np.ndarray, np.ndarray, int]:
         n, h = self.n, 1.0 / self.n
         size = _fft_size(2 * n + 1)
         orders, index = _merged_orders(self.partition.stage_orders)
-        norms = stage_norms(self.scheme, orders, n, h, self.policy)
-        # the margin covers rounding in the staged sums the bound stands for
-        bound = float(np.max(np.cumprod(norms[list(index)]))) * (1.0 + 1e-6)
         if len(index) > 1 and self.scheme == "gl" \
                 and self.policy.mode == "full":
             # P is the GL kernel of order 2 - mu_1, and v_1 is -h**mu_1 e_0
             mu_1 = self.partition.cumulative[1]
             k, p = stage_kernels("gl", (-TOTAL_ORDER, mu_1 - TOTAL_ORDER),
                                  n, h)[0]
-            return np.fft.rfft(k, size), -h**mu_1 * p, size, bound
+            return np.fft.rfft(k, size), -h**mu_1 * p, size
         kernels, col0s = stage_kernels(self.scheme, orders, n, h, self.policy)
         spectra = np.fft.rfft(kernels, size)
         spectrum, v = spectra[index[0]], col0s[index[0]]
         if len(index) == 1:
-            return spectrum, v, size, bound
+            return spectrum, v, size
 
         def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return np.fft.rfft(np.fft.irfft(a * b, size)[: n + 1], size)
@@ -261,73 +256,75 @@ class ComposedOperator:
         k, v = np.fft.irfft(rest * np.stack(
             [spectrum, np.fft.rfft(v, size)]), size)[:, : n + 1]
         # v is copied so that it keeps no padded product alive
-        return np.fft.rfft(k, size), v.copy(), size, bound
-
-    @property
-    def bound(self) -> float:
-        """No stage of a staged pass over ``f`` exceeds ``bound * max|f|``."""
-        return self._built[3]
+        return np.fft.rfft(k, size), v.copy(), size
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``K`` applied to ``n + 1`` samples, in one FFT pair."""
-        spectrum, col0, size, _ = self._built
+        spectrum, col0, size = self._built
         conv = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
         out = conv[: values.size] + col0 * values[0]
         out[0] = 0.0
         return out
 
+    def staged(self, values: np.ndarray) -> list[GridFunction]:
+        """The partial integrals of ``n + 1`` samples after each stage, by
+        one direct convolution per stage, in ``O(m n^2)``; the last one is
+        ``K`` applied to them, to rounding."""
+        h = 1.0 / self.n
+        orders, index = _merged_orders(self.partition.stage_orders)
+        kernels, col0s = stage_kernels(self.scheme, orders, self.n, h,
+                                       self.policy)
+        g = GridFunction(h, values)
+        out = []
+        for i in index:
+            g = apply_pair(kernels[i], col0s[i], g)
+            out.append(g)
+        return out
 
-def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
-                   scheme: str = "gl", policy: MemoryPolicy = FULL_MEMORY, *,
-                   operator: Optional[ComposedOperator] = None,
+
+def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
                    ) -> tuple[GridFunction, IfoiTrace]:
     """Solve one IVP by staged fractional integration of the forcing.
 
-    The solution is assembled as ``u0 + s0*x + I2[rhs(., u)]`` where the
-    double integral ``I2`` is the composition of the stages of
-    ``partition`` in the chosen scheme.  The composition is built once as
-    one convolution matrix, a :class:`ComposedOperator`, and applied by FFT
-    in ``O(n log n)``.  ``operator`` passes one built for the same scheme,
-    partition, ``n`` and policy, to share its build between solves; without
-    it the solve builds its own.  The initial-condition polynomial enters
-    once, after the staging: the integral operators leave zero value and
-    zero slope at the origin, so nothing else is consistent.
+    The solution is assembled as ``u0 + s0*x + K[g + k u]`` on the grid of
+    ``operator``, where ``K``, the composition of the stages of its
+    schedule in its scheme, is applied by FFT in ``O(n log n)``.  The
+    initial-condition polynomial enters once, after the staging: the
+    integral operators leave zero value and zero slope at the origin, so
+    nothing else is consistent.  ``g`` and ``k`` are sampled once.
 
     Without coupling one pass solves the problem and counts no Picard
     iteration.  With it, the whole composition iterates as
-    ``u <- u0 + s0*x + I2[g + k u]`` from the constant start ``u0`` until
-    the sup-norm update drops below ``1e-10``.
+    ``u <- u0 + s0*x + K[g + k u]`` from the constant start ``u0`` until
+    the sup-norm update drops below ``1e-10``.  Only an iteration can
+    diverge, so only Picard iterates are held to the ``1e8`` guard.
 
-    :raises IfoiDivergenceError: if any intermediate magnitude of the
-        staged composition passes ``1e8`` or Picard fails to settle within
-        200 iterations.
-    :raises ValueError: if ``n < 8`` or ``operator`` was composed for other
-        settings.
+    :raises IfoiDivergenceError: if the right-hand side or the solution
+        overflows, or a Picard iterate passes ``1e8`` or fails to settle
+        within 200 iterations.
     """
-    if n < MIN_GRID:
-        raise ValueError(f"grid too coarse, need n >= {MIN_GRID}")
+    n = operator.n
     h = 1.0 / n
     x = np.arange(n + 1) * h
     ic = problem.u0 + problem.s0 * x
-    own = ComposedOperator(scheme, partition, n, policy)
-    if operator is None:
-        operator = own
-    elif operator != own:
-        raise ValueError("operator was composed for other settings")
+    g = np.zeros(n + 1)
+    if problem.g is not None:
+        g += problem.g(x)
+    k = None if problem.k is None else problem.k(x)
 
     u = np.full(n + 1, float(problem.u0))
     for iterations in range(1, PICARD_MAX_ITER + 1):
-        forcing = problem.rhs(x, u)
+        forcing = g if k is None else g + k * u
         if not np.all(np.isfinite(forcing)):
             raise IfoiDivergenceError(
                 "right-hand side overflowed", iterations=0,
                 last_update=math.inf)
-        if not np.max(np.abs(forcing)) * operator.bound < DIVERGENCE_GUARD:
-            # a stage may pass the guard: the staged pass decides, and raises
-            _staged_integral(GridFunction(h, forcing), partition, scheme,
-                             policy)
         unew = ic + operator.apply(forcing)
-        if problem.k is None:
+        if k is None:
+            if not np.all(np.isfinite(unew)):
+                raise IfoiDivergenceError(
+                    "solution overflowed", iterations=0,
+                    last_update=math.inf)
             u, iterations = unew, 0
             break
         if not np.all(np.abs(unew) < DIVERGENCE_GUARD):
@@ -346,11 +343,10 @@ def ifoi_solve_ivp(problem: IvpProblem, partition: AlphaPartition, n: int,
     solution = GridFunction(h, u)
 
     def snapshots() -> Snapshots:
-        stages = _staged_integral(GridFunction(h, forcing), partition,
-                                  scheme, policy)
-        cum = partition.cumulative[1:]
-        return tuple((order, g.with_values(ic + g.values))
-                     for order, g in zip(cum[:-1], stages)) \
+        cum = operator.partition.cumulative[1:]
+        stages = operator.staged(forcing)
+        return tuple((order, stage.with_values(ic + stage.values))
+                     for order, stage in zip(cum[:-1], stages)) \
             + ((cum[-1], solution),)
 
     return solution, IfoiTrace(iterations, snapshots)
@@ -365,12 +361,13 @@ def make_ivp_solver(partition: AlphaPartition, n: int, scheme: str,
     is given, each solve appends its :class:`IfoiTrace` there in call order.
     All solves of one solver share one :class:`ComposedOperator`, built by
     the first of them.
+
+    :raises ValueError: if ``n < 8``.
     """
     operator = ComposedOperator(scheme, partition, n, policy)
 
     def solver(problem: IvpProblem) -> GridFunction:
-        solution, trace = ifoi_solve_ivp(problem, partition, n, scheme, policy,
-                                         operator=operator)
+        solution, trace = ifoi_solve_ivp(problem, operator)
         if trace_sink is not None:
             trace_sink.append(trace)
         return solution

@@ -1,6 +1,6 @@
 import ast
 import csv
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -374,6 +374,31 @@ def test_names_wrapped_by_the_benchmark_tracer_exist():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+def test_benchmark_tracer_reads_every_ivp_solve():
+    """``perfbench/tracing.py``'s IVP hook reads the problem and result of
+    each ``ifoi_solve_ivp`` call; a call it cannot read is booked as
+    unreadable and every ``ifoi.*`` metric of the benchmark reads 0.  The
+    file is loaded by path: it imports only numpy and the standard
+    library."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    case = fracbvp.get_case(4)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        fracbvp.solve_bvp(case, fracbvp.make_ivp_solver(
+            case.default_partition, 50, case.default_scheme))
+        fracbvp.ifoi.ifoi_solve_ivp(
+            fracbvp.IvpProblem(None, None, 0.0, 1.0),
+            fracbvp.ComposedOperator(case.default_scheme,
+                                     case.default_partition, 50))
+    assert tracer.restored() and not tracer.unreadable
+    assert [s.info for s in tracer.spans if s.name == "ifoi.solve_ivp"] == [
+        {"picard": 7, "useful": True}, {"picard": 8, "useful": True},
+        {"picard": 0, "useful": False}]
 
 
 def test_package_imports_only_numpy_and_the_standard_library():

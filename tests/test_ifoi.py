@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from fracbvp import (GridFunction, IfoiDivergenceError, IvpProblem,
-                     MemoryPolicy, apply_scheme, compose_check, get_case,
-                     ifoi_solve_ivp, make_alpha_partition, make_ivp_solver,
-                     solve_bvp)
+import fracbvp.bench as bench_mod
+from fracbvp import (CaseSpec, ComposedOperator, GridFunction,
+                     IfoiDivergenceError, IvpProblem, MemoryPolicy, RunConfig,
+                     apply_scheme, compose_check, dirichlet, fdm_linear,
+                     get_case, ifoi_solve_ivp, make_alpha_partition,
+                     make_ivp_solver, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
-from fracbvp.fracops import (MIN_WINDOW_STEPS, stage_kernel, stage_kernels,
-                             stage_norms)
-from fracbvp.ifoi import ComposedOperator, _merged_orders
+from fracbvp.fracops import MIN_WINDOW_STEPS, stage_kernels
+from fracbvp.ifoi import _merged_orders
 
 from oracles import rk4_solve_ivp, simpson_double, total_variation
 
@@ -64,8 +65,8 @@ def test_partition_invariants(spacing, m):
 @pytest.mark.parametrize("spacing,m", [("regular", 10), ("quadratic", 5)])
 def test_zero_forcing_gives_the_line(scheme, spacing, m):
     problem = IvpProblem(lambda x: 0.0 * x, None, u0=3.0, s0=-1.0)
-    sol, trace = ifoi_solve_ivp(problem, make_alpha_partition(spacing, m),
-                                50, scheme)
+    sol, trace = ifoi_solve_ivp(problem, ComposedOperator(
+        scheme, make_alpha_partition(spacing, m), 50))
     assert np.allclose(sol.values, 3.0 - sol.nodes, atol=1e-13)
     assert trace.picard_iterations == 0
 
@@ -75,8 +76,8 @@ def test_gaussian_forcing_endpoint_vs_brute_force_quadrature():
     # this resolution (the per-stage first-order constants add up to the
     # single order-2 constant); 0.15 is the honest ceiling.
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
-    sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
-                            100, "gl")
+    sol, _ = ifoi_solve_ivp(problem, ComposedOperator(
+        "gl", make_alpha_partition("regular", 10), 100))
     expect = -3.0 + simpson_double(gauss_forcing, 1.0)
     assert abs(sol.values[-1] - expect) <= 0.15
 
@@ -84,8 +85,8 @@ def test_gaussian_forcing_endpoint_vs_brute_force_quadrature():
 def test_u_dependent_forcing_vs_classical_integration():
     problem = IvpProblem(lambda x: 10.0 * x, lambda x: -2.0 * x, u0=3.0,
                          s0=0.0)
-    sol, trace = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
-                                50, "abm")
+    sol, trace = ifoi_solve_ivp(problem, ComposedOperator(
+        "abm", make_alpha_partition("regular", 10), 50))
     reference = rk4_solve_ivp(lambda x, u: 2.0 * x * (5.0 - u), 3.0, 0.0,
                               50, substeps=2000)
     assert np.max(np.abs(sol.values - reference)) <= 1e-1
@@ -93,9 +94,10 @@ def test_u_dependent_forcing_vs_classical_integration():
 
 
 def test_rejects_coarse_grid():
-    problem = IvpProblem(lambda x: 0.0 * x, None, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        ifoi_solve_ivp(problem, make_alpha_partition("regular", 2), 4)
+    with pytest.raises(ValueError, match="too coarse"):
+        ComposedOperator("gl", make_alpha_partition("regular", 2), 4)
+    with pytest.raises(ValueError, match="too coarse"):
+        make_ivp_solver(make_alpha_partition("regular", 2), 7, "gl")
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +107,8 @@ def test_rejects_coarse_grid():
 @pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
 def test_left_value_is_anchored_exactly(scheme):
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.5)
-    sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
-                            64, scheme)
+    sol, _ = ifoi_solve_ivp(problem, ComposedOperator(
+        scheme, make_alpha_partition("regular", 10), 64))
     assert sol.values[0] == -3.0
 
 
@@ -114,8 +116,8 @@ def test_initial_slope_anchors_first_order_scheme():
     errs = []
     for n in (100, 200):
         problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.5)
-        sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
-                                n, "gl")
+        sol, _ = ifoi_solve_ivp(problem, ComposedOperator(
+            "gl", make_alpha_partition("regular", 10), n))
         v = sol.values
         slope = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * sol.h)
         errs.append(abs(slope - 0.5))
@@ -125,8 +127,8 @@ def test_initial_slope_anchors_first_order_scheme():
 
 def test_initial_slope_anchors_second_order_scheme():
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.5)
-    sol, _ = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
-                            100, "abm")
+    sol, _ = ifoi_solve_ivp(problem, ComposedOperator(
+        "abm", make_alpha_partition("regular", 10), 100))
     v = sol.values
     slope = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * sol.h)
     assert abs(slope - 0.5) <= 1e-4
@@ -135,7 +137,8 @@ def test_initial_slope_anchors_second_order_scheme():
 def test_trace_orders_and_final_snapshot():
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     partition = make_alpha_partition("regular", 10)
-    sol, trace = ifoi_solve_ivp(problem, partition, 100, "gl")
+    sol, trace = ifoi_solve_ivp(problem,
+                                ComposedOperator("gl", partition, 100))
     orders = [s for s, _ in trace.stages]
     assert orders == pytest.approx(list(partition.cumulative[1:]))
     assert np.array_equal(trace.stages[-1][1].values, sol.values)
@@ -144,8 +147,8 @@ def test_trace_orders_and_final_snapshot():
 def test_stage_snapshots_smooth_monotonically():
     """Integration smooths: total variation never grows along the stages."""
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
-    sol, trace = ifoi_solve_ivp(problem, make_alpha_partition("regular", 10),
-                                100, "gl")
+    sol, trace = ifoi_solve_ivp(problem, ComposedOperator(
+        "gl", make_alpha_partition("regular", 10), 100))
     forcing = GridFunction.sample(gauss_forcing, 100)
     tvs = [total_variation(g.values) for _, g in trace.stages]
     assert tvs[0] <= total_variation(forcing.values)
@@ -192,7 +195,8 @@ def test_compose_check_single_stage_is_identity():
 def test_divergence_guard_trips_on_explosive_feedback():
     problem = IvpProblem(None, lambda x: 1e7 + 0.0 * x, u0=1.0, s0=0.0)
     with pytest.raises(IfoiDivergenceError):
-        ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
+        ifoi_solve_ivp(problem, ComposedOperator(
+            "abm", make_alpha_partition("regular", 10), 50))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -201,7 +205,8 @@ def test_overflowing_rhs_reports_divergence_not_a_type_error():
     problem = IvpProblem(None, lambda x: 1e306 + 0.0 * x, u0=1000.0, s0=0.0)
     with pytest.raises(IfoiDivergenceError,
                        match="right-hand side overflowed"):
-        ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
+        ifoi_solve_ivp(problem, ComposedOperator(
+            "abm", make_alpha_partition("regular", 10), 50))
 
 
 def test_picard_cap_trips_on_non_settling_feedback(monkeypatch):
@@ -211,26 +216,92 @@ def test_picard_cap_trips_on_non_settling_feedback(monkeypatch):
     case = get_case(4)
     problem = IvpProblem(case.g, case.k, u0=3.0, s0=0.0)
     with pytest.raises(IfoiDivergenceError) as err:
-        ifoi_solve_ivp(problem, make_alpha_partition("regular", 10), 50, "abm")
+        ifoi_solve_ivp(problem, ComposedOperator(
+            "abm", make_alpha_partition("regular", 10), 50))
     assert err.value.iterations == 3
     assert err.value.last_update > 1e-10
 
 
+def _constant(value):
+    return lambda x: np.full_like(x, value)
+
+
 @pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
-def test_stage_guard_trips_on_large_constant_forcing(scheme):
-    """The first stage of 1e8 already passes 1e8 near x = 1, since the
-    order-0.2 integral of 1 is x**0.2 / Gamma(1.2) > 1 there.  At 5e7 every
-    stage stays under the guard: the integrals of 1 peak at
-    1 / Gamma(1.4) < 1.13."""
-    partition = make_alpha_partition("regular", 10)
-    big = IvpProblem(lambda x: np.full_like(x, 1e8), None, u0=0.0, s0=0.0)
-    with pytest.raises(IfoiDivergenceError, match="intermediate stage") as err:
-        ifoi_solve_ivp(big, partition, 100, scheme)
-    assert err.value.iterations == 0
-    assert err.value.last_update >= 1e8
-    half = IvpProblem(lambda x: np.full_like(x, 5e7), None, u0=0.0, s0=0.0)
-    solution, _ = ifoi_solve_ivp(half, partition, 100, scheme)
+def test_large_constant_forcing_is_solved_not_guarded(scheme):
+    """``u'' = 1e8`` peaks at ``5e7``, under the ``1e8`` guard, and has no
+    iteration that could diverge, so it is solved; linearity makes its
+    error ``1e8`` times the scheme's own error on ``u'' = 1``."""
+    operator = ComposedOperator(scheme, make_alpha_partition("quadratic", 10),
+                                100)
+    errors = []
+    for value in (1.0, 1e8):
+        solution, trace = ifoi_solve_ivp(
+            IvpProblem(_constant(value), None, 0.0, 0.0), operator)
+        assert np.all(np.isfinite(solution.values))
+        assert trace.picard_iterations == 0
+        errors.append(np.max(np.abs(solution.values
+                                    - value * solution.nodes**2 / 2)))
+    assert errors[1] <= 1e8 * errors[0] * (1.0 + 1e-9)
+
+
+def _constant_forcing_case(value):
+    """``u'' = value``, ``u(0) = 0``, ``u(1) = value / 2``: ``value x^2/2``."""
+    return CaseSpec(id="constant", g=_constant(value), k=None,
+                    left_bc=dirichlet("left", 0.0),
+                    right_bc=dirichlet("right", value / 2),
+                    default_scheme="abm",
+                    default_partition=make_alpha_partition("quadratic", 10),
+                    oracle=lambda x: value * x**2 / 2)
+
+
+def _statuses(monkeypatch, case, scheme=None):
+    monkeypatch.setattr(bench_mod, "get_case", lambda case_id: case)
+    return [r.status for r in run_quiet(
+        RunConfig(case.id, method="both", scheme=scheme))]
+
+
+def test_fdm_and_ifoi_report_one_status_on_large_constant_forcing(
+        monkeypatch):
+    """Neither method iterates on a forcing-only problem, so neither holds
+    it to the divergence guard, though its solution peaks at ``5e9``."""
+    assert _statuses(monkeypatch, _constant_forcing_case(1e10)) \
+        == ["converged", "converged"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+def test_overflowing_forcing_only_solve_is_divergence(monkeypatch, scheme):
+    """A finite forcing whose integrals overflow makes both methods report
+    divergence, not a ``ValueError`` from a non-finite grid function."""
+    case = _constant_forcing_case(1.7e308)
+    assert _statuses(monkeypatch, case, scheme) == ["diverged", "diverged"]
+    with pytest.raises(IfoiDivergenceError, match="overflowed"):
+        ifoi_solve_ivp(IvpProblem(case.g, None, 0.0, 0.0), ComposedOperator(
+            scheme, case.default_partition, 50))
+    with pytest.raises(IfoiDivergenceError, match="overflowed"):
+        fdm_linear(case, 50)
+
+
+def test_no_solve_runs_the_staged_pass(monkeypatch):
+    """Solves apply the composed operator only; the stage-by-stage
+    convolutions run when, and only when, the snapshots are read."""
+    import fracbvp.ifoi as ifoi_mod
+
+    def refuse(*args):
+        raise AssertionError("a stage was convolved directly")
+
+    monkeypatch.setattr(ifoi_mod, "apply_pair", refuse)
+    for case_id in ("1", "2", "3", "4"):
+        assert run_quiet(RunConfig(case_id, method="ifoi"))[0].status \
+            == "converged"
+    solution, trace = ifoi_solve_ivp(
+        IvpProblem(_constant(5e7), None, 0.0, 0.0),
+        ComposedOperator("abm", make_alpha_partition("quadratic", 10),
+                         20_000))
     assert np.all(np.isfinite(solution.values))
+    with pytest.raises(AssertionError, match="convolved directly"):
+        trace.stages
 
 
 # ---------------------------------------------------------------------------
@@ -343,34 +414,13 @@ def test_regular_stage_orders_merge_and_quadratic_ones_do_not():
     assert _merged_orders((-0.5, -1.0, -0.5)) == ((-0.5, -1.0), (0, 1, 0))
 
 
-def _row_sum_norm(kernel, col0):
-    """Infinity norm of the matrix that a (kernel, col0) pair stands for."""
-    return float(np.max(np.cumsum(np.abs(kernel))[:-1]
-                        + np.abs(kernel + col0)[1:]))
-
-
-@pytest.mark.parametrize("n", [8, 100, 6000])
-@pytest.mark.parametrize("scheme,truncated", [
-    ("gl", False), ("gl", True), ("rect", False), ("abm", False)])
-def test_closed_form_stage_norms_equal_the_row_sums(scheme, truncated, n):
-    h = 1.0 / n
-    policy = MemoryPolicy("truncated", max(0.5, MIN_WINDOW_STEPS / n)) \
-        if truncated else MemoryPolicy()
-    alphas = (-0.04, -0.2, -0.36, -0.9, -1.5, -2.0)
-    norms = stage_norms(scheme, alphas, n, h, policy)
-    for alpha, norm in zip(alphas, norms):
-        reference = _row_sum_norm(*stage_kernel(scheme, alpha, n, h, policy))
-        assert abs(norm - reference) <= 1e-10 * reference
-
-
-def test_operator_for_other_settings_is_refused():
-    problem = IvpProblem(lambda x: np.ones_like(x), None, u0=0.0, s0=0.0)
+def test_shared_operator_solves_like_a_fresh_one():
     partition = make_alpha_partition("regular", 10)
-    with pytest.raises(ValueError, match="other settings"):
-        ifoi_solve_ivp(problem, partition, 50, "gl",
-                       operator=ComposedOperator("gl", partition, 60))
     shared = ComposedOperator("gl", partition, 50)
-    solution, _ = ifoi_solve_ivp(problem, partition, 50, "gl",
-                                 operator=shared)
-    np.testing.assert_array_equal(
-        solution.values, ifoi_solve_ivp(problem, partition, 50, "gl")[0].values)
+    coupled = IvpProblem(_constant(1.0), _constant(-1.0), u0=1.0, s0=0.0)
+    forced = IvpProblem(_constant(1.0), None, u0=0.0, s0=0.0)
+    for problem in (coupled, forced):
+        solution, _ = ifoi_solve_ivp(problem, shared)
+        fresh, _ = ifoi_solve_ivp(problem,
+                                  ComposedOperator("gl", partition, 50))
+        np.testing.assert_array_equal(solution.values, fresh.values)
