@@ -14,8 +14,7 @@ from .cases import (CaseSpec, SolveReport, get_case, make_case3,
 from .fdm import (NewtonConvergenceError, SingularSystemError,
                   TridiagonalSystem, fdm_linear, fdm_newton,
                   solve_tridiagonal)
-from .fracops import (FULL_MEMORY, MemoryPolicy, abm_apply, apply_scheme,
-                      gamma_fn, gl_apply, gl_coefficients, rect_apply)
+from .fracops import FULL_MEMORY, MemoryPolicy, apply_scheme, gl_coefficients
 from .grid import GridFunction, sup_distance
 from .ifoi import (AlphaPartition, ComposedOperator, IfoiDivergenceError,
                    IfoiTrace, IvpProblem, compose_check, ifoi_solve_ivp,
@@ -31,11 +30,10 @@ __all__ = [
     "FULL_MEMORY", "GridFunction", "IfoiDivergenceError", "IfoiTrace",
     "IvpProblem", "MemoryPolicy", "NewtonConvergenceError", "RunConfig",
     "ShootingPair", "SingularShootingError", "SingularSystemError",
-    "SolveReport", "TridiagonalSystem", "abm_apply", "apply_scheme", "combine",
+    "SolveReport", "TridiagonalSystem", "apply_scheme", "combine",
     "compose_check", "decompose", "dirichlet", "fdm_linear", "fdm_newton",
-    "gamma_fn", "get_case", "gl_apply", "gl_coefficients", "ifoi_solve_ivp",
-    "make_alpha_partition", "make_case3", "make_ivp_solver",
-    "match_coefficient", "oracle_solution", "rect_apply", "robin", "run",
-    "run_quiet", "solve_bvp", "solve_tridiagonal", "sup_distance", "sup_error",
-    "sweep", "table1",
+    "get_case", "gl_coefficients", "ifoi_solve_ivp", "make_alpha_partition",
+    "make_case3", "make_ivp_solver", "match_coefficient", "oracle_solution",
+    "robin", "run", "run_quiet", "solve_bvp", "solve_tridiagonal",
+    "sup_distance", "sup_error", "sweep", "table1",
 ]

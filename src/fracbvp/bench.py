@@ -109,10 +109,9 @@ def run_quiet(config: RunConfig) -> list[SolveReport]:
     def solve_ifoi():
         traces: list[IfoiTrace] = []
         solver = make_ivp_solver(partition, n, scheme, trace_sink=traces)
-        solution, coeff = shooting.solve_bvp(case, solver)
+        solution, _ = shooting.solve_bvp(case, solver)
         # traces arrive in solve order: the particular solution first
-        return solution, {"trace": traces[0], "coefficient": coeff,
-                          "picard_iterations": traces[0].picard_iterations}
+        return solution, {"trace": traces[0]}
 
     return [_run(method, case, params, config.repeats, solve)
             for method, solve in (("fdm", solve_fdm), ("ifoi", solve_ifoi))

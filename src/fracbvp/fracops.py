@@ -1,19 +1,20 @@
 """Fractional integration of uniformly sampled functions.
 
 Three discretizations of the order-``mu`` fractional integral (``mu = -alpha``
-with ``alpha`` in ``[-2, 0)``, lower terminal fixed at zero) are provided:
+with ``alpha`` in ``[-2, 0)``, lower terminal fixed at zero) are offered by
+scheme name:
 
-* :func:`gl_apply`, the truncated binomial-weight series,
-* :func:`rect_apply`, the product rectangle rule (integrand frozen at the
-  left end of each cell, kernel integrated exactly),
-* :func:`abm_apply`, the product trapezoid rule used as the corrector of
+* ``gl``, the binomial-weight (Grunwald-Letnikov) series,
+* ``rect``, the product rectangle rule (integrand frozen at the left end of
+  each cell, kernel integrated exactly),
+* ``abm``, the product trapezoid rule used as the corrector of
   predictor-corrector schemes (integrand piecewise linear, kernel exact).
 
-All three map a :class:`~fracbvp.grid.GridFunction` to another on the same
-grid, are linear in the input, and return 0 at the left node, the value the
-integral from 0 to 0 forces.  Each is one matrix of a common form, built by
-:func:`stage_kernels` for several orders in one vectorized call and applied
-by direct convolution.
+All three are linear in the input and return 0 at the left node, the value
+the integral from 0 to 0 forces.  Each is one matrix of a common form,
+built by :func:`stage_kernels` for several orders in one vectorized call;
+:func:`apply_scheme` applies one stage to a
+:class:`~fracbvp.grid.GridFunction` by direct convolution.
 """
 
 from __future__ import annotations
@@ -29,27 +30,15 @@ from .grid import GridFunction
 MIN_WINDOW_STEPS = 10
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for positive arguments.
-
-    Delegates to the platform implementation, which is accurate to a few
-    ulp across the range used by the quadrature weights.
-
-    :raises ValueError: for ``x <= 0``; the reflection branch is not needed
-        by any scheme here and is deliberately not offered.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires a positive argument, got {x}")
-    return math.gamma(x)
-
-
 @dataclass(frozen=True)
 class MemoryPolicy:
-    """How much of the convolution tail :func:`gl_apply` keeps.
+    """How much of the convolution tail a ``gl`` stage keeps.
 
     ``full`` sums over the entire history.  ``truncated`` drops samples
     farther than ``window_length`` behind the evaluation point, trading
-    accuracy for cost on long domains.
+    accuracy for cost on long domains.  This is the short-memory principle
+    (Podlubny 1999), stated for the binomial series, so
+    :func:`stage_kernels` refuses it for ``rect`` and ``abm``.
     """
 
     mode: str = "full"
@@ -91,10 +80,15 @@ def gl_coefficients(alpha, count: int) -> np.ndarray:
     return w
 
 
-def _window_steps(n: int, h: float, policy: MemoryPolicy) -> int:
-    """Grid steps of history a GL stage keeps: all ``n``, or the window."""
+def _window_steps(scheme: str, n: int, h: float,
+                  policy: MemoryPolicy) -> int:
+    """Grid steps of history a stage keeps: all ``n``, or, for ``gl``
+    only, the window."""
     if policy.mode == "full":
         return n
+    if scheme != "gl":
+        raise ValueError(f"a {policy.mode} memory policy applies to the "
+                         f"'gl' series only, not to {scheme!r}")
     if policy.window_length < MIN_WINDOW_STEPS * h:
         raise ValueError(
             f"window_length {policy.window_length} is below "
@@ -106,17 +100,25 @@ def _window_steps(n: int, h: float, policy: MemoryPolicy) -> int:
 # Each builder takes the orders ``mu`` as an (r, 1) column and returns the
 # (r, n + 1) kernels and column-0 corrections, one row per order.
 
-def _gl_kernels(mu, n: int, h: float, policy: MemoryPolicy):
+def _gl_kernels(mu, n: int, h: float):
+    """Binomial-series weights: the value at ``x_k`` is
+    ``h**(-alpha) * sum_j w_j f(x_k - j h)``, with ``w_j`` from
+    :func:`gl_coefficients`.  First-order accurate in ``h`` for smooth
+    ``f``."""
     w = gl_coefficients(-mu[:, 0], n + 1)
-    w[:, _window_steps(n, h, policy) + 1:] = 0.0
     return _scaled(w, [h**m for m in mu[:, 0]]), np.zeros_like(w)
 
 
-def _rect_kernels(mu, n: int, h: float, policy: MemoryPolicy):
+def _rect_kernels(mu, n: int, h: float):
+    """Product rectangle weights.  On each cell ``[x_j, x_{j+1}]`` the
+    integrand is frozen at ``f(x_j)`` while the kernel ``(x - t)**(mu-1)``
+    is integrated exactly, giving the value
+    ``h**mu / Gamma(mu+1) * sum_{j<n} ((n-j)**mu - (n-j-1)**mu) f(x_j)`` at
+    ``x_n``.  First-order accurate."""
     p = np.arange(n + 1, dtype=float) ** mu
     b = np.zeros_like(p)
     np.subtract(p[:, 1:], p[:, :-1], out=b[:, 1:])
-    return _scaled(b, [h**m / gamma_fn(m + 1.0) for m in mu[:, 0]]), \
+    return _scaled(b, [h**m / math.gamma(m + 1.0) for m in mu[:, 0]]), \
         np.zeros_like(b)
 
 
@@ -127,7 +129,27 @@ ABM_SERIES_FROM = 32
 _ABM_SERIES_TERMS = 10
 
 
-def _abm_kernels(mu, n: int, h: float, policy: MemoryPolicy):
+def _abm_kernels(mu, n: int, h: float):
+    """Product trapezoid weights, the corrector quadrature of the fractional
+    Adams predictor-corrector method (Diethelm, Ford & Freed 2002, Nonlinear
+    Dyn. 29): the integrand is replaced by its piecewise linear interpolant
+    and the kernel is integrated exactly.  When the integrand is a known
+    grid function, as here, the predict and evaluate stages of that method
+    collapse and the corrector sum below is the whole scheme.
+    Second-order accurate on smooth data, exact on affine data.
+
+    The weights at ``x_n`` are, with ``c = h**mu / Gamma(mu + 2)``:
+
+    * ``a_{n,0} = c * ((n-1)**(mu+1) - n**mu (n - mu - 1))``
+    * ``a_{n,j} = c * ((n-j+1)**(mu+1) + (n-j-1)**(mu+1) - 2(n-j)**(mu+1))``
+      for ``1 <= j <= n-1``
+    * ``a_{n,n} = c``
+
+    Below ``n - j = 32`` these are evaluated as written.  From there on the
+    second difference would lose about ``2 log10(n - j)`` digits to
+    cancellation, so it and ``a_{n,0}`` are summed instead as binomial
+    series in ``1/(n-j)`` whose terms do not cancel, to within a few ulp.
+    """
     # the interior weight d_j = (j+1)**q + (j-1)**q - 2 j**q, q = mu + 1,
     # and the column-0 one e_j = (j-1)**q - j**mu (j - mu - 1); the kernel
     # is d and the correction e - d, since the convolution puts d_j there
@@ -166,7 +188,7 @@ def _abm_kernels(mu, n: int, h: float, policy: MemoryPolicy):
         odd += even
         np.negative(jqt, out=jqt)
         np.multiply(odd, jqt, out=c[:, ABM_SERIES_FROM:])
-    scale = [h**m / gamma_fn(m + 2.0) for m in mu[:, 0]]
+    scale = [h**m / math.gamma(m + 2.0) for m in mu[:, 0]]
     return _scaled(d, scale), _scaled(c, scale)
 
 
@@ -200,76 +222,30 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
     correction in column 0: the value at ``x_i`` is
     ``sum_j kernel[i-j] f(x_j) + col0[i] f(x_0)``.  ``col0[0]`` cancels
     ``kernel[0]``, so node 0 maps to 0 and the pairs of successive stages
-    compose into a pair of the same form.
+    compose into a pair of the same form.  Under a truncated ``policy`` a
+    ``gl`` kernel keeps the weights of ``j <= window_length/h`` only.
+
+    :raises ValueError: for an unknown scheme, an order outside
+        ``[-2, 0)``, a truncated policy with ``rect`` or ``abm``, or a
+        window shorter than ``MIN_WINDOW_STEPS`` steps.
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                          f"{sorted(_KERNELS)}")
+    window = _window_steps(scheme, n, h, policy)
     mu = np.array([[_check_integration_order(a)] for a in alphas])
-    kernels, col0s = _KERNELS[scheme](mu, n, h, policy)
+    kernels, col0s = _KERNELS[scheme](mu, n, h)
+    kernels[:, window + 1:] = 0.0
     col0s[:, 0] = -kernels[:, 0]
     return kernels, col0s
 
 
-def stage_kernel(scheme: str, alpha: float, n: int, h: float,
-                 policy: MemoryPolicy = FULL_MEMORY) -> tuple[np.ndarray, np.ndarray]:
-    """The (kernel, col0) pair of :func:`stage_kernels` for one order."""
-    kernels, col0s = stage_kernels(scheme, (alpha,), n, h, policy)
-    return kernels[0], col0s[0]
-
-
-def gl_apply(f: GridFunction, alpha: float,
-             policy: MemoryPolicy = FULL_MEMORY) -> GridFunction:
-    """Binomial-series fractional integral of ``f``.
-
-    The value at ``x_k`` is ``h**(-alpha) * sum_j w_j f(x_k - j h)`` with the
-    sum over the full history, or over ``j <= window_length/h`` under a
-    truncated policy.  First-order accurate in ``h`` for smooth ``f``.
-    """
-    return apply_scheme("gl", f, alpha, policy)
-
-
-def rect_apply(f: GridFunction, alpha: float) -> GridFunction:
-    """Product rectangle fractional integral of ``f``.
-
-    On each cell ``[x_j, x_{j+1}]`` the integrand is frozen at ``f(x_j)``
-    while the kernel ``(x - t)**(mu-1)`` is integrated exactly, giving the
-    value ``h**mu / Gamma(mu+1) * sum_{j<n} ((n-j)**mu - (n-j-1)**mu) f(x_j)``
-    at ``x_n``.  First-order accurate.
-    """
-    return apply_scheme("rect", f, alpha)
-
-
-def abm_apply(rhs_values: GridFunction, alpha: float) -> GridFunction:
-    """Product trapezoid fractional integral of known samples.
-
-    This is the corrector quadrature of the classical fractional
-    predictor-corrector method: the integrand is replaced by its piecewise
-    linear interpolant and the kernel is integrated exactly.  When the
-    integrand is a known grid function, as here, the predict and evaluate
-    stages of that method collapse and the corrector sum below is the whole
-    scheme.  Second-order accurate on smooth data, exact on affine data.
-
-    The weights at ``x_n`` are, with ``c = h**mu / Gamma(mu + 2)``:
-
-    * ``a_{n,0} = c * ((n-1)**(mu+1) - n**mu (n - mu - 1))``
-    * ``a_{n,j} = c * ((n-j+1)**(mu+1) + (n-j-1)**(mu+1) - 2(n-j)**(mu+1))``
-      for ``1 <= j <= n-1``
-    * ``a_{n,n} = c``
-
-    Below ``n - j = 32`` these are evaluated as written.  From there on the
-    second difference would lose about ``2 log10(n - j)`` digits to
-    cancellation, so it and ``a_{n,0}`` are summed instead as binomial
-    series in ``1/(n-j)`` whose terms do not cancel, to within a few ulp.
-    """
-    return apply_scheme("abm", rhs_values, alpha)
-
-
 def apply_scheme(scheme: str, f: GridFunction, alpha: float,
                  policy: MemoryPolicy = FULL_MEMORY) -> GridFunction:
-    """One fractional integration by scheme name, by direct convolution
-    with the pair of :func:`stage_kernel`."""
-    return apply_pair(*stage_kernel(scheme, alpha, f.n, f.h, policy), f)
+    """One fractional integration of ``f`` by scheme name, by direct
+    convolution with its pair of :func:`stage_kernels`."""
+    kernels, col0s = stage_kernels(scheme, (alpha,), f.n, f.h, policy)
+    return apply_pair(kernels[0], col0s[0], f)
 
 
 def apply_pair(kernel: np.ndarray, col0: np.ndarray,

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-# Relative slack allowed between n*h and a requested endpoint.
+# Relative slack allowed between two grid steps taken as the same.
 ENDPOINT_RTOL = 1e-9
 
 
@@ -53,14 +53,12 @@ class GridFunction:
         return GridFunction(self.h, values)
 
     @classmethod
-    def sample(cls, fn: Callable[[np.ndarray], np.ndarray], n: int,
-               endpoint: float = 1.0) -> "GridFunction":
-        """Sample ``fn`` at ``n + 1`` uniform nodes covering ``[0, endpoint]``."""
+    def sample(cls, fn: Callable[[np.ndarray], np.ndarray],
+               n: int) -> "GridFunction":
+        """Sample ``fn`` at ``n + 1`` uniform nodes covering ``[0, 1]``."""
         if n < 1:
             raise ValueError("need at least one interval")
-        h = endpoint / n
-        if abs(n * h - endpoint) > ENDPOINT_RTOL * abs(endpoint):
-            raise ValueError(f"{n} steps of {h} do not cover {endpoint}")
+        h = 1.0 / n
         x = np.arange(n + 1) * h
         return cls(h, np.asarray(fn(x), dtype=float) + np.zeros(n + 1))
 

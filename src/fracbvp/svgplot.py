@@ -45,10 +45,11 @@ class Series:
     in_legend: bool = True
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick values in ``[lo, hi]``, about five intervals apart."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -78,9 +79,9 @@ def _fmt_tick(v: float) -> str:
     return s
 
 
-def render_line_plot(series: Sequence[Series], title: str,
-                     xlabel: str = "x", ylabel: str = "u") -> str:
-    """Render overlaid curves to an SVG 1.1 document string."""
+def render_line_plot(series: Sequence[Series], title: str) -> str:
+    """Render overlaid curves of ``u`` against ``x`` to an SVG 1.1 document
+    string."""
     xs = np.concatenate([s.x for s in series])
     ys = np.concatenate([s.y for s in series])
     xlo, xhi = float(np.min(xs)), float(np.max(xs))
@@ -139,11 +140,11 @@ def render_line_plot(series: Sequence[Series], title: str,
 
     out.append(f'<text x="{MARGIN_L + inner_w // 2}" y="{HEIGHT - 8}" '
                f'text-anchor="middle" font-family="sans-serif" '
-               f'font-size="12">{xlabel}</text>')
+               f'font-size="12">x</text>')
     out.append(f'<text x="16" y="{MARGIN_T + inner_h // 2}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 16 {MARGIN_T + inner_h // 2})">'
-               f'{ylabel}</text>')
+               f'u</text>')
 
     for s in series:
         # float64 arrays through px/py give the scalar maps' bits, and "%.2f"

@@ -157,12 +157,14 @@ def _family_case(seed: int, right_kind: str, terms: int = 60) -> CaseSpec:
                     oracle=chebyshev_bvp(g, k, left, end, terms))
 
 
-FAMILY = [(1, "dirichlet"), (2, "robin")]
+FAMILY = [(1, "dirichlet"), (2, "robin"), (3, "dirichlet"), (4, "robin")]
+FAMILY_GRIDS = (200, 400, 800, 1600, 3200)
 
 
 @pytest.mark.parametrize("seed,right_kind", FAMILY)
 def test_family_reference_is_converged(seed, right_kind):
-    # measured within 2.3e-16 (seed 1) and 1.2e-15 (seed 2) of 80 terms
+    # measured within 2.3e-16 (seed 1), 1.2e-15 (seed 2) and 1.5e-15
+    # (seeds 3 and 4) of 80 terms
     x = np.linspace(0.0, 1.0, 1001)
     coarse = _family_case(seed, right_kind).oracle(x)
     fine = _family_case(seed, right_kind, terms=80).oracle(x)
@@ -172,9 +174,25 @@ def test_family_reference_is_converged(seed, right_kind):
 @pytest.mark.parametrize("seed,right_kind", FAMILY)
 def test_family_fdm_convergence_order(seed, right_kind):
     # three-point differences are second order on smooth coupled problems,
-    # Robin end included: measured 2.000 on every halving (seed 1) and
-    # 2.016, 2.008, 2.004, 2.002 (seed 2)
+    # Robin end included: measured 2.000 on every halving (seeds 1 and 3),
+    # 2.016, 2.008, 2.004, 2.002 (seed 2) and 2.009 ... 2.001 (seed 4)
     case = _family_case(seed, right_kind)
     orders = _observed_orders([sup_error(fdm_linear(case, n), case)
-                               for n in (200, 400, 800, 1600, 3200)])
+                               for n in FAMILY_GRIDS])
     assert all(1.95 <= p <= 2.05 for p in orders), orders
+
+
+@pytest.mark.parametrize("seed,right_kind", FAMILY)
+@pytest.mark.parametrize("scheme,stages", [("gl", 10), ("rect", 5)])
+def test_family_ifoi_first_order_schemes(seed, right_kind, scheme, stages):
+    # the binomial series and the product rectangle rule stay first order
+    # on coupled problems, Robin end included, under a regular schedule:
+    # measured 0.993-1.004 (gl) and 1.011-1.033 (rect) over the four seeds;
+    # abm is left out until its staged order on data with f(0) != 0 is
+    # mended (it read 0.58-2.81 here)
+    case = _family_case(seed, right_kind)
+    partition = make_alpha_partition("regular", stages)
+    orders = _observed_orders([
+        sup_error(solve_bvp(case, make_ivp_solver(partition, n, scheme))[0],
+                  case) for n in FAMILY_GRIDS])
+    assert all(0.9 <= p <= 1.15 for p in orders), orders

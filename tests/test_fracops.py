@@ -4,46 +4,16 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from fracbvp import (FULL_MEMORY, GridFunction, MemoryPolicy, abm_apply,
-                     apply_scheme, gamma_fn, gl_apply, gl_coefficients,
-                     rect_apply)
+from fracbvp import (FULL_MEMORY, ComposedOperator, GridFunction,
+                     MemoryPolicy, apply_scheme, gl_coefficients,
+                     make_alpha_partition)
 from fracbvp.cases import gauss_forcing, oscillatory_forcing
-from fracbvp.fracops import ABM_SERIES_FROM, stage_kernel, stage_kernels
+from fracbvp.fracops import ABM_SERIES_FROM, stage_kernels
 
 from oracles import (abm_weights_decimal, direct_gl_weight, direct_rect_sum,
                      simpson, simpson_double)
 
-SQRT_PI = math.sqrt(math.pi)
 ALL_SCHEMES = ("gl", "rect", "abm")
-
-
-# ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
-
-def test_gamma_known_values():
-    assert gamma_fn(0.5) == pytest.approx(SQRT_PI, rel=1e-12)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-    assert gamma_fn(1.5) == pytest.approx(SQRT_PI / 2.0, rel=1e-12)
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.3)
-
-
-@pytest.mark.parametrize("k", range(1, 21))
-def test_gamma_matches_factorials(k):
-    assert gamma_fn(float(k)) == pytest.approx(math.factorial(k - 1), rel=1e-13)
-
-
-@pytest.mark.parametrize("k", range(0, 15))
-def test_gamma_matches_half_integer_closed_form(k):
-    # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!)
-    expect = math.factorial(2 * k) * SQRT_PI / (4.0**k * math.factorial(k))
-    assert gamma_fn(k + 0.5) == pytest.approx(expect, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +52,12 @@ def test_gl_coefficients_match_gamma_formula(alpha):
 # ---------------------------------------------------------------------------
 
 def test_gl_constant_half_order(unit_grid):
-    out = gl_apply(unit_grid, -0.5)
-    assert abs(out.values[-1] - 1.0 / gamma_fn(1.5)) <= 5e-3
+    out = apply_scheme("gl", unit_grid, -0.5)
+    assert abs(out.values[-1] - 1.0 / math.gamma(1.5)) <= 5e-3
 
 
 def test_gl_ramp_full_order(ramp_grid):
-    out = gl_apply(ramp_grid, -1.0)
+    out = apply_scheme("gl", ramp_grid, -1.0)
     assert abs(out.values[-1] - 0.5) <= 2e-3
 
 
@@ -95,7 +65,7 @@ def test_gl_double_order_vs_brute_force_quadrature():
     # First-order rule: the h * int(f) term dominates and is ~0.1 here, so
     # the honest bound sits at 0.12, not tighter.
     f = GridFunction.sample(gauss_forcing, 100)
-    out = gl_apply(f, -2.0)
+    out = apply_scheme("gl", f, -2.0)
     reference = simpson_double(gauss_forcing, 1.0)
     assert abs(out.values[-1] - reference) <= 0.12
 
@@ -103,7 +73,7 @@ def test_gl_double_order_vs_brute_force_quadrature():
 def test_gl_rejects_orders_outside_contract(unit_grid):
     for alpha in (0.0, 0.5, 1.0, -2.5):
         with pytest.raises(ValueError):
-            gl_apply(unit_grid, alpha)
+            apply_scheme("gl", unit_grid, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +81,7 @@ def test_gl_rejects_orders_outside_contract(unit_grid):
 # ---------------------------------------------------------------------------
 
 def test_rect_constant_full_order_matches_weight_formula(unit_grid):
-    out = rect_apply(unit_grid, -1.0)
+    out = apply_scheme("rect", unit_grid, -1.0)
     reference = direct_rect_sum(unit_grid.values, unit_grid.h, 1.0)
     assert abs(out.values[-1] - reference) <= 1e-12
     # the stated weights telescope to exactly n*h = 1 for a constant
@@ -119,13 +89,13 @@ def test_rect_constant_full_order_matches_weight_formula(unit_grid):
 
 
 def test_rect_constant_half_order(unit_grid):
-    out = rect_apply(unit_grid, -0.5)
-    assert abs(out.values[-1] - 1.0 / gamma_fn(1.5)) <= 5e-3
+    out = apply_scheme("rect", unit_grid, -0.5)
+    assert abs(out.values[-1] - 1.0 / math.gamma(1.5)) <= 5e-3
 
 
 def test_rect_ramp_half_order(ramp_grid):
-    out = rect_apply(ramp_grid, -0.5)
-    expect = gamma_fn(2.0) / gamma_fn(2.5)
+    out = apply_scheme("rect", ramp_grid, -0.5)
+    expect = math.gamma(2.0) / math.gamma(2.5)
     assert abs(out.values[-1] - expect) <= 5e-3
 
 
@@ -133,7 +103,7 @@ def test_rect_matches_direct_summation_on_arbitrary_data():
     rng = np.random.default_rng(7)
     f = GridFunction(0.02, rng.normal(size=51))
     for alpha in (-0.3, -1.0, -1.7):
-        out = rect_apply(f, alpha)
+        out = apply_scheme("rect", f, alpha)
         assert out.values[-1] == pytest.approx(
             direct_rect_sum(f.values, f.h, -alpha), abs=1e-12)
 
@@ -144,13 +114,13 @@ def test_rect_matches_direct_summation_on_arbitrary_data():
 
 def test_abm_constant_half_order():
     f = GridFunction.sample(lambda x: np.ones_like(x), 100)
-    out = abm_apply(f, -0.5)
-    assert abs(out.values[-1] - 1.0 / gamma_fn(1.5)) <= 1e-4
+    out = apply_scheme("abm", f, -0.5)
+    assert abs(out.values[-1] - 1.0 / math.gamma(1.5)) <= 1e-4
 
 
 def test_abm_ramp_full_order():
     f = GridFunction.sample(lambda x: x, 100)
-    out = abm_apply(f, -1.0)
+    out = apply_scheme("abm", f, -1.0)
     assert abs(out.values[-1] - 0.5) <= 1e-6
 
 
@@ -161,10 +131,10 @@ def test_abm_weights_integrate_the_linear_interpolant():
     rng = np.random.default_rng(19)
     f = GridFunction(0.05, rng.normal(size=21))
     for mu, tol in ((2.0, 1e-9), (1.5, 1e-7)):
-        out = abm_apply(f, -mu)
+        out = apply_scheme("abm", f, -mu)
         t = np.linspace(0.0, 1.0, 2_000_001)
         interp = np.interp(t, f.nodes, f.values)
-        kernel = (1.0 - t) ** (mu - 1.0) / gamma_fn(mu)
+        kernel = (1.0 - t) ** (mu - 1.0) / math.gamma(mu)
         w = np.ones(t.size)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         reference = float(np.sum(w * kernel * interp) * (t[1] - t[0]) / 3.0)
@@ -177,11 +147,11 @@ def test_rect_weights_integrate_the_left_step_interpolant():
     rng = np.random.default_rng(23)
     f = GridFunction(0.05, rng.normal(size=21))
     mu = 1.5
-    out = rect_apply(f, -mu)
+    out = apply_scheme("rect", f, -mu)
     t = np.linspace(0.0, 1.0, 2_000_001)
     idx = np.minimum((t / f.h).astype(int), f.n - 1)
     step = f.values[idx]
-    kernel = (1.0 - t) ** (mu - 1.0) / gamma_fn(mu)
+    kernel = (1.0 - t) ** (mu - 1.0) / math.gamma(mu)
     w = np.ones(t.size)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     reference = float(np.sum(w * kernel * step) * (t[1] - t[0]) / 3.0)
@@ -200,8 +170,8 @@ def _pointwise_kernels(mu, n, h):
         - 2.0 * k[1:] ** (mu + 1.0)
     e = np.zeros(n + 1)
     e[1:] = (k[1:] - 1.0) ** (mu + 1.0) - k[1:] ** mu * (k[1:] - mu - 1.0)
-    scale = h**mu / gamma_fn(mu + 2.0)
-    return h**mu / gamma_fn(mu + 1.0) * rect, scale * d, scale * (e - d)
+    scale = h**mu / math.gamma(mu + 2.0)
+    return h**mu / math.gamma(mu + 1.0) * rect, scale * d, scale * (e - d)
 
 
 @pytest.mark.parametrize("n", [8, 50, 4000])
@@ -213,11 +183,11 @@ def test_shared_power_kernels_equal_the_pointwise_formulas(n, alpha):
     h = 1.0 / n
     rect, d, col0 = _pointwise_kernels(-alpha, n, h)
     col0[0] = -d[0]
-    assert np.array_equal(stage_kernel("rect", alpha, n, h)[0], rect)
-    abm = stage_kernel("abm", alpha, n, h)
+    assert np.array_equal(stage_kernels("rect", (alpha,), n, h)[0][0], rect)
+    kernels, col0s = stage_kernels("abm", (alpha,), n, h)
     head = slice(0, ABM_SERIES_FROM)
-    assert np.array_equal(abm[0][head], d[head])
-    assert np.array_equal(abm[1][head], col0[head])
+    assert np.array_equal(kernels[0][head], d[head])
+    assert np.array_equal(col0s[0][head], col0[head])
 
 
 @pytest.mark.parametrize("mu", [0.04, 0.2, 0.36, 1.5])
@@ -232,11 +202,11 @@ def test_abm_weights_match_a_40_digit_reference(mu):
     6.0e-9 in l1."""
     n = 10_000
     h = 1.0 / n
-    kernel, col0 = stage_kernel("abm", -mu, n, h)
+    (kernel,), (col0,) = stage_kernels("abm", (-mu,), n, h)
     d, e = abm_weights_decimal(mu, n)
     with localcontext() as ctx:
         ctx.prec = 40
-        scale = Decimal(h**mu / gamma_fn(mu + 2.0))
+        scale = Decimal(h**mu / math.gamma(mu + 2.0))
         for computed, weights in ((kernel, d),
                                   (col0, [b - a for a, b in zip(d, e)])):
             reference = [scale * w for w in weights]
@@ -256,16 +226,16 @@ def test_batched_kernels_equal_one_order_calls(scheme, n):
     alphas = (-0.06, -0.2, -0.9, -1.5, -2.0)
     kernels, col0s = stage_kernels(scheme, alphas, n, 1.0 / n)
     for alpha, kernel, col0 in zip(alphas, kernels, col0s):
-        one = stage_kernel(scheme, alpha, n, 1.0 / n)
-        assert np.array_equal(kernel, one[0])
-        assert np.array_equal(col0, one[1])
+        one = stage_kernels(scheme, (alpha,), n, 1.0 / n)
+        assert np.array_equal(kernel, one[0][0])
+        assert np.array_equal(col0, one[1][0])
 
 
 def test_abm_oscillatory_vs_quadrature():
     # The aliased tail of the oscillation costs ~1.8e-4 at this resolution;
     # 3e-4 is the honest bound for the rule as defined.
     f = GridFunction.sample(oscillatory_forcing, 200)
-    out = abm_apply(f, -1.0)
+    out = apply_scheme("abm", f, -1.0)
     reference = simpson(oscillatory_forcing, 1.0)
     assert abs(out.values[-1] - reference) <= 3e-4
 
@@ -303,7 +273,7 @@ def test_operators_are_linear(scheme):
 def test_monomial_law(scheme, p, alpha):
     """Value at x = 1 approaches Gamma(p+1)/Gamma(p+1-alpha); halving the
     step must not increase the error."""
-    expect = gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - alpha)
+    expect = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
     errs = []
     for n in (64, 128):
         f = GridFunction.sample(lambda x: x**p, n)
@@ -317,8 +287,8 @@ def test_semigroup_two_half_orders_match_one_full_order():
     gaps = []
     for n in (100, 200):
         f = GridFunction.sample(lambda x: x**2, n)
-        twice = abm_apply(abm_apply(f, -0.5), -0.5)
-        once = abm_apply(f, -1.0)
+        twice = apply_scheme("abm", apply_scheme("abm", f, -0.5), -0.5)
+        once = apply_scheme("abm", f, -1.0)
         gaps.append(abs(twice.values[-1] - once.values[-1]))
     assert gaps[0] <= 1e-3
     assert gaps[1] < gaps[0]
@@ -328,17 +298,17 @@ def test_gl_composition_is_exact():
     # binomial weight sequences convolve exactly across orders, so the
     # series operator inherits the semigroup law to rounding
     f = GridFunction.sample(lambda x: x**2, 100)
-    twice = gl_apply(gl_apply(f, -0.5), -0.5)
-    once = gl_apply(f, -1.0)
+    twice = apply_scheme("gl", apply_scheme("gl", f, -0.5), -0.5)
+    once = apply_scheme("gl", f, -1.0)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-12
 
 
 def test_gl_first_order_error_decay():
-    expect = gamma_fn(3.0) / gamma_fn(3.5)
+    expect = math.gamma(3.0) / math.gamma(3.5)
     errs = []
     for n in (100, 200):
         f = GridFunction.sample(lambda x: x**2, n)
-        errs.append(abs(gl_apply(f, -0.5).values[-1] - expect))
+        errs.append(abs(apply_scheme("gl", f, -0.5).values[-1] - expect))
     assert 1.6 <= errs[0] / errs[1] <= 2.4
 
 
@@ -347,18 +317,36 @@ def test_gl_first_order_error_decay():
 # ---------------------------------------------------------------------------
 
 def test_truncated_memory_converges_to_full(unit_grid):
-    full = gl_apply(unit_grid, -0.5, FULL_MEMORY)
+    full = apply_scheme("gl", unit_grid, -0.5, FULL_MEMORY)
     gaps = []
     for window in (0.2, 0.4, 0.6, 0.8, 1.0):
-        trunc = gl_apply(unit_grid, -0.5, MemoryPolicy("truncated", window))
+        trunc = apply_scheme("gl", unit_grid, -0.5,
+                             MemoryPolicy("truncated", window))
         gaps.append(np.max(np.abs(trunc.values - full.values)))
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+    assert gaps[0] > 0.0
     assert gaps[-1] == 0.0
 
 
 def test_truncated_memory_rejects_tiny_window(unit_grid):
     with pytest.raises(ValueError):
-        gl_apply(unit_grid, -0.5, MemoryPolicy("truncated", 5 * unit_grid.h))
+        apply_scheme("gl", unit_grid, -0.5,
+                     MemoryPolicy("truncated", 5 * unit_grid.h))
+
+
+@pytest.mark.parametrize("scheme", ["rect", "abm"])
+def test_truncated_memory_is_refused_off_the_series(scheme):
+    """The short-memory principle is stated for the binomial series: a
+    truncated policy with another scheme is an error, for one stage and for
+    a composed schedule, not a full-memory result."""
+    f = GridFunction.sample(np.cos, 200)
+    policy = MemoryPolicy("truncated", 0.1)
+    with pytest.raises(ValueError, match="'gl' series only"):
+        apply_scheme(scheme, f, -0.5, policy)
+    operator = ComposedOperator(scheme, make_alpha_partition("regular", 10),
+                                200, policy)
+    with pytest.raises(ValueError, match="'gl' series only"):
+        operator.apply(f.values)
 
 
 def test_memory_policy_validation():
