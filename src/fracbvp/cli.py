@@ -56,7 +56,9 @@ def _add_common(p: argparse.ArgumentParser, with_case: bool = True) -> None:
                    choices=["regular", "quadratic"], default=None)
     p.add_argument("--scheme", choices=["gl", "rect", "abm"], default=None)
     p.add_argument("--repeats", type=int, default=None,
-                   help="timing repetitions; the median is reported")
+                   help="timing repetitions; the median is reported.  Only "
+                        "the first IFOI solve of a length class composes "
+                        "its operator; later repeats reuse it")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults for unset flags")

@@ -80,8 +80,8 @@ def gl_coefficients(alpha, count: int) -> np.ndarray:
     return w
 
 
-def _window_steps(scheme: str, n: int, h: float,
-                  policy: MemoryPolicy) -> int:
+def window_steps(scheme: str, n: int, h: float,
+                 policy: MemoryPolicy) -> int:
     """Grid steps of history a stage keeps: all ``n``, or, for ``gl``
     only, the window."""
     if policy.mode == "full":
@@ -232,7 +232,7 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                          f"{sorted(_KERNELS)}")
-    window = _window_steps(scheme, n, h, policy)
+    window = window_steps(scheme, n, h, policy)
     mu = np.array([[_check_integration_order(a)] for a in alphas])
     kernels, col0s = _KERNELS[scheme](mu, n, h)
     kernels[:, window + 1:] = 0.0

@@ -7,8 +7,9 @@ from typing import Callable
 
 import numpy as np
 
-# Relative slack allowed between two grid steps taken as the same.
-ENDPOINT_RTOL = 1e-9
+#: Relative tolerance within which :func:`sup_distance` takes two grid steps
+#: as the same step.
+STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class GridFunction:
         x *= self.h
         return x
 
-    @property
-    def endpoint(self) -> float:
-        return self.n * self.h
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """Same grid, different samples."""
         return GridFunction(self.h, values)
@@ -65,6 +62,6 @@ class GridFunction:
 
 def sup_distance(a: GridFunction, b: GridFunction) -> float:
     """Max nodewise deviation between two functions on the same grid."""
-    if a.values.size != b.values.size or abs(a.h - b.h) > ENDPOINT_RTOL * a.h:
+    if a.values.size != b.values.size or abs(a.h - b.h) > STEP_RTOL * a.h:
         raise ValueError("grids are not compatible")
     return float(np.max(np.abs(a.values - b.values)))

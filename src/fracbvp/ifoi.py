@@ -4,8 +4,9 @@ The order-2 integral of the right-hand side is reached by composing partial
 fractional integrations whose orders follow an :class:`AlphaPartition`
 schedule; the semigroup law of the fractional integral makes the composition
 converge to the plain double integral as the grid refines.  The whole
-schedule is composed once into one convolution, a
-:class:`ComposedOperator`, which also carries every setting of a solve.  A
+schedule is one convolution, a :class:`ComposedOperator`, which also carries
+every setting of a solve; its sequence does not depend on the grid and is
+composed once per power-of-two length.  A
 problem is ``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer
 Picard iteration around the composed operator, and only its iterates are
 held to the divergence guard.
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fracops import (FULL_MEMORY, MemoryPolicy, apply_pair, apply_scheme,
-                      stage_kernels)
+                      stage_kernels, window_steps)
 from .grid import GridFunction, sup_distance
 
 TOTAL_ORDER = 2.0
@@ -184,31 +185,105 @@ def _fft_size(target: int) -> int:
     return best
 
 
+#: Compositions kept by :func:`_composed_sequence`, one per scheme,
+#: schedule, window and length class.  The benchmark's ``ifoi-large``
+#: workload uses 16 (about 2 MB at ``n <= 10^4``) and ``paper`` about 12.
+COMPOSED_CACHE_SIZE = 32
+
+
+def _length_class(n: int) -> int:
+    """The smallest power of two ``>= n + 1``: the number of terms of the
+    composed sequence that serves the grid of ``n + 1`` nodes."""
+    return 1 << n.bit_length()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=COMPOSED_CACHE_SIZE)
+def _composed_sequence(scheme: str, partition: AlphaPartition,
+                       window: Optional[int], length: int,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(k, v)`` of a whole staged integration at ``h = 1``, on
+    ``length`` terms, read-only.
+
+    Stage ``k`` at step ``h`` is ``h**mu_k`` times its pair at ``h = 1``,
+    and the orders sum to 2, so the composition at ``h`` is ``h**2`` times
+    this one.  The first ``n + 1`` terms of a truncated power-series
+    product do not depend on where it is truncated, so every grid with
+    ``n + 1 <= length`` reads its operator off a prefix.  ``window`` is the
+    history a truncated ``gl`` policy keeps, in steps; ``None`` keeps all.
+
+    Each stage output is 0 at node 0, so the column-0 term of a later stage
+    never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
+    ``P = k_m * ... * k_2``.  Products of lower-triangular Toeplitz
+    matrices commute, so ``P`` is built from one kernel per distinct stage
+    order, raised to its multiplicity by repeated squaring; orders that
+    agree to a relative ``1e-12`` count as one, so a regular schedule
+    composes one kernel raised to a power.  The kernels are built one
+    order at a time, each by one :func:`~fracbvp.fracops.stage_kernels`
+    call and one FFT.  Every product is truncated to ``length`` terms
+    before the next: the spectra of all stages multiplied at once would
+    alias the tail of the full-length product.  GL weights are the
+    coefficients of ``(1 - z)**-mu``, so without a window the GL stages
+    compose in closed form and need no products at all.
+    """
+    orders, index = _merged_orders(partition.stage_orders)
+    policy = FULL_MEMORY if window is None \
+        else MemoryPolicy("truncated", float(window))
+    if len(index) > 1 and scheme == "gl" and window is None:
+        # P is the GL kernel of order 2 - mu_1, and v_1 is -e_0
+        k, p = stage_kernels("gl", (-TOTAL_ORDER,
+                                    partition.cumulative[1] - TOTAL_ORDER),
+                             length - 1, 1.0)[0]
+        return _frozen(k), _frozen(-p)
+    if len(index) == 1:
+        kernels, col0s = stage_kernels(scheme, orders, length - 1, 1.0,
+                                       policy)
+        return _frozen(kernels[0]), _frozen(col0s[0])
+    size = 2 * length  # a product of two length-term series fits
+
+    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(np.fft.irfft(a * b, size)[:length], size)
+
+    counts = Counter(index[1:])
+    rest = None  # the spectrum of P
+    for i, alpha in enumerate(orders):
+        kernels, col0s = stage_kernels(scheme, (alpha,), length - 1, 1.0,
+                                       policy)
+        power = np.fft.rfft(kernels[0], size)
+        if i == 0:
+            first, v = power, col0s[0]
+        count = counts[i]
+        while count:
+            if count & 1:
+                rest = power if rest is None else times(rest, power)
+            count >>= 1
+            if count:
+                power = times(power, power)
+    return (_frozen(np.fft.irfft(rest * first, size)[:length]),
+            _frozen(np.fft.irfft(rest * np.fft.rfft(v, size), size)[:length]))
+
+
 @dataclass(frozen=True)
 class ComposedOperator:
     """A whole staged integration as one matrix ``K f = conv(k, f) + v f[0]``.
 
     Its fields are all the settings of an IVP solve: the scheme, the
     schedule, the grid of ``n + 1`` nodes on [0, 1] and the memory policy.
-    The matrix is composed from the stages of ``partition`` when first
-    used, and kept by this object only: a solver from
-    :func:`make_ivp_solver` holds one, shared by the IVPs of one shooting
-    solve and by all their Picard passes.  :meth:`staged` runs the stages
-    one by one instead, for the snapshots of :class:`IfoiTrace`.
-
-    Each stage output is 0 at node 0, so the column-0 term of a later stage
-    never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
-    ``P = k_m * ... * k_2``.  Products of lower-triangular Toeplitz
-    matrices commute, so ``P`` is built from one kernel per distinct stage
-    order, raised to its multiplicity by repeated squaring.  Orders that
-    agree to a relative ``1e-12`` count as one, so
-    a regular schedule composes one kernel raised to a power.  All distinct
-    kernels come from one :func:`~fracbvp.fracops.stage_kernels` call and
-    their spectra from one FFT.  Every product is truncated to ``n + 1``
-    terms before the next: the spectra of all stages multiplied at once
-    would alias the tail of the full-length product.  GL weights are the
-    coefficients of ``(1 - z)**-mu``, so under full memory the GL stages
-    compose in closed form and need no products at all.
+    ``k`` and ``v`` are ``h**2`` times the first ``n + 1`` terms of the
+    grid-free sequence of :func:`_composed_sequence`, which is composed
+    once per scheme, schedule, window and length class (the smallest power
+    of two ``>= n + 1``) and kept by the process, up to
+    ``COMPOSED_CACHE_SIZE`` of them.  The first solve of a length class
+    pays the composition; later ones, in this solver or any other, only
+    slice it and take one FFT.  Since the class is a function of ``n``
+    alone, a grid's values never depend on which grids ran before it.
+    :meth:`staged` runs the stages one by one instead, for the snapshots
+    of :class:`IfoiTrace`.
 
     :raises ValueError: if ``n < 8``.
     """
@@ -225,38 +300,13 @@ class ComposedOperator:
     @functools.cached_property
     def _built(self) -> tuple[np.ndarray, np.ndarray, int]:
         n, h = self.n, 1.0 / self.n
+        # a window of n steps or more drops nothing on this grid
+        window = window_steps(self.scheme, n, h, self.policy)
+        k, v = _composed_sequence(self.scheme, self.partition,
+                                  window if window < n else None,
+                                  _length_class(n))
         size = _fft_size(2 * n + 1)
-        orders, index = _merged_orders(self.partition.stage_orders)
-        if len(index) > 1 and self.scheme == "gl" \
-                and self.policy.mode == "full":
-            # P is the GL kernel of order 2 - mu_1, and v_1 is -h**mu_1 e_0
-            mu_1 = self.partition.cumulative[1]
-            k, p = stage_kernels("gl", (-TOTAL_ORDER, mu_1 - TOTAL_ORDER),
-                                 n, h)[0]
-            return np.fft.rfft(k, size), -h**mu_1 * p, size
-        kernels, col0s = stage_kernels(self.scheme, orders, n, h, self.policy)
-        spectra = np.fft.rfft(kernels, size)
-        spectrum, v = spectra[index[0]], col0s[index[0]]
-        if len(index) == 1:
-            return spectrum, v, size
-
-        def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.fft.rfft(np.fft.irfft(a * b, size)[: n + 1], size)
-
-        rest = None  # the spectrum of P
-        for i, count in Counter(index[1:]).items():
-            power = spectra[i]
-            while True:
-                if count & 1:
-                    rest = power if rest is None else times(rest, power)
-                count >>= 1
-                if not count:
-                    break
-                power = times(power, power)
-        k, v = np.fft.irfft(rest * np.stack(
-            [spectrum, np.fft.rfft(v, size)]), size)[:, : n + 1]
-        # v is copied so that it keeps no padded product alive
-        return np.fft.rfft(k, size), v.copy(), size
+        return np.fft.rfft(k[: n + 1] * h**2, size), v[: n + 1] * h**2, size
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``K`` applied to ``n + 1`` samples, in one FFT pair."""
@@ -295,8 +345,12 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
 
     Without coupling one pass solves the problem and counts no Picard
     iteration.  With it, the whole composition iterates as
-    ``u <- u0 + s0*x + K[g + k u]`` from the constant start ``u0`` until
-    the sup-norm update drops below ``1e-10``.  Only an iteration can
+    ``u <- u0 + s0*x + K[g + k u]`` from the initial-condition line
+    ``u0 + s0*x`` until the sup-norm update drops below ``1e-10``.  When
+    ``s0 = 0``, or ``u0 = 0`` without forcing, as in both IVPs of a
+    shooting solve, that start is the constant ``u0`` or its first
+    iterate, so the passes are those from ``u0``, one fewer in the second
+    case.  Only an iteration can
     diverge, so only Picard iterates are held to the ``1e8`` guard.
 
     :raises IfoiDivergenceError: if the right-hand side or the solution
@@ -312,7 +366,7 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
         g += problem.g(x)
     k = None if problem.k is None else problem.k(x)
 
-    u = np.full(n + 1, float(problem.u0))
+    u = ic
     for iterations in range(1, PICARD_MAX_ITER + 1):
         forcing = g if k is None else g + k * u
         if not np.all(np.isfinite(forcing)):

@@ -397,7 +397,7 @@ def test_benchmark_tracer_reads_every_ivp_solve():
                                      case.default_partition, 50))
     assert tracer.restored() and not tracer.unreadable
     assert [s.info for s in tracer.spans if s.name == "ifoi.solve_ivp"] == [
-        {"picard": 7, "useful": True}, {"picard": 8, "useful": True},
+        {"picard": 7, "useful": True}, {"picard": 7, "useful": True},
         {"picard": 0, "useful": False}]
 
 

@@ -8,7 +8,7 @@ def test_sample_covers_unit_interval():
     g = GridFunction.sample(lambda x: x**2, 10)
     assert g.n == 10
     assert g.h == pytest.approx(0.1)
-    assert g.endpoint == pytest.approx(1.0, rel=1e-12)
+    assert g.nodes[-1] == pytest.approx(1.0, rel=1e-12)
     assert g.values[-1] == pytest.approx(1.0)
 
 

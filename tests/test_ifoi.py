@@ -9,7 +9,8 @@ from fracbvp import (CaseSpec, ComposedOperator, GridFunction,
                      make_ivp_solver, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import MIN_WINDOW_STEPS, stage_kernels
-from fracbvp.ifoi import _merged_orders
+from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, _composed_sequence,
+                          _merged_orders)
 
 from oracles import rk4_solve_ivp, simpson_double, total_variation
 
@@ -319,8 +320,10 @@ def _staged(values, partition, scheme, policy, n):
 # triangular, so ten stages on the nine nodes of n = 8 are the zero matrix,
 # which the FFT reproduces only to rounding (2e-17 against a sup of 0)
 # one and two stages leave P (the product of stages 2..m) empty or a single
-# kernel, in the closed gl form and in the grouped products alike
-@pytest.mark.parametrize("n", [8, 50, 1000, 4000, 10_000])
+# kernel, in the closed gl form and in the grouped products alike;
+# n = 1023 is the last grid served by a composition of 1024 terms and
+# n = 1024 the first served by one of 2048
+@pytest.mark.parametrize("n", [8, 50, 1000, 1023, 1024, 4000, 10_000])
 @pytest.mark.parametrize("scheme,spacing,m,truncated", [
     ("gl", "regular", 10, False), ("gl", "quadratic", 10, False),
     ("rect", "regular", 5, False), ("rect", "quadratic", 5, False),
@@ -382,11 +385,12 @@ def test_case_solutions_match_staged_reference(case_id, n):
     assert gap <= 1e-12 * np.max(np.abs(reference.values))
 
 
-@pytest.mark.parametrize("case_id", ["1", "4"])
-def test_solver_builds_its_operator_once(case_id, monkeypatch):
-    """Both IVPs of a shooting solve and all their Picard passes share one
-    composition; a new solver builds its own, so nothing is kept between
-    solvers."""
+@pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
+def test_each_length_class_is_composed_once(case_id, monkeypatch):
+    """A process composes a schedule once per length class, the smallest
+    power of two ``>= n + 1``: later solvers of the same grid, and of other
+    grids in its class, read their operators off that composition, and the
+    next class composes anew."""
     import fracbvp.ifoi as ifoi_mod
     calls = []
 
@@ -395,14 +399,51 @@ def test_solver_builds_its_operator_once(case_id, monkeypatch):
         return stage_kernels(scheme, alphas, *args, **kwargs)
 
     monkeypatch.setattr(ifoi_mod, "stage_kernels", counted)
+    _composed_sequence.cache_clear()
     case = get_case(case_id)
-    partition = case.default_partition
-    # one batched call per build: gl's two closed-form kernels, and one
-    # kernel for the ten merged stage orders of a regular abm schedule
-    per_build = {"1": 2, "4": 1}[case_id]
-    for solves in (1, 2):
-        solve_bvp(case, make_ivp_solver(partition, 50, case.default_scheme))
-        assert calls == [per_build] * solves
+    partition, scheme = case.default_partition, case.default_scheme
+    # gl composes in closed form from one call of two kernels; the other
+    # schemes build one kernel per distinct stage order, one call each
+    per_build = [2] if scheme == "gl" \
+        else [1] * len(_merged_orders(partition.stage_orders)[0])
+    for n in (50, 33, 63, 50):
+        solve_bvp(case, make_ivp_solver(partition, n, scheme))
+    assert calls == per_build
+    solve_bvp(case, make_ivp_solver(partition, 64, scheme))
+    assert calls == per_build * 2
+
+
+@pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
+def test_repeated_solve_is_bit_identical_whatever_ran_before(case_id):
+    """A grid reads the composition of its own length class: one read off
+    a longer composition differs in the last bits wherever the build
+    multiplies spectra (cases 2-4)."""
+    case = get_case(case_id)
+
+    def solve(n):
+        return solve_bvp(case, make_ivp_solver(
+            case.default_partition, n, case.default_scheme))[0].values
+
+    _composed_sequence.cache_clear()
+    first = solve(40)
+    solve(200)
+    solve(9_000)
+    again = solve(40)
+    _composed_sequence.cache_clear()
+    fresh = solve(40)
+    assert np.array_equal(again, first) and np.array_equal(fresh, first)
+
+
+def test_composition_memo_stays_within_its_bound():
+    _composed_sequence.cache_clear()
+    for scheme in ("gl", "rect", "abm"):
+        for spacing in ("regular", "quadratic"):
+            for n in (8, 16, 32, 64, 128, 256, 512):
+                ComposedOperator(scheme, make_alpha_partition(spacing, 3),
+                                 n).apply(np.ones(n + 1))
+    info = _composed_sequence.cache_info()
+    assert info.misses == 42 > COMPOSED_CACHE_SIZE
+    assert info.currsize == info.maxsize == COMPOSED_CACHE_SIZE
 
 
 def test_regular_stage_orders_merge_and_quadratic_ones_do_not():
