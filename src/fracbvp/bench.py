@@ -18,8 +18,9 @@ import numpy as np
 
 from . import fdm, shooting
 from .cases import CaseSpec, SolveReport, get_case, make_case3, sup_error
+from .grid import GridFunction
 from .ifoi import (AlphaPartition, IfoiDivergenceError, IfoiTrace,
-                   IvpProblem, make_alpha_partition, make_ivp_solver)
+                   IvpProblem, make_alpha_partition, make_ivp_solver, staged)
 from .svgplot import Series, ramp_color, render_line_plot
 
 RESULTS_CSV_HEADER = ["case", "method", "scheme", "n", "m", "spacing",
@@ -182,14 +183,11 @@ def write_results_csv(path: Union[str, Path],
             ])
 
 
-def read_results_csv(path: Union[str, Path]) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
 def plot(reports: Sequence[SolveReport], trace: IfoiTrace, case: CaseSpec,
          output_dir: Union[str, Path]) -> list[Path]:
-    """Write the stage-evolution and method-comparison SVGs for one case."""
+    """Write the stage-evolution and method-comparison SVGs for one case.
+    ``trace`` is the particular IVP's (left value, zero slope); its stages
+    are drawn by :func:`~fracbvp.ifoi.staged` over its final forcing."""
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     converged = [r for r in reports if r.status == "converged"
@@ -202,15 +200,20 @@ def plot(reports: Sequence[SolveReport], trace: IfoiTrace, case: CaseSpec,
     # comparison plot reuses as its exact series
     u_ref = np.asarray(case.oracle(x), dtype=float)
     forcing = IvpProblem(case.g, case.k, u_ref[0], 0.0).rhs(x, u_ref)
-    total = case.default_partition.cumulative[-1]
-    stage_series = [
-        Series(f"order {order:.2f}", gf.nodes, gf.values,
-               ramp_color(order / total), 1.2,
-               in_legend=(i in (0, len(trace.stages) - 1)))
-        for i, (order, gf) in enumerate(trace.stages)
-    ]
     solution_report = next((r for r in converged if r.method == "ifoi"),
                            converged[0])
+    params = solution_report.params
+    partition = make_alpha_partition(params["spacing"], params["m"])
+    stages = staged(GridFunction(1.0 / params["n"], trace.forcing),
+                    partition, params["scheme"])
+    total = case.default_partition.cumulative[-1]
+    stage_series = [
+        Series(f"order {order:.2f}", gf.nodes,
+               case.left_bc.value + gf.values, ramp_color(order / total),
+               1.2, in_legend=(i in (0, len(stages) - 1)))
+        for i, (order, gf) in enumerate(zip(partition.cumulative[1:],
+                                            stages))
+    ]
     evolution = [Series("forcing", x, forcing, "#1f77b4", 2.0)] \
         + stage_series \
         + [Series("solution", x, solution_report.solution.values,

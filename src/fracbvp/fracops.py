@@ -38,7 +38,9 @@ class MemoryPolicy:
     farther than ``window_length`` behind the evaluation point, trading
     accuracy for cost on long domains.  This is the short-memory principle
     (Podlubny 1999), stated for the binomial series, so
-    :func:`stage_kernels` refuses it for ``rect`` and ``abm``.
+    :func:`stage_kernels` refuses it for ``rect`` and ``abm``.  It saves
+    work only in direct sums, so it applies to single stages; a composed
+    solve, applied by FFT, keeps full memory.
     """
 
     mode: str = "full"
@@ -78,23 +80,6 @@ def gl_coefficients(alpha, count: int) -> np.ndarray:
     np.cumprod(1.0 - (alpha + 1.0) / np.arange(1, count), axis=-1,
                out=w[..., 1:])
     return w
-
-
-def window_steps(scheme: str, n: int, h: float,
-                 policy: MemoryPolicy) -> int:
-    """Grid steps of history a stage keeps: all ``n``, or, for ``gl``
-    only, the window."""
-    if policy.mode == "full":
-        return n
-    if scheme != "gl":
-        raise ValueError(f"a {policy.mode} memory policy applies to the "
-                         f"'gl' series only, not to {scheme!r}")
-    if policy.window_length < MIN_WINDOW_STEPS * h:
-        raise ValueError(
-            f"window_length {policy.window_length} is below "
-            f"{MIN_WINDOW_STEPS} grid steps"
-        )
-    return min(n, int(math.floor(policy.window_length / h + 1e-12)))
 
 
 # Each builder takes the orders ``mu`` as an (r, 1) column and returns the
@@ -232,7 +217,17 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                          f"{sorted(_KERNELS)}")
-    window = window_steps(scheme, n, h, policy)
+    window = n  # grid steps of history kept
+    if policy.mode != "full":
+        if scheme != "gl":
+            raise ValueError(f"a {policy.mode} memory policy applies to the "
+                             f"'gl' series only, not to {scheme!r}")
+        if policy.window_length < MIN_WINDOW_STEPS * h:
+            raise ValueError(
+                f"window_length {policy.window_length} is below "
+                f"{MIN_WINDOW_STEPS} grid steps"
+            )
+        window = min(n, int(math.floor(policy.window_length / h + 1e-12)))
     mu = np.array([[_check_integration_order(a)] for a in alphas])
     kernels, col0s = _KERNELS[scheme](mu, n, h)
     kernels[:, window + 1:] = 0.0

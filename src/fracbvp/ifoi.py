@@ -3,13 +3,14 @@
 The order-2 integral of the right-hand side is reached by composing partial
 fractional integrations whose orders follow an :class:`AlphaPartition`
 schedule; the semigroup law of the fractional integral makes the composition
-converge to the plain double integral as the grid refines.  The whole
-schedule is one convolution, a :class:`ComposedOperator`, which also carries
-every setting of a solve; its sequence does not depend on the grid and is
-composed once per power-of-two length.  A
-problem is ``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer
-Picard iteration around the composed operator, and only its iterates are
-held to the divergence guard.
+converge to the plain double integral as the grid refines.  A solve applies
+the whole schedule as one convolution, a :class:`ComposedOperator` of a
+scheme, a schedule and a grid; its sequence does not depend on the grid and
+is composed once per power-of-two length, always with full memory.
+:func:`staged` runs the stages one by one instead, under a memory policy if
+asked, for the stage-evolution plot.  A problem is ``u'' = g(x) + k(x) u``;
+a coupling ``k`` is handled by an outer Picard iteration around the composed
+operator, and only its iterates are held to the divergence guard.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fracops import (FULL_MEMORY, MemoryPolicy, apply_pair, apply_scheme,
-                      stage_kernels, window_steps)
+                      stage_kernels)
 from .grid import GridFunction, sup_distance
 
 TOTAL_ORDER = 2.0
@@ -120,32 +121,17 @@ class IvpProblem:
         return out
 
 
-Snapshots = tuple[tuple[float, GridFunction], ...]
-
-
 @dataclass(frozen=True)
 class IfoiTrace:
-    """Stage-by-stage snapshots of one solve.
+    """What one solve leaves behind: its Picard iteration count (0 without
+    coupling) and the ``forcing`` ``g + k u`` its final pass integrated.
 
-    Each entry of :attr:`stages` pairs the cumulative order reached with the
-    partial solution ``u0 + s0*x + (partial integral)``; the last snapshot
-    is the returned solution itself.  For Picard-wrapped problems the
-    snapshots belong to the final pass.
-
-    ``picard_iterations`` is the only public field.  :attr:`stages` is a
-    property computed on first read, by :meth:`ComposedOperator.staged`
-    over the forcing of the final pass, which the trace holds for that
-    purpose; it is not seen by ``dataclasses.fields``, ``asdict``,
-    ``replace`` or ``==``.
+    :func:`staged` over that forcing gives the partial integrals of the
+    final pass, stage by stage; ``bench.plot`` draws them.
     """
 
     picard_iterations: int
-    _staged: Callable[[], Snapshots] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def stages(self) -> Snapshots:
-        """The snapshots, from one staged pass run on first access."""
-        return self._staged()
+    forcing: np.ndarray = field(repr=False, compare=False)
 
 
 def _merged_orders(orders: tuple[float, ...],
@@ -186,7 +172,7 @@ def _fft_size(target: int) -> int:
 
 
 #: Compositions kept by :func:`_composed_sequence`, one per scheme,
-#: schedule, window and length class.  The benchmark's ``ifoi-large``
+#: schedule and length class.  The benchmark's ``ifoi-large``
 #: workload uses 16 (about 2 MB at ``n <= 10^4``) and ``paper`` about 12.
 COMPOSED_CACHE_SIZE = 32
 
@@ -204,18 +190,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=COMPOSED_CACHE_SIZE)
-def _composed_sequence(scheme: str, partition: AlphaPartition,
-                       window: Optional[int], length: int,
+def _composed_sequence(scheme: str, partition: AlphaPartition, length: int,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(k, v)`` of a whole staged integration at ``h = 1``, on
-    ``length`` terms, read-only.
+    ``length`` terms, with full memory, read-only.
 
     Stage ``k`` at step ``h`` is ``h**mu_k`` times its pair at ``h = 1``,
     and the orders sum to 2, so the composition at ``h`` is ``h**2`` times
     this one.  The first ``n + 1`` terms of a truncated power-series
     product do not depend on where it is truncated, so every grid with
-    ``n + 1 <= length`` reads its operator off a prefix.  ``window`` is the
-    history a truncated ``gl`` policy keeps, in steps; ``None`` keeps all.
+    ``n + 1 <= length`` reads its operator off a prefix.
 
     Each stage output is 0 at node 0, so the column-0 term of a later stage
     never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
@@ -228,21 +212,18 @@ def _composed_sequence(scheme: str, partition: AlphaPartition,
     call and one FFT.  Every product is truncated to ``length`` terms
     before the next: the spectra of all stages multiplied at once would
     alias the tail of the full-length product.  GL weights are the
-    coefficients of ``(1 - z)**-mu``, so without a window the GL stages
-    compose in closed form and need no products at all.
+    coefficients of ``(1 - z)**-mu``, so the GL stages compose in closed
+    form and need no products at all.
     """
     orders, index = _merged_orders(partition.stage_orders)
-    policy = FULL_MEMORY if window is None \
-        else MemoryPolicy("truncated", float(window))
-    if len(index) > 1 and scheme == "gl" and window is None:
+    if len(index) > 1 and scheme == "gl":
         # P is the GL kernel of order 2 - mu_1, and v_1 is -e_0
         k, p = stage_kernels("gl", (-TOTAL_ORDER,
                                     partition.cumulative[1] - TOTAL_ORDER),
                              length - 1, 1.0)[0]
         return _frozen(k), _frozen(-p)
     if len(index) == 1:
-        kernels, col0s = stage_kernels(scheme, orders, length - 1, 1.0,
-                                       policy)
+        kernels, col0s = stage_kernels(scheme, orders, length - 1, 1.0)
         return _frozen(kernels[0]), _frozen(col0s[0])
     size = 2 * length  # a product of two length-term series fits
 
@@ -252,8 +233,7 @@ def _composed_sequence(scheme: str, partition: AlphaPartition,
     counts = Counter(index[1:])
     rest = None  # the spectrum of P
     for i, alpha in enumerate(orders):
-        kernels, col0s = stage_kernels(scheme, (alpha,), length - 1, 1.0,
-                                       policy)
+        kernels, col0s = stage_kernels(scheme, (alpha,), length - 1, 1.0)
         power = np.fft.rfft(kernels[0], size)
         if i == 0:
             first, v = power, col0s[0]
@@ -273,37 +253,40 @@ class ComposedOperator:
     """A whole staged integration as one matrix ``K f = conv(k, f) + v f[0]``.
 
     Its fields are all the settings of an IVP solve: the scheme, the
-    schedule, the grid of ``n + 1`` nodes on [0, 1] and the memory policy.
-    ``k`` and ``v`` are ``h**2`` times the first ``n + 1`` terms of the
-    grid-free sequence of :func:`_composed_sequence`, which is composed
-    once per scheme, schedule, window and length class (the smallest power
-    of two ``>= n + 1``) and kept by the process, up to
+    schedule and the grid of ``n + 1`` nodes on [0, 1].  It always keeps
+    full memory: its FFT apply costs the same whatever the window, so
+    truncation (a :class:`~fracbvp.fracops.MemoryPolicy`) applies to
+    single stages only.  ``k`` and ``v`` are ``h**2`` times the first
+    ``n + 1`` terms of the grid-free sequence of :func:`_composed_sequence`,
+    which is composed once per scheme, schedule and length class (the
+    smallest power of two ``>= n + 1``) and kept by the process, up to
     ``COMPOSED_CACHE_SIZE`` of them.  The first solve of a length class
     pays the composition; later ones, in this solver or any other, only
     slice it and take one FFT.  Since the class is a function of ``n``
     alone, a grid's values never depend on which grids ran before it.
-    :meth:`staged` runs the stages one by one instead, for the snapshots
-    of :class:`IfoiTrace`.
 
-    :raises ValueError: if ``n < 8``.
+    :raises ValueError: if ``n < 8``, or if ``scheme`` is ``rect`` and
+        ``n`` is below the stage count ``m``: every ``rect`` stage is
+        strictly lower triangular, so ``m`` of them on ``n + 1 <= m``
+        nodes compose to the zero matrix.
     """
 
     scheme: str
     partition: AlphaPartition
     n: int
-    policy: MemoryPolicy = FULL_MEMORY
 
     def __post_init__(self):
         if self.n < MIN_GRID:
             raise ValueError(f"grid too coarse, need n >= {MIN_GRID}")
+        m = self.partition.stage_count
+        if self.scheme == "rect" and self.n < m:
+            raise ValueError(f"rect with m = {m} stages on n = {self.n} "
+                             f"composes to the zero operator, need n >= m")
 
     @functools.cached_property
     def _built(self) -> tuple[np.ndarray, np.ndarray, int]:
         n, h = self.n, 1.0 / self.n
-        # a window of n steps or more drops nothing on this grid
-        window = window_steps(self.scheme, n, h, self.policy)
         k, v = _composed_sequence(self.scheme, self.partition,
-                                  window if window < n else None,
                                   _length_class(n))
         size = _fft_size(2 * n + 1)
         return np.fft.rfft(k[: n + 1] * h**2, size), v[: n + 1] * h**2, size
@@ -316,20 +299,21 @@ class ComposedOperator:
         out[0] = 0.0
         return out
 
-    def staged(self, values: np.ndarray) -> list[GridFunction]:
-        """The partial integrals of ``n + 1`` samples after each stage, by
-        one direct convolution per stage, in ``O(m n^2)``; the last one is
-        ``K`` applied to them, to rounding."""
-        h = 1.0 / self.n
-        orders, index = _merged_orders(self.partition.stage_orders)
-        kernels, col0s = stage_kernels(self.scheme, orders, self.n, h,
-                                       self.policy)
-        g = GridFunction(h, values)
-        out = []
-        for i in index:
-            g = apply_pair(kernels[i], col0s[i], g)
-            out.append(g)
-        return out
+
+def staged(f: GridFunction, partition: AlphaPartition, scheme: str,
+           policy: MemoryPolicy = FULL_MEMORY) -> list[GridFunction]:
+    """The partial integrals of ``f`` after each stage of ``partition``, by
+    one direct convolution per stage, in ``O(m n^2)``; under full memory
+    the last one is the :class:`ComposedOperator` applied to ``f``, to
+    rounding.  The kernels of all distinct stage orders are built in one
+    :func:`~fracbvp.fracops.stage_kernels` call."""
+    orders, index = _merged_orders(partition.stage_orders)
+    kernels, col0s = stage_kernels(scheme, orders, f.n, f.h, policy)
+    out = []
+    for i in index:
+        f = apply_pair(kernels[i], col0s[i], f)
+        out.append(f)
+    return out
 
 
 def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
@@ -394,31 +378,22 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
             f"Picard did not settle in {PICARD_MAX_ITER} iterations",
             PICARD_MAX_ITER, update)
 
-    solution = GridFunction(h, u)
-
-    def snapshots() -> Snapshots:
-        cum = operator.partition.cumulative[1:]
-        stages = operator.staged(forcing)
-        return tuple((order, stage.with_values(ic + stage.values))
-                     for order, stage in zip(cum[:-1], stages)) \
-            + ((cum[-1], solution),)
-
-    return solution, IfoiTrace(iterations, snapshots)
+    return GridFunction(h, u), IfoiTrace(iterations, forcing)
 
 
 def make_ivp_solver(partition: AlphaPartition, n: int, scheme: str,
-                    policy: MemoryPolicy = FULL_MEMORY,
                     trace_sink: Optional[list] = None) -> Callable[[IvpProblem], GridFunction]:
     """Freeze solver parameters into a plain ``IvpProblem -> GridFunction``.
 
     Shooting-style callers only care about the solution; when ``trace_sink``
     is given, each solve appends its :class:`IfoiTrace` there in call order.
     All solves of one solver share one :class:`ComposedOperator`, built by
-    the first of them.
+    the first of them, with full memory.
 
-    :raises ValueError: if ``n < 8``.
+    :raises ValueError: if ``n < 8``, or for ``rect`` if ``n`` is below
+        the stage count.
     """
-    operator = ComposedOperator(scheme, partition, n, policy)
+    operator = ComposedOperator(scheme, partition, n)
 
     def solver(problem: IvpProblem) -> GridFunction:
         solution, trace = ifoi_solve_ivp(problem, operator)
@@ -437,8 +412,5 @@ def compose_check(f: GridFunction, partition: AlphaPartition,
     law of their continuous counterparts; it vanishes identically for a
     single-stage partition.
     """
-    g = f
-    for alpha in partition.stage_orders:
-        g = apply_scheme(scheme, g, alpha, policy)
     direct = apply_scheme(scheme, f, -TOTAL_ORDER, policy)
-    return sup_distance(g, direct)
+    return sup_distance(staged(f, partition, scheme, policy)[-1], direct)

@@ -2,15 +2,23 @@
 
 Everything here is deliberately independent of the quadrature weights under
 test: plain composite Simpson sums, direct formula evaluation, Taylor
-series, classical RK4 and Chebyshev collocation only.
+series, classical RK4 and Chebyshev collocation only.  The results CSV is
+read with the standard library alone, apart from the package's writer.
 """
 
+import csv
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
+
+
+def read_results_csv(path) -> list[dict]:
+    """The rows of a ``results.csv``, as dicts keyed by its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def simpson(fn, x_end: float, h: float = 1e-6) -> float:

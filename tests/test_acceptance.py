@@ -25,7 +25,6 @@ from fracbvp import (GridFunction, MemoryPolicy, RunConfig, apply_scheme,
                      fdm_linear, fdm_newton, get_case, gl_coefficients,
                      make_alpha_partition, make_ivp_solver, run, run_quiet,
                      solve_bvp, sup_error)
-from fracbvp.bench import read_results_csv
 from fracbvp.cases import (gauss_forcing, gauss_second_integral,
                            oscillatory_second_integral)
 from fracbvp.fdm import _newton_iterate
@@ -33,7 +32,7 @@ from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import dirichlet
 
 from oracles import (case4_fdm_error_prediction, direct_gl_weight,
-                     simpson_double)
+                     read_results_csv, simpson_double)
 
 # reference sup-norm error figures for the four benchmark problems
 CASE3_FDM_TARGETS = {40: 4.8e-4, 80: 5.9e-5, 200: 8.6e-6}

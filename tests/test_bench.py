@@ -13,10 +13,11 @@ import fracbvp
 from fracbvp import RunConfig, run, run_quiet, sweep, table1
 from fracbvp import bench as bench_mod
 from fracbvp import cli
-from fracbvp.bench import read_results_csv
 from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import SingularShootingError
 from fracbvp.svgplot import ramp_color
+
+from oracles import read_results_csv
 
 
 def test_run_quiet_both_methods():

@@ -4,9 +4,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from fracbvp import (FULL_MEMORY, ComposedOperator, GridFunction,
-                     MemoryPolicy, apply_scheme, gl_coefficients,
-                     make_alpha_partition)
+from fracbvp import (FULL_MEMORY, GridFunction, MemoryPolicy, apply_scheme,
+                     gl_coefficients)
 from fracbvp.cases import gauss_forcing, oscillatory_forcing
 from fracbvp.fracops import ABM_SERIES_FROM, stage_kernels
 
@@ -337,16 +336,11 @@ def test_truncated_memory_rejects_tiny_window(unit_grid):
 @pytest.mark.parametrize("scheme", ["rect", "abm"])
 def test_truncated_memory_is_refused_off_the_series(scheme):
     """The short-memory principle is stated for the binomial series: a
-    truncated policy with another scheme is an error, for one stage and for
-    a composed schedule, not a full-memory result."""
+    truncated policy with another scheme is an error, not a full-memory
+    result."""
     f = GridFunction.sample(np.cos, 200)
-    policy = MemoryPolicy("truncated", 0.1)
     with pytest.raises(ValueError, match="'gl' series only"):
-        apply_scheme(scheme, f, -0.5, policy)
-    operator = ComposedOperator(scheme, make_alpha_partition("regular", 10),
-                                200, policy)
-    with pytest.raises(ValueError, match="'gl' series only"):
-        operator.apply(f.values)
+        apply_scheme(scheme, f, -0.5, MemoryPolicy("truncated", 0.1))
 
 
 def test_memory_policy_validation():

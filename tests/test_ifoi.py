@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import fracbvp.bench as bench_mod
+from fracbvp import cli
 from fracbvp import (CaseSpec, ComposedOperator, GridFunction,
-                     IfoiDivergenceError, IvpProblem, MemoryPolicy, RunConfig,
+                     IfoiDivergenceError, IvpProblem, RunConfig,
                      apply_scheme, compose_check, dirichlet, fdm_linear,
                      get_case, ifoi_solve_ivp, make_alpha_partition,
                      make_ivp_solver, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
-from fracbvp.fracops import MIN_WINDOW_STEPS, stage_kernels
+from fracbvp.fracops import stage_kernels
 from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, _composed_sequence,
-                          _merged_orders)
+                          _merged_orders, staged)
 
 from oracles import rk4_solve_ivp, simpson_double, total_variation
 
@@ -101,6 +102,33 @@ def test_rejects_coarse_grid():
         make_ivp_solver(make_alpha_partition("regular", 2), 7, "gl")
 
 
+def _rect_case3_argv(n, out):
+    return ["run", "--case", "3", "--method", "ifoi", "--scheme", "rect",
+            "--alpha-spacing", "quadratic", "--m", "10", "--n", str(n),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_rect_stages_that_compose_to_zero_are_refused(n, tmp_path, capsys):
+    """Every ``rect`` stage is strictly lower triangular, so ten of them on
+    ``n + 1 <= 10`` nodes compose to the zero matrix: the operator is
+    refused, and the command line exits 2 naming ``n`` and ``m``."""
+    partition = make_alpha_partition("quadratic", 10)
+    with pytest.raises(ValueError, match=rf"m = 10 stages on n = {n} "):
+        ComposedOperator("rect", partition, n)
+    with pytest.raises(ValueError, match="zero operator"):
+        make_ivp_solver(partition, n, "rect")
+    assert cli.main(_rect_case3_argv(n, tmp_path)) == 2
+    assert f"m = 10 stages on n = {n} " in capsys.readouterr().err
+
+
+def test_rect_with_as_many_stages_as_steps_solves(tmp_path):
+    assert run_quiet(RunConfig("case3", method="ifoi", n=10, scheme="rect",
+                               spacing="quadratic", m=10))[0].status \
+        == "converged"
+    assert cli.main(_rect_case3_argv(10, tmp_path)) == 0
+
+
 # ---------------------------------------------------------------------------
 # anchoring and trace
 # ---------------------------------------------------------------------------
@@ -136,22 +164,27 @@ def test_initial_slope_anchors_second_order_scheme():
 
 
 def test_trace_orders_and_final_snapshot():
+    """One snapshot per stage of the schedule over the trace's forcing; the
+    last, lifted by ``u0``, is the returned solution to rounding."""
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     partition = make_alpha_partition("regular", 10)
     sol, trace = ifoi_solve_ivp(problem,
                                 ComposedOperator("gl", partition, 100))
-    orders = [s for s, _ in trace.stages]
-    assert orders == pytest.approx(list(partition.cumulative[1:]))
-    assert np.array_equal(trace.stages[-1][1].values, sol.values)
+    stages = staged(GridFunction(sol.h, trace.forcing), partition, "gl")
+    assert len(stages) == partition.stage_count
+    gap = np.max(np.abs(-3.0 + stages[-1].values - sol.values))
+    assert gap <= 1e-12 * np.max(np.abs(sol.values))
 
 
 def test_stage_snapshots_smooth_monotonically():
     """Integration smooths: total variation never grows along the stages."""
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
-    sol, trace = ifoi_solve_ivp(problem, ComposedOperator(
-        "gl", make_alpha_partition("regular", 10), 100))
+    partition = make_alpha_partition("regular", 10)
+    sol, trace = ifoi_solve_ivp(problem, ComposedOperator("gl", partition,
+                                                          100))
     forcing = GridFunction.sample(gauss_forcing, 100)
-    tvs = [total_variation(g.values) for _, g in trace.stages]
+    tvs = [total_variation(g.values) for g in staged(
+        GridFunction(sol.h, trace.forcing), partition, "gl")]
     assert tvs[0] <= total_variation(forcing.values)
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tvs, tvs[1:]))
 
@@ -285,8 +318,8 @@ def test_overflowing_forcing_only_solve_is_divergence(monkeypatch, scheme):
 
 
 def test_no_solve_runs_the_staged_pass(monkeypatch):
-    """Solves apply the composed operator only; the stage-by-stage
-    convolutions run when, and only when, the snapshots are read."""
+    """Solves apply the composed operator only; no stage is convolved
+    directly."""
     import fracbvp.ifoi as ifoi_mod
 
     def refuse(*args):
@@ -296,55 +329,47 @@ def test_no_solve_runs_the_staged_pass(monkeypatch):
     for case_id in ("1", "2", "3", "4"):
         assert run_quiet(RunConfig(case_id, method="ifoi"))[0].status \
             == "converged"
-    solution, trace = ifoi_solve_ivp(
-        IvpProblem(_constant(5e7), None, 0.0, 0.0),
-        ComposedOperator("abm", make_alpha_partition("quadratic", 10),
-                         20_000))
-    assert np.all(np.isfinite(solution.values))
-    with pytest.raises(AssertionError, match="convolved directly"):
-        trace.stages
 
 
 # ---------------------------------------------------------------------------
 # the composed operator against the staged composition
 # ---------------------------------------------------------------------------
 
-def _staged(values, partition, scheme, policy, n):
+def _staged(values, partition, scheme, n):
     g = GridFunction(1.0 / n, values)
     for alpha in partition.stage_orders:
-        g = apply_scheme(scheme, g, alpha, policy)
+        g = apply_scheme(scheme, g, alpha)
     return g.values
 
 
-# rect keeps its case's five stages: its kernel is strictly lower
-# triangular, so ten stages on the nine nodes of n = 8 are the zero matrix,
-# which the FFT reproduces only to rounding (2e-17 against a sup of 0)
+# rect keeps its case's five stages: ten rect stages on n = 8 are refused
 # one and two stages leave P (the product of stages 2..m) empty or a single
 # kernel, in the closed gl form and in the grouped products alike;
 # n = 1023 is the last grid served by a composition of 1024 terms and
 # n = 1024 the first served by one of 2048
+COMPOSED_ROWS = [
+    ("gl", "regular", 10), ("gl", "quadratic", 10),
+    ("rect", "regular", 5), ("rect", "quadratic", 5),
+    ("abm", "regular", 10), ("abm", "quadratic", 10),
+    ("gl", "regular", 1), ("gl", "quadratic", 2),
+    ("rect", "regular", 1), ("rect", "regular", 2),
+    ("abm", "regular", 1), ("abm", "quadratic", 2),
+]
+
+
+# each id ends in "False", for "not truncated": the composed operator always
+# keeps full memory
 @pytest.mark.parametrize("n", [8, 50, 1000, 1023, 1024, 4000, 10_000])
-@pytest.mark.parametrize("scheme,spacing,m,truncated", [
-    ("gl", "regular", 10, False), ("gl", "quadratic", 10, False),
-    ("rect", "regular", 5, False), ("rect", "quadratic", 5, False),
-    ("abm", "regular", 10, False), ("abm", "quadratic", 10, False),
-    ("gl", "regular", 10, True),
-    ("gl", "regular", 1, False), ("gl", "quadratic", 2, False),
-    ("rect", "regular", 1, False), ("rect", "regular", 2, False),
-    ("abm", "regular", 1, False), ("abm", "quadratic", 2, False),
-    ("gl", "regular", 2, True),
-])
-def test_composed_operator_matches_staged_composition(n, scheme, spacing, m,
-                                                      truncated):
+@pytest.mark.parametrize("scheme,spacing,m", COMPOSED_ROWS, ids=[
+    f"{scheme}-{spacing}-{m}-False" for scheme, spacing, m in COMPOSED_ROWS])
+def test_composed_operator_matches_staged_composition(n, scheme, spacing, m):
     partition = make_alpha_partition(spacing, m)
-    policy = MemoryPolicy("truncated", max(0.5, MIN_WINDOW_STEPS / n)) \
-        if truncated else MemoryPolicy()
     values = np.random.default_rng(n).normal(size=n + 1)
-    staged = _staged(values, partition, scheme, policy, n)
-    composed = ComposedOperator(scheme, partition, n, policy).apply(values)
+    reference = _staged(values, partition, scheme, n)
+    composed = ComposedOperator(scheme, partition, n).apply(values)
     assert composed[0] == 0.0
-    gap = np.max(np.abs(composed - staged))
-    assert gap <= 1e-12 * np.max(np.abs(staged))
+    gap = np.max(np.abs(composed - reference))
+    assert gap <= 1e-12 * np.max(np.abs(reference))
 
 
 def _staged_reference_solver(partition, n, scheme):
@@ -357,7 +382,7 @@ def _staged_reference_solver(partition, n, scheme):
         def one_pass(u):
             rhs = np.broadcast_to(np.asarray(problem.rhs(x, u), dtype=float),
                                   x.shape)
-            return ic + _staged(rhs, partition, scheme, MemoryPolicy(), n)
+            return ic + _staged(rhs, partition, scheme, n)
 
         if problem.k is None:
             return GridFunction(1.0 / n, one_pass(np.zeros(n + 1)))
