@@ -72,29 +72,29 @@ def _resolve_params(config: RunConfig,
     return n, make_alpha_partition(spacing, m), scheme
 
 
-def _timed(solve, repeats: int):
-    """Run a solve ``repeats`` times; returns (result, median wall time)."""
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = solve()
-        times.append(time.perf_counter() - t0)
-    return result, statistics.median(times)
-
-
 def _run(method: str, case: CaseSpec, params: dict, repeats: int,
          solve) -> SolveReport:
     """Time ``solve``, which returns the solution and the report's extras,
-    and score it; a diverging or singular solve becomes its status."""
+    ``repeats`` times and score it; the median wall time is reported.  A
+    diverging or singular solve becomes its status, timed up to the
+    exception."""
+    times = []
     try:
-        (solution, extra), wall = _timed(solve, repeats)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            try:
+                solution, extra = solve()
+            finally:
+                times.append(time.perf_counter() - t0)
     except IfoiDivergenceError:
-        return SolveReport(method, "diverged", params, 0.0)
+        status = "diverged"
     except shooting.SingularShootingError:
-        return SolveReport(method, "singular", params, 0.0)
-    return SolveReport(method, "converged", params, wall, solution,
-                       sup_error(solution, case), extra)
+        status = "singular"
+    else:
+        return SolveReport(method, "converged", params,
+                           statistics.median(times), solution,
+                           sup_error(solution, case), extra)
+    return SolveReport(method, status, params, statistics.median(times))
 
 
 def run_quiet(config: RunConfig) -> list[SolveReport]:

@@ -5,10 +5,15 @@ the output has to be self-contained (inline styling, no fonts fetched, no
 timestamps).  Good enough for overlaying a handful of curves with axes and
 a legend.
 
-Polyline coordinates are computed as numpy arrays, through the same maps
-that place the ticks, and formatted in one ``%`` call.  float64 arithmetic
-gives the same bits elementwise as on Python floats, and ``"%.2f"`` rounds
-as ``f"{v:.2f}"`` does, so the bytes equal per-point ``.2f`` formatting.
+Polyline coordinates of all series are mapped as one numpy array, through
+the same maps that place the ticks; float64 arithmetic gives the same bits
+elementwise as on Python floats.  They are formatted in one pass too: with
+``q = rint(100 v)``, the text is ``q // 100``, ".", and ``q % 100`` in two
+digits, both looked up in small byte tables.  That equals ``"%.2f" % v``,
+the correctly rounded decimal, wherever rounding ``100 v`` to a float cannot
+have moved it onto a half: those few values, within 1e-6 of a half, are
+formatted by Python instead.  So the bytes equal per-point ``.2f``
+formatting.
 """
 
 from __future__ import annotations
@@ -45,10 +50,18 @@ class Series:
     in_legend: bool = True
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """An axis range ``lo < hi``: a flat one is widened by 1 each way, or by
+    an ulp on a side where 1 would not move it."""
+    if hi == lo:
+        lo = min(lo - 1.0, math.nextafter(lo, -math.inf))
+        hi = max(hi + 1.0, math.nextafter(hi, math.inf))
+    return lo, hi
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick values in ``[lo, hi]``, about five intervals apart."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values in ``[lo, hi]``, ``lo < hi``, about five intervals
+    apart."""
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -60,8 +73,19 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a step below half an ulp of t
+            break
         t += step
     return ticks
+
+
+# a coordinate's text as two 4-byte words, NUL-padded: its whole part and
+# ".", then its cents and the separator after it ("," after x, " " after y,
+# "\n" after a polyline's last y, so that one string splits into polylines)
+_WHOLE = np.frombuffer(b"".join(b"%3d." % i for i in range(1000))
+                       .replace(b" ", b"\0"), dtype=np.uint32)
+_CENTS = np.frombuffer(b"".join(b"%02d%c\0" % (c, sep) for c in range(100)
+                                for sep in b", \n"), dtype=np.uint32)
 
 
 def _fmt(v: float) -> str:
@@ -82,14 +106,13 @@ def _fmt_tick(v: float) -> str:
 def render_line_plot(series: Sequence[Series], title: str) -> str:
     """Render overlaid curves of ``u`` against ``x`` to an SVG 1.1 document
     string."""
-    xs = np.concatenate([s.x for s in series])
-    ys = np.concatenate([s.y for s in series])
-    xlo, xhi = float(np.min(xs)), float(np.max(xs))
-    ylo, yhi = float(np.min(ys)), float(np.max(ys))
-    if xhi == xlo:
-        xlo, xhi = xlo - 1.0, xhi + 1.0
-    if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+    sizes = [len(s.x) for s in series]
+    if sizes != [len(s.y) for s in series]:
+        raise ValueError("each series needs as many y values as x values")
+    xs = np.concatenate([s.x for s in series], dtype=float)
+    ys = np.concatenate([s.y for s in series], dtype=float)
+    xlo, xhi = _widen(float(np.min(xs)), float(np.max(xs)))
+    ylo, yhi = _widen(float(np.min(ys)), float(np.max(ys)))
     pad = 0.04 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
@@ -146,12 +169,25 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
                f'transform="rotate(-90 16 {MARGIN_T + inner_h // 2})">'
                f'u</text>')
 
-    for s in series:
-        # float64 arrays through px/py give the scalar maps' bits, and "%.2f"
-        # rounds exactly as _fmt does
-        xy = np.column_stack((px(np.asarray(s.x, dtype=float)),
-                              py(np.asarray(s.y, dtype=float))))
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    # every polyline's text in one pass.  rint(100 v) is the "%.2f" rounding
+    # of v unless the float product 100 v rounded onto a half that v itself
+    # is not on; so the values within 1e-6 of a half are formatted by
+    # Python.  Coordinates lie in the box, so q // 100 indexes _WHOLE.
+    v = np.column_stack((px(xs), py(ys))).ravel()
+    hundredths = 100.0 * v
+    q = np.rint(hundredths)
+    near = np.abs(np.abs(hundredths - q) - 0.5) < 1e-6
+    q = q.astype(np.intp)
+    q[near] = [int(("%.2f" % c).replace(".", "")) for c in v[near].tolist()]
+    whole, cents = np.divmod(q, 100)
+    tail = 3 * cents  # "," after x
+    tail[1::2] += 1  # " " after y
+    ends = np.cumsum(sizes)[np.array(sizes) > 0]
+    tail[2 * ends - 1] += 1  # "\n" after a last y
+    text = np.column_stack((_WHOLE[whole], _CENTS[tail])).tobytes()
+    polylines = iter(text.translate(None, b"\0").decode("ascii").split("\n"))
+    for s, k in zip(series, sizes):
+        pts = next(polylines) if k else ""
         out.append(f'<polyline fill="none" stroke="{s.color}" '
                    f'stroke-width="{s.width}" points="{pts}"/>')
 

@@ -2,6 +2,7 @@ import ast
 import csv
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import fracbvp
 from fracbvp import RunConfig, run, run_quiet, sweep, table1
 from fracbvp import bench as bench_mod
 from fracbvp import cli
+from fracbvp.cases import CASE3_CONSTANTS
 from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import SingularShootingError
 from fracbvp.svgplot import ramp_color
@@ -79,7 +81,6 @@ def test_csv_layout(tmp_path):
     assert "\r" not in text
     assert text.endswith("\n")
     # reals in scientific notation with 17 significant digits
-    import re
     error_field = lines[1].split(",")[6]
     assert re.fullmatch(r"-?\d\.\d{16}e[+-]\d{2}", error_field)
 
@@ -237,13 +238,20 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
         == lines[1].split(" time=")[0]
 
 
-def _cli_process(*argv) -> subprocess.CompletedProcess:
+# the child caps its own address space before it imports fracbvp, so that
+# a runaway allocation fails fast instead of filling the machine
+_CLI_IN_1GIB = ("import resource, runpy; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                "runpy.run_module('fracbvp.cli', run_name='__main__')")
+
+
+def _cli_process(*argv, timeout=120) -> subprocess.CompletedProcess:
     # a real process, so that an uncaught exception would show its traceback
     src = Path(fracbvp.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-m", "fracbvp.cli", *argv],
+        [sys.executable, "-c", _CLI_IN_1GIB, *argv],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=120)
+        text=True, timeout=timeout)
     assert "Traceback" not in done.stderr + done.stdout
     return done
 
@@ -266,6 +274,42 @@ def test_cli_near_resonant_case3_weight_is_singular_for_both_methods(
     rows = read_results_csv(tmp_path / "results.csv")
     assert [(r["method"], r["status"]) for r in rows] == [
         ("fdm", "singular"), ("ifoi", "singular")]
+
+
+def test_failed_solves_are_timed_up_to_the_exception(tmp_path):
+    constants = (CASE3_CONSTANTS["a"], -1.0000000000001, CASE3_CONSTANTS["c"])
+    reports = run(RunConfig("3", method="both", n=40, output_dir=tmp_path,
+                            case3_constants=constants))
+    rows = read_results_csv(tmp_path / "results.csv")
+    assert [r.status for r in reports] == ["singular", "singular"]
+    for report, row in zip(reports, rows):
+        assert report.wall_time > 0.0
+        assert float(row["time_s"]) == report.wall_time
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_cli_grid_too_large_to_allocate_is_usage_error(tmp_path, flag):
+    # 10^12 nodes or stages: numpy refuses the array at once
+    done = _cli_process("run", "--case", "1", flag, "1000000000000",
+                        "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: out of memory: ")
+    assert "(1000000000001,)" in done.stderr
+
+
+@pytest.mark.parametrize("c", ["20000000000000004096", "2e19"])
+def test_cli_plots_axes_flat_below_an_ulp(tmp_path, c):
+    # at a = 1e17 the comparison axis spans less than an ulp per tick step
+    # (c = 2.0000000000000004096e19), or nothing at all (c = 2e19)
+    done = _cli_process("run", "--case", "3", "--method", "both", "--n", "40",
+                        "--trace", "--case3-a", "1e17", "--case3-c", c,
+                        "--out", str(tmp_path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert [p.name for p in svgs] == ["case3_comparison.svg",
+                                      "case3_evolution.svg"]
+    for p in svgs:
+        assert not re.search(r"\b(nan|inf)\b", p.read_text(encoding="utf-8"))
 
 
 def test_cli_sweep_has_no_parallel_flag(tmp_path):

@@ -1,11 +1,13 @@
 """Polyline coordinates of ``render_line_plot`` against a per-point reference.
 
-The renderer maps and formats each polyline as whole arrays; the reference
-below is the scalar formula it replaced, one ``f"{v:.2f}"`` per coordinate.
-The two must agree byte for byte, including on values whose pixel
-coordinate lies exactly halfway between two hundredths.
+The renderer maps and formats the polylines of all series as one array;
+the reference below is the scalar formula it replaced, one ``f"{v:.2f}"``
+per coordinate.  The two must agree byte for byte, including on values
+whose pixel coordinate lies exactly halfway between two hundredths or on
+the float nearest such a half.
 """
 
+import math
 import re
 import warnings
 
@@ -23,10 +25,13 @@ def _axis_ranges(series):
     xs = [float(v) for s in series for v in s.x]
     ys = [float(v) for s in series for v in s.y]
     xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
+    # a flat range moves by 1, or by an ulp on a side that 1 does not move
     if xhi == xlo:
-        xlo, xhi = xlo - 1.0, xhi + 1.0
+        xlo = min(xlo - 1.0, math.nextafter(xlo, -math.inf))
+        xhi = max(xhi + 1.0, math.nextafter(xhi, math.inf))
     if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+        ylo = min(ylo - 1.0, math.nextafter(ylo, -math.inf))
+        yhi = max(yhi + 1.0, math.nextafter(yhi, math.inf))
     pad = 0.04 * (yhi - ylo)
     return xlo, xhi, ylo - pad, yhi + pad
 
@@ -109,6 +114,30 @@ def test_hundredths_ties_match_reference():
             Series("y ties", np.linspace(-1000.0, 1.0, ty.size), ty, "")])
 
 
+def test_floats_nearest_a_hundredths_half_match_reference():
+    # "k.kk5" is no float, so the float nearest it lies a little off the
+    # half; 100 v can still round onto the half, where rint and "%.2f" part
+    xlo, xhi = -1000.0, 1.0
+    ylo, yhi = -1000.0 - 0.04 * 1001.0, 1.0 + 0.04 * 1001.0
+
+    def near_halves(f, pixels):
+        targets = [float(f"{abs(p)}.{c:02d}5") * np.sign(p)
+                   for p in pixels for c in range(3, 100, 8)]
+        hits = [_preimage(f, t, -1000.0, 1.0) for t in targets]
+        hits = [v for v in hits if v is not None]
+        assert len(hits) > len(targets) // 2
+        return np.r_[-1000.0, hits, 1.0]
+
+    tx = near_halves(lambda x: _px(x, xlo, xhi), range(65, 743, 9))
+    ty = near_halves(lambda y: -_py(y, ylo, yhi), range(-453, -37, 9))
+    # without its Python fallback the table would misround many of these
+    for v in (_px(tx, xlo, xhi), _py(ty, ylo, yhi)):
+        rounded = [float(f"{c:.2f}") for c in v]
+        assert np.count_nonzero(np.rint(100.0 * v) / 100.0 != rounded) > 50
+    _check([Series("x", tx, np.linspace(-1000.0, 1.0, tx.size), ""),
+            Series("y", np.linspace(-1000.0, 1.0, ty.size), ty, "")])
+
+
 def test_lists_and_integer_arrays_match_reference():
     _check([Series("list", [0, 1, 2, 3], [5.5, -2, 7, 0.25], "#111111"),
             Series("ints", np.arange(-3, 9), np.arange(12) ** 2, "#222222"),
@@ -124,3 +153,47 @@ def test_flat_x_range_renders_finite_coordinates(x, y):
         warnings.simplefilter("error")
         svg = _check([Series("flat", np.array(x), np.array(y), "#000000")])
     assert not re.search(r"\b(nan|inf)\b", svg)
+
+
+def _series(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Series(f"s{i}", np.linspace(0.0, 1.0, k),
+                   np.cumsum(rng.standard_normal(k)), "#000000")
+            for i, k in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("sizes", [(5, 200, 17), (1, 40, 1), (3, 1),
+                                   (0, 30, 7), (30, 0, 7), (30, 7, 0),
+                                   (0, 1, 0, 0, 2, 0)],
+                         ids=["unequal", "one-point", "one-point-last",
+                              "empty-first", "empty-middle", "empty-last",
+                              "empties-around-short"])
+def test_polylines_split_per_series(sizes):
+    svg = _check(_series(sizes))
+    assert [len(p.split()) for p in _rendered_points(svg)] == list(sizes)
+
+
+def test_evolution_shaped_plot_matches_reference():
+    # forcing, ten stage snapshots and the solution, at n = 200
+    _check(_series([201] * 12, seed=7))
+
+
+@pytest.mark.parametrize("level", [1e17, -1e17, 5.0])
+def test_flat_axis_is_widened_until_it_moves(level):
+    x, flat = np.linspace(0.0, 1.0, 9), np.full(9, level)
+    for s in (Series("flat y", x, flat, ""), Series("flat x", flat, x, "")):
+        assert not re.search(r"\b(nan|inf)\b", _check([s]))
+
+
+def test_flat_range_moves_by_one_on_each_side_that_one_moves():
+    from fracbvp.svgplot import _widen
+    assert _widen(5.0, 5.0) == (4.0, 6.0)
+    # 2^53 + 1 rounds back to 2^53; 2^53 - 1 does not
+    assert _widen(2.0 ** 53, 2.0 ** 53) == (2.0 ** 53 - 1, 2.0 ** 53 + 2)
+    assert _widen(1e17, 1e17) == (1e17 - 16, 1e17 + 16)
+
+
+def test_series_with_unequal_x_and_y_are_refused():
+    with pytest.raises(ValueError):
+        render_line_plot([Series("a", [0.0, 1.0], [1.0, 2.0, 3.0], ""),
+                          Series("b", [0.0, 1.0, 2.0], [1.0, 2.0], "")], "t")
