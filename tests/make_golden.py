@@ -1,27 +1,47 @@
-"""Write the SHA-256 digests of the plots of ``fracbvp run --trace``.
+"""Write the recorded outputs that ``tests/test_golden.py`` and
+``tests/test_acceptance.py`` compare against.
 
-Runs ``fracbvp run --case c --method both --n 40 --trace`` for cases 1-4
-into a temporary directory and writes the digest of each of the eight SVGs
-to ``tests/golden_svg.json``, which ``tests/test_golden.py`` compares them
-with.  From the repository root::
+Two files, from one command run at the repository root::
 
     PYTHONPATH=src python tests/make_golden.py
 
-Regenerate the file only for a change that is meant to alter the plots, and
-log the change and its reason.
+* ``tests/golden_svg.json``: the SHA-256 digest of each of the eight SVGs
+  of ``fracbvp run --case c --method both --n 40 --trace``, c = 1-4.
+* ``tests/golden_numbers.json``: for cases 1-4, both methods, at the
+  case's default grid and at n = 40, 80, 200 and 4,000, and for FDM also
+  at n = 20,011, the solution at up to 41 evenly spaced nodes and the sup
+  error as 17-digit decimals, the status and the Picard count of the IFOI
+  particular IVP; and the ten ``ACCEPTANCE`` lines that
+  ``tests/test_acceptance.py`` prints, collected from a ``pytest -s`` run
+  of that file.
+
+Regenerate them only for a change that is meant to alter these outputs,
+and log the change and its reason.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
-from fracbvp import cli
+import numpy as np
+
+from fracbvp import RunConfig, cli, run_quiet
 
 GOLDEN = Path(__file__).with_name("golden_svg.json")
+NUMBERS = Path(__file__).with_name("golden_numbers.json")
 CASES = ("1", "2", "3", "4")
+#: grids of both methods; None is the case's default grid
+GRIDS = (None, 40, 80, 200, 4000)
+FDM_GRIDS = (20011,)
+NODES = 41
+ACCEPTANCE_LINES = 10
+_ACCEPTANCE = re.compile(r"^ACCEPTANCE (.+?): (?:PASS|FAIL)  \(")
 
 
 def svg_digests(out_dir) -> dict[str, str]:
@@ -38,11 +58,71 @@ def svg_digests(out_dir) -> dict[str, str]:
             for path in sorted(out_dir.glob("*.svg"))}
 
 
+def recorded_solves() -> list[tuple[str, str, object]]:
+    """``(case, method, n)`` of every recorded solve."""
+    return [(case, method, n) for case in CASES for n in GRIDS
+            for method in ("fdm", "ifoi")] \
+        + [(case, "fdm", n) for case in CASES for n in FDM_GRIDS]
+
+
+def solve_key(case: str, method: str, n) -> str:
+    return f"case{case}-{method}-{'default' if n is None else n}"
+
+
+def _digits(v) -> object:
+    return None if v is None else f"{v:.16e}"
+
+
+def solve_record(case: str, method: str, n) -> dict:
+    """The recorded outputs of one ``run_quiet`` solve."""
+    report = run_quiet(RunConfig(case, method=method, n=n))[0]
+    grid = report.params["n"]
+    nodes = np.unique(np.linspace(0, grid, NODES).round().astype(int))
+    trace = report.extra.get("trace")
+    return {
+        "n": grid,
+        "status": report.status,
+        "sup_error": _digits(report.sup_error),
+        "picard_iterations": None if trace is None
+        else trace.picard_iterations,
+        "nodes": nodes.tolist(),
+        "values": None if report.solution is None
+        else [_digits(v) for v in report.solution.values[nodes]],
+    }
+
+
+def acceptance_lines() -> dict[str, str]:
+    """The ``ACCEPTANCE`` lines of a ``pytest -s`` run of
+    ``tests/test_acceptance.py``, by criterion tag."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s",
+         str(Path(__file__).with_name("test_acceptance.py"))],
+        cwd=root, capture_output=True, text=True)
+    lines = {}
+    for line in done.stdout.splitlines():
+        match = _ACCEPTANCE.match(line)
+        if match:
+            lines[match.group(1)] = line
+    failed = [line for line in lines.values() if ": FAIL  (" in line]
+    if len(lines) != ACCEPTANCE_LINES or failed:
+        raise RuntimeError(f"expected {ACCEPTANCE_LINES} passing ACCEPTANCE "
+                           f"lines, got {len(lines)}, failing: {failed}")
+    return lines
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         digests = svg_digests(tmp)
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
+    numbers = {
+        "solves": {solve_key(*s): solve_record(*s) for s in recorded_solves()},
+        "acceptance": acceptance_lines(),
+    }
+    NUMBERS.write_text(json.dumps(numbers, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(numbers['solves'])} solves and "
+          f"{len(numbers['acceptance'])} ACCEPTANCE lines to {NUMBERS}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Each test prints one ``ACCEPTANCE <criterion>: PASS/FAIL`` line, at the
 start of a line of its own (run with ``pytest -s`` to see them as they
 happen, and ``grep '^ACCEPTANCE'`` to collect them).  Their text depends on
-no clock: wall times go on separate ``TIMING <criterion>:`` lines.
+no clock: wall times go on separate ``TIMING <criterion>:`` lines.  Each
+line must equal the one recorded in ``tests/golden_numbers.json``, which
+``tests/make_golden.py`` writes.
 Criteria 5a, 5b and 5c concern case 4.  The benchmark's recorded case-4
 figures (IFOI ``9.0e-2``, FDM ``4.9e-1``, and divergence under a quadratic
 order schedule) are printed beside the measured ones and gated only as
@@ -15,6 +17,8 @@ second-order convergence, and the spectral radius of the discrete Picard
 map.  The README's acceptance notes give the analysis.
 """
 
+import functools
+import json
 import math
 import time
 
@@ -31,6 +35,7 @@ from fracbvp.fdm import _newton_iterate
 from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import dirichlet
 
+from make_golden import NUMBERS
 from oracles import (case4_fdm_error_prediction, direct_gl_weight,
                      read_results_csv, simpson_double)
 
@@ -47,8 +52,16 @@ CASE4_IFOI_TARGET = 9.0e-2
 CASE4_FDM_RECORDED = 4.9e-1
 
 
+@functools.cache
+def _recorded_lines() -> dict[str, str]:
+    return json.loads(NUMBERS.read_text(encoding="utf-8"))["acceptance"]
+
+
 def _line(tag: str, ok: bool, detail: str) -> bool:
-    print(f"\nACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'}  ({detail})")
+    """Print the criterion's line and require it to read as recorded."""
+    line = f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'}  ({detail})"
+    print("\n" + line)
+    assert line == _recorded_lines()[tag]
     return ok
 
 
