@@ -12,15 +12,16 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import fdm, shooting
 from .cases import CaseSpec, SolveReport, get_case, make_case3, sup_error
 from .grid import GridFunction
-from .ifoi import (AlphaPartition, IfoiDivergenceError, IfoiTrace,
-                   IvpProblem, make_alpha_partition, make_ivp_solver, staged)
+from .ifoi import (TOTAL_ORDER, AlphaPartition, IfoiDivergenceError,
+                   IfoiTrace, IvpProblem, make_alpha_partition,
+                   make_ivp_solver, staged)
 from .svgplot import Series, ramp_color, render_line_plot
 
 RESULTS_CSV_HEADER = ["case", "method", "scheme", "n", "m", "spacing",
@@ -123,33 +124,22 @@ def run(config: RunConfig) -> list[SolveReport]:
     """Execute one configuration and write ``results.csv`` plus any plots."""
     reports = run_quiet(config)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", reports)
     if config.emit_trace:
-        ifoi_reports = [r for r in reports if r.method == "ifoi"
-                        and r.status == "converged"]
-        if ifoi_reports:
-            plot(reports, ifoi_reports[0].extra["trace"],
-                 _resolve_case(config), out_dir)
+        plot(reports, _resolve_case(config), out_dir)
     return reports
 
 
-def sweep(case_id: str, n_list: Sequence[int],
-          config: RunConfig) -> list[SolveReport]:
-    """Run one case across several grid sizes, one after another; one
-    ``results.csv`` for all."""
-    reports = [r for n in n_list for r in run_quiet(
-        replace(config, case_id=case_id, n=n, emit_trace=False))]
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(out_dir / "results.csv", reports)
+def sweep(n_list: Sequence[int], config: RunConfig) -> list[SolveReport]:
+    """Run ``config``'s case at each grid size of ``n_list``, one after
+    another, in place of ``config.n``; one ``results.csv`` for all."""
+    reports = [r for n in n_list for r in run_quiet(replace(config, n=n))]
+    write_results_csv(Path(config.output_dir) / "results.csv", reports)
     return reports
 
 
 def table1(output_dir: Union[str, Path], repeats: int = 1) -> Path:
     """Case-3 error/time table at N in {40, 80, 200}, both methods."""
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for method in ("fdm", "ifoi"):
         for n in TABLE1_SIZES:
@@ -157,11 +147,8 @@ def table1(output_dir: Union[str, Path], repeats: int = 1) -> Path:
                                          repeats=repeats))[0]
             rows.append([method, str(n), _fmt_float(report.sup_error),
                          _fmt_float(report.wall_time)])
-    path = out_dir / "table1.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE1_CSV_HEADER)
-        writer.writerows(rows)
+    path = Path(output_dir) / "table1.csv"
+    _write_csv(path, TABLE1_CSV_HEADER, rows)
     return path
 
 
@@ -170,54 +157,60 @@ def _fmt_float(v: Optional[float]) -> str:
     return "" if v is None else f"{v:.16e}"
 
 
-def write_results_csv(path: Union[str, Path],
-                      reports: Sequence[SolveReport]) -> None:
+def _write_csv(path: Union[str, Path], header: list[str],
+               rows: Iterable[list[str]]) -> None:
+    """Write ``header`` and ``rows`` to ``path``, creating its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_CSV_HEADER)
-        for r in reports:
-            writer.writerow([
-                r.params["case"], r.method, r.params["scheme"],
-                str(r.params["n"]), str(r.params["m"]), r.params["spacing"],
-                _fmt_float(r.sup_error), _fmt_float(r.wall_time), r.status,
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def plot(reports: Sequence[SolveReport], trace: IfoiTrace, case: CaseSpec,
+def write_results_csv(path: Union[str, Path],
+                      reports: Sequence[SolveReport]) -> None:
+    _write_csv(path, RESULTS_CSV_HEADER, (
+        [r.params["case"], r.method, r.params["scheme"],
+         str(r.params["n"]), str(r.params["m"]), r.params["spacing"],
+         _fmt_float(r.sup_error), _fmt_float(r.wall_time), r.status]
+        for r in reports))
+
+
+def plot(reports: Sequence[SolveReport], case: CaseSpec,
          output_dir: Union[str, Path]) -> list[Path]:
-    """Write the stage-evolution and method-comparison SVGs for one case.
-    ``trace`` is the particular IVP's (left value, zero slope); its stages
-    are drawn by :func:`~fracbvp.ifoi.staged` over its final forcing."""
+    """Write the stage-evolution and method-comparison SVGs for one case,
+    from its converged IFOI report; without one, return ``[]`` and write
+    nothing.  The stages drawn are those of the particular IVP (left value,
+    zero slope), by :func:`~fracbvp.ifoi.staged` over the final forcing of
+    the report's trace."""
+    converged = [r for r in reports if r.status == "converged"]
+    ifoi = next((r for r in converged if r.method == "ifoi"), None)
+    if ifoi is None:
+        return []
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    converged = [r for r in reports if r.status == "converged"
-                 and r.solution is not None]
-    if not converged:
-        return []
-    x = converged[0].solution.nodes
+    x = ifoi.solution.nodes
 
     # the plotted forcing is g + k u at the exact solution, which the
     # comparison plot reuses as its exact series
     u_ref = np.asarray(case.oracle(x), dtype=float)
     forcing = IvpProblem(case.g, case.k, u_ref[0], 0.0).rhs(x, u_ref)
-    solution_report = next((r for r in converged if r.method == "ifoi"),
-                           converged[0])
-    params = solution_report.params
+    params = ifoi.params
     partition = make_alpha_partition(params["spacing"], params["m"])
-    stages = staged(GridFunction(1.0 / params["n"], trace.forcing),
+    stages = staged(GridFunction(1.0 / params["n"],
+                                 ifoi.extra["trace"].forcing),
                     partition, params["scheme"])
-    total = case.default_partition.cumulative[-1]
     stage_series = [
         Series(f"order {order:.2f}", gf.nodes,
-               case.left_bc.value + gf.values, ramp_color(order / total),
+               case.left_bc.value + gf.values,
+               ramp_color(order / TOTAL_ORDER),
                1.2, in_legend=(i in (0, len(stages) - 1)))
         for i, (order, gf) in enumerate(zip(partition.cumulative[1:],
                                             stages))
     ]
     evolution = [Series("forcing", x, forcing, "#1f77b4", 2.0)] \
         + stage_series \
-        + [Series("solution", x, solution_report.solution.values,
-                  "#2ca02c", 2.2)]
+        + [Series("solution", x, ifoi.solution.values, "#2ca02c", 2.2)]
     evo_path = out_dir / f"{case.id}_evolution.svg"
     evo_path.write_text(
         render_line_plot(evolution, f"{case.id}: stage evolution"),

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .fracops import horner
 from .grid import GridFunction
 from .ifoi import AlphaPartition, make_alpha_partition
 from .shooting import BoundaryCondition, dirichlet, robin
@@ -99,16 +100,6 @@ _ERF_Q = (
     -0.0014581414480568952, -0.00022420721124878404)
 
 
-def _horner(t: np.ndarray, coeffs) -> np.ndarray:
-    """``sum(coeffs[k] * t**k)`` as a new array, by Horner steps in place."""
-    out = t * coeffs[-1]
-    out += coeffs[-2]
-    for c in coeffs[-3::-1]:
-        out *= t
-        out += c
-    return out
-
-
 def _erf(x) -> np.ndarray:
     """The error function at every element of ``x``, in the shape of ``x``,
     within 1 ulp of ``math.erf``."""
@@ -116,14 +107,14 @@ def _erf(x) -> np.ndarray:
     out = np.abs(x, out=np.empty_like(x))
     near = out <= 1.0
     xn = x[near]
-    r = _horner(xn * xn, _ERF_R)
+    r = horner(xn * xn, _ERF_R)
     r *= xn
     r += xn
     far = out[~near]
     np.minimum(far, 6.0, out=far)
     t = far - 3.5
     t /= 2.5
-    q = _horner(t, _ERF_Q)
+    q = horner(t, _ERF_Q)
     far *= far
     far *= -1.0
     q *= np.exp(far, out=far)
@@ -222,9 +213,9 @@ def _case4_oracle():
         x = np.asarray(x, dtype=float)
         t = x * x
         t *= x
-        out = _horner(t, even)
+        out = horner(t, even)
         out += 5.0
-        t = _horner(t, odd)
+        t = horner(t, odd)
         t *= x
         out += t
         return out

@@ -43,10 +43,9 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
-def _add_common(p: argparse.ArgumentParser, with_case: bool = True) -> None:
-    if with_case:
-        p.add_argument("--case", choices=["1", "2", "3", "4"], default=None,
-                       help="benchmark case to run")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--case", choices=["1", "2", "3", "4"], default=None,
+                   help="benchmark case to run")
     p.add_argument("--method", choices=["fdm", "ifoi", "both"], default=None)
     p.add_argument("--n", type=int, default=None,
                    help="grid intervals on [0,1] (default: per-case)")
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
                       if v.strip()]
             if not n_list:
                 raise ValueError(f"--n-list {args.n_list!r} names no grid")
-            reports = sweep(args.case, n_list, config)
+            reports = sweep(n_list, config)
         for line in _report_lines(reports):
             print(line)
         return 0

@@ -39,8 +39,9 @@ class MemoryPolicy:
     accuracy for cost on long domains.  This is the short-memory principle
     (Podlubny 1999), stated for the binomial series, so
     :func:`stage_kernels` refuses it for ``rect`` and ``abm``.  It saves
-    work only in direct sums, so it applies to single stages; a composed
-    solve, applied by FFT, keeps full memory.
+    work only in direct sums, so only :func:`apply_scheme` and
+    :func:`stage_kernels` take it; ``ifoi.staged``, ``ifoi.compose_check``
+    and the composed solve, applied by FFT, keep full memory.
     """
 
     mode: str = "full"
@@ -161,7 +162,8 @@ def _abm_kernels(mu, n: int, h: float):
         # C(q, k) = q mu (mu - 1) ... (mu - k + 2) / k!, from mu, not from
         # the rounded q
         binom = (mu + 1.0) * np.cumprod((mu - (k - 2.0)) / k, axis=1)
-        even, odd = _polyval(binom[:, 0::2], t), _polyval(binom[:, 1::2], t)
+        even = horner(t, binom.T[0::2, :, None])
+        odd = horner(t, binom.T[1::2, :, None])
         # j**q t as j**mu x: q = mu + 1 is rounded, and j**q would carry
         # that rounding times log(j)
         jqt = j**mu
@@ -177,15 +179,15 @@ def _abm_kernels(mu, n: int, h: float):
     return _scaled(d, scale), _scaled(c, scale)
 
 
-def _polyval(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``sum_i coef[:, i] * t**i`` for each row of ``coef``, by Horner's
-    rule."""
-    acc = coef[:, -1:] * t
-    for column in coef.T[-2:0:-1]:
-        acc += column[:, None]
-        acc *= t
-    acc += coef[:, :1]
-    return acc
+def horner(t: np.ndarray, coeffs) -> np.ndarray:
+    """``sum(coeffs[k] * t**k)`` as a new array, by Horner steps in place;
+    a coefficient may be an array that broadcasts with ``t``."""
+    out = t * coeffs[-1]
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= t
+        out += c
+    return out
 
 
 def _scaled(rows: np.ndarray, factors) -> np.ndarray:

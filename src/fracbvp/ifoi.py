@@ -7,8 +7,8 @@ converge to the plain double integral as the grid refines.  A solve applies
 the whole schedule as one convolution, a :class:`ComposedOperator` of a
 scheme, a schedule and a grid; its sequence does not depend on the grid and
 is composed once per power-of-two length, always with full memory.
-:func:`staged` runs the stages one by one instead, under a memory policy if
-asked, for the stage-evolution plot.  A problem is ``u'' = g(x) + k(x) u``;
+:func:`staged` runs the stages one by one instead, also with full memory,
+for the stage-evolution plot.  A problem is ``u'' = g(x) + k(x) u``;
 a coupling ``k`` is handled by an outer Picard iteration around the composed
 operator, and only its iterates are held to the divergence guard.
 """
@@ -23,8 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fracops import (FULL_MEMORY, MemoryPolicy, apply_pair, apply_scheme,
-                      stage_kernels)
+from .fracops import apply_pair, apply_scheme, stage_kernels
 from .grid import GridFunction, sup_distance
 
 TOTAL_ORDER = 2.0
@@ -256,7 +255,7 @@ class ComposedOperator:
     schedule and the grid of ``n + 1`` nodes on [0, 1].  It always keeps
     full memory: its FFT apply costs the same whatever the window, so
     truncation (a :class:`~fracbvp.fracops.MemoryPolicy`) applies to
-    single stages only.  ``k`` and ``v`` are ``h**2`` times the first
+    :func:`~fracbvp.fracops.apply_scheme` only.  ``k`` and ``v`` are ``h**2`` times the first
     ``n + 1`` terms of the grid-free sequence of :func:`_composed_sequence`,
     which is composed once per scheme, schedule and length class (the
     smallest power of two ``>= n + 1``) and kept by the process, up to
@@ -300,15 +299,14 @@ class ComposedOperator:
         return out
 
 
-def staged(f: GridFunction, partition: AlphaPartition, scheme: str,
-           policy: MemoryPolicy = FULL_MEMORY) -> list[GridFunction]:
+def staged(f: GridFunction, partition: AlphaPartition,
+           scheme: str) -> list[GridFunction]:
     """The partial integrals of ``f`` after each stage of ``partition``, by
-    one direct convolution per stage, in ``O(m n^2)``; under full memory
-    the last one is the :class:`ComposedOperator` applied to ``f``, to
-    rounding.  The kernels of all distinct stage orders are built in one
+    one direct convolution per stage, in ``O(m n^2)``; the last one is the
+    :class:`ComposedOperator` applied to ``f``, to rounding.  The kernels of all distinct stage orders are built in one
     :func:`~fracbvp.fracops.stage_kernels` call."""
     orders, index = _merged_orders(partition.stage_orders)
-    kernels, col0s = stage_kernels(scheme, orders, f.n, f.h, policy)
+    kernels, col0s = stage_kernels(scheme, orders, f.n, f.h)
     out = []
     for i in index:
         f = apply_pair(kernels[i], col0s[i], f)
@@ -405,12 +403,12 @@ def make_ivp_solver(partition: AlphaPartition, n: int, scheme: str,
 
 
 def compose_check(f: GridFunction, partition: AlphaPartition,
-                  scheme: str, policy: MemoryPolicy = FULL_MEMORY) -> float:
+                  scheme: str) -> float:
     """Sup-norm gap between the staged composition and one order-2 pass.
 
     A diagnostic for how well the discrete operators inherit the semigroup
     law of their continuous counterparts; it vanishes identically for a
     single-stage partition.
     """
-    direct = apply_scheme(scheme, f, -TOTAL_ORDER, policy)
-    return sup_distance(staged(f, partition, scheme, policy)[-1], direct)
+    direct = apply_scheme(scheme, f, -TOTAL_ORDER)
+    return sup_distance(staged(f, partition, scheme)[-1], direct)

@@ -151,8 +151,8 @@ def test_table1_shape_and_values(tmp_path):
 
 
 def test_sweep_collects_all_grids(tmp_path):
-    reports = sweep("3", [40, 80], RunConfig("3", method="both",
-                                             output_dir=tmp_path))
+    reports = sweep([40, 80], RunConfig("3", method="both",
+                                        output_dir=tmp_path))
     assert len(reports) == 4
     rows = read_results_csv(tmp_path / "results.csv")
     assert [int(r["n"]) for r in rows] == [40, 40, 80, 80]
