@@ -255,7 +255,7 @@ class ComposedOperator:
     schedule and the grid of ``n + 1`` nodes on [0, 1].  It always keeps
     full memory: its FFT apply costs the same whatever the window, so
     truncation (a :class:`~fracbvp.fracops.MemoryPolicy`) applies to
-    :func:`~fracbvp.fracops.apply_scheme` only.  ``k`` and ``v`` are ``h**2`` times the first
+    ``apply_scheme`` only.  ``k`` and ``v`` are ``h**2`` times the first
     ``n + 1`` terms of the grid-free sequence of :func:`_composed_sequence`,
     which is composed once per scheme, schedule and length class (the
     smallest power of two ``>= n + 1``) and kept by the process, up to
@@ -302,8 +302,9 @@ class ComposedOperator:
 def staged(f: GridFunction, partition: AlphaPartition,
            scheme: str) -> list[GridFunction]:
     """The partial integrals of ``f`` after each stage of ``partition``, by
-    one direct convolution per stage, in ``O(m n^2)``; the last one is the
-    :class:`ComposedOperator` applied to ``f``, to rounding.  The kernels of all distinct stage orders are built in one
+    one direct convolution per stage, in ``O(m n^2)``, with full memory;
+    the last one is the :class:`ComposedOperator` applied to ``f``, to
+    rounding.  The kernels of all distinct stage orders are built in one
     :func:`~fracbvp.fracops.stage_kernels` call."""
     orders, index = _merged_orders(partition.stage_orders)
     kernels, col0s = stage_kernels(scheme, orders, f.n, f.h)

@@ -62,7 +62,9 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick values in ``[lo, hi]``, ``lo < hi``, about five intervals
     apart."""
-    raw = (hi - lo) / 5
+    # a span of a few subnormal ulps would underflow raw, or its decade, to
+    # 0; from 1e-322 on the decade is at least 10**-323, which is not 0
+    raw = max((hi - lo) / 5, 1e-322)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -93,14 +95,23 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _fmt_tick(v: float) -> str:
+def _fmt_tick(v: float, extra: int) -> str:
     if v == 0:
         return "0"
     if 1e-3 <= abs(v) < 1e4:
-        s = f"{v:.4g}"
-    else:
-        s = f"{v:.2e}"
-    return s
+        return f"{v:.{4 + extra}g}"
+    return f"{v:.{2 + extra}e}"
+
+
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """The labels of one axis's ticks, with the fewest extra significant
+    digits that make neighbouring labels differ; the ticks are distinct
+    doubles, so 17 digits always do."""
+    for extra in range(16):
+        labels = [_fmt_tick(t, extra) for t in ticks]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return labels
 
 
 def render_line_plot(series: Sequence[Series], title: str) -> str:
@@ -141,25 +152,23 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{inner_w}" '
         f'height="{inner_h}" fill="none" stroke="#333333" stroke-width="1"/>')
 
-    for t in _nice_ticks(xlo, xhi):
-        if not xlo <= t <= xhi:
-            continue
+    xticks = [t for t in _nice_ticks(xlo, xhi) if xlo <= t <= xhi]
+    for t, label in zip(xticks, _tick_labels(xticks)):
         X = _fmt(px(t))
         out.append(f'<line x1="{X}" y1="{_fmt(MARGIN_T + inner_h)}" '
                    f'x2="{X}" y2="{_fmt(MARGIN_T + inner_h + 5)}" '
                    f'stroke="#333333" stroke-width="1"/>')
         out.append(f'<text x="{X}" y="{MARGIN_T + inner_h + 20}" '
                    f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="11">{_fmt_tick(t)}</text>')
-    for t in _nice_ticks(ylo, yhi):
-        if not ylo <= t <= yhi:
-            continue
+                   f'font-size="11">{label}</text>')
+    yticks = [t for t in _nice_ticks(ylo, yhi) if ylo <= t <= yhi]
+    for t, label in zip(yticks, _tick_labels(yticks)):
         Y = _fmt(py(t))
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{Y}" x2="{MARGIN_L}" '
                    f'y2="{Y}" stroke="#333333" stroke-width="1"/>')
         out.append(f'<text x="{MARGIN_L - 8}" y="{Y}" text-anchor="end" '
                    f'dominant-baseline="middle" font-family="sans-serif" '
-                   f'font-size="11">{_fmt_tick(t)}</text>')
+                   f'font-size="11">{label}</text>')
 
     out.append(f'<text x="{MARGIN_L + inner_w // 2}" y="{HEIGHT - 8}" '
                f'text-anchor="middle" font-family="sans-serif" '

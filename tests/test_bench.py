@@ -172,6 +172,22 @@ def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
     assert row["error"] == ""
 
 
+@pytest.mark.parametrize("method, diverge", [("fdm", False),
+                                             ("both", True)],
+                         ids=["fdm-only", "ifoi-diverged"])
+def test_traced_run_without_a_converged_ifoi_report_writes_no_plot(
+        tmp_path, monkeypatch, method, diverge):
+    def blow_up(problem):
+        raise IfoiDivergenceError("synthetic", 200, 1.0)
+
+    if diverge:
+        monkeypatch.setattr(bench_mod, "make_ivp_solver",
+                            lambda *a, **k: blow_up)
+    run(RunConfig("1", method=method, n=50, emit_trace=True,
+                  output_dir=tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
 def test_case4_fdm_divergence_guard_is_a_reported_status(monkeypatch):
     # case 4's FDM march checks its values against the staged solver's
     # divergence guard; at 1.0 the left value 3 already passes it
@@ -310,6 +326,17 @@ def test_cli_plots_axes_flat_below_an_ulp(tmp_path, c):
                                       "case3_evolution.svg"]
     for p in svgs:
         assert not re.search(r"\b(nan|inf)\b", p.read_text(encoding="utf-8"))
+
+
+def test_cli_comparison_ticks_at_1e17_read_differently(tmp_path):
+    # the three y ticks of this plot lie 16 apart, an ulp of 1e17
+    assert cli.main(["run", "--case", "3", "--method", "both", "--n", "40",
+                     "--trace", "--case3-a", "1e17", "--case3-c", "2e19",
+                     "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "case3_comparison.svg").read_text(encoding="utf-8")
+    labels = re.findall(r'text-anchor="end" [^>]*font-size="11">([^<]*)<',
+                        svg)
+    assert len(labels) == 3 and len(set(labels)) == 3
 
 
 def test_cli_sweep_has_no_parallel_flag(tmp_path):

@@ -197,3 +197,31 @@ def test_series_with_unequal_x_and_y_are_refused():
     with pytest.raises(ValueError):
         render_line_plot([Series("a", [0.0, 1.0], [1.0, 2.0, 3.0], ""),
                           Series("b", [0.0, 1.0, 2.0], [1.0, 2.0], "")], "t")
+
+
+def _tick_labels(svg, anchor):
+    """The tick labels of the x axis (``middle``) or the y axis (``end``)."""
+    return re.findall(rf'<text [^>]*text-anchor="{anchor}" [^>]*'
+                      rf'font-size="11">([^<]*)</text>', svg)
+
+
+@pytest.mark.parametrize("y", [[1e17, 1e17], [1.0, 1.0 + 1e-6],
+                               [-2e-5, -2e-5 + 1e-12]],
+                         ids=["flat-1e17", "near-one", "small-negative"])
+def test_neighbouring_tick_labels_differ(y):
+    # ticks closer together than the default three or four significant
+    # digits, as on the comparison plot of
+    # run --case 3 --case3-a 1e17 --case3-c 2e19
+    svg = _check([Series("a", [0.0, 1.0], y, "")])
+    labels = _tick_labels(svg, "end")
+    assert len(labels) >= 2
+    assert all(a != b for a, b in zip(labels, labels[1:]))
+    assert all(float(a) < float(b) for a, b in zip(labels, labels[1:]))
+
+
+@pytest.mark.parametrize("top", [5e-324, 1e-323, 5e-323, 1e-310])
+def test_subnormal_span_renders_finite_ticks(top):
+    # (hi - lo) / 5 underflows to 0 below a few ulps of 0
+    svg = _check([Series("a", [0.0, 1.0], [0.0, top], "")])
+    labels = _tick_labels(svg, "end")
+    assert labels and all(math.isfinite(float(v)) for v in labels)
