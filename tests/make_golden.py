@@ -20,6 +20,7 @@ and log the change and its reason.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -42,6 +43,12 @@ FDM_GRIDS = (20011,)
 NODES = 41
 ACCEPTANCE_LINES = 10
 _ACCEPTANCE = re.compile(r"^ACCEPTANCE (.+?): (?:PASS|FAIL)  \(")
+
+
+@functools.cache
+def recorded_numbers() -> dict:
+    """The contents of ``golden_numbers.json``."""
+    return json.loads(NUMBERS.read_text(encoding="utf-8"))
 
 
 def svg_digests(out_dir) -> dict[str, str]:

@@ -17,8 +17,6 @@ second-order convergence, and the spectral radius of the discrete Picard
 map.  The README's acceptance notes give the analysis.
 """
 
-import functools
-import json
 import math
 import time
 
@@ -35,7 +33,7 @@ from fracbvp.fdm import _newton_iterate
 from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import dirichlet
 
-from make_golden import NUMBERS
+from make_golden import recorded_numbers
 from oracles import (case4_fdm_error_prediction, direct_gl_weight,
                      read_results_csv, simpson_double)
 
@@ -52,16 +50,11 @@ CASE4_IFOI_TARGET = 9.0e-2
 CASE4_FDM_RECORDED = 4.9e-1
 
 
-@functools.cache
-def _recorded_lines() -> dict[str, str]:
-    return json.loads(NUMBERS.read_text(encoding="utf-8"))["acceptance"]
-
-
 def _line(tag: str, ok: bool, detail: str) -> bool:
     """Print the criterion's line and require it to read as recorded."""
     line = f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'}  ({detail})"
     print("\n" + line)
-    assert line == _recorded_lines()[tag]
+    assert line == recorded_numbers()["acceptance"][tag]
     return ok
 
 

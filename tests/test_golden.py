@@ -2,7 +2,6 @@
 plots of ``fracbvp run --trace`` byte for byte, and the solutions, errors,
 statuses and Picard counts of cases 1-4 to within FFT rounding."""
 
-import functools
 import json
 
 import numpy as np
@@ -10,17 +9,12 @@ import pytest
 
 from fracbvp import RunConfig, run_quiet
 
-from make_golden import (CASES, GOLDEN, NUMBERS, recorded_solves, solve_key,
-                         svg_digests)
+from make_golden import (CASES, GOLDEN, recorded_numbers, recorded_solves,
+                         solve_key, svg_digests)
 
 #: relative to the solution's sup norm; leaves room for the FFT rounding of
 #: other numpy builds
 TOLERANCE = 1e-12
-
-
-@functools.cache
-def _recorded() -> dict:
-    return json.loads(NUMBERS.read_text(encoding="utf-8"))["solves"]
 
 
 def test_traced_plots_match_their_recorded_digests(tmp_path):
@@ -32,14 +26,14 @@ def test_traced_plots_match_their_recorded_digests(tmp_path):
 
 
 def test_every_recorded_solve_is_run():
-    assert sorted(_recorded()) == sorted(solve_key(*s)
-                                         for s in recorded_solves())
+    assert sorted(recorded_numbers()["solves"]) \
+        == sorted(solve_key(*s) for s in recorded_solves())
 
 
 @pytest.mark.parametrize("case,method,n", recorded_solves(),
                          ids=[solve_key(*s) for s in recorded_solves()])
 def test_solve_matches_its_recorded_numbers(case, method, n):
-    want = _recorded()[solve_key(case, method, n)]
+    want = recorded_numbers()["solves"][solve_key(case, method, n)]
     report = run_quiet(RunConfig(case, method=method, n=n))[0]
     trace = report.extra.get("trace")
     assert report.params["n"] == want["n"]
