@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -133,24 +132,6 @@ class IfoiTrace:
     forcing: np.ndarray = field(repr=False, compare=False)
 
 
-def _merged_orders(orders: tuple[float, ...],
-                  ) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Stage orders with those that agree to a relative ``1e-12`` merged:
-    the distinct orders by first appearance, and each stage's index among
-    them.  The stages of a regular schedule differ only by rounding (all
-    within ``2e-16`` of ``-2/m``) and merge into one; those of a quadratic
-    one differ by at least ``0.04`` and stay apart."""
-    distinct: list[float] = []
-    index = []
-    for alpha in orders:
-        index.append(next((i for i, d in enumerate(distinct)
-                           if abs(alpha - d) <= 1e-12 * abs(d)),
-                          len(distinct)))
-        if index[-1] == len(distinct):
-            distinct.append(alpha)
-    return tuple(distinct), tuple(index)
-
-
 def _fft_size(target: int) -> int:
     """Smallest ``2**a * 3**b * 5**c >= target``; numpy transforms such
     lengths fastest.  On the benchmark's ``ifoi-large`` workload this gave
@@ -202,47 +183,37 @@ def _composed_sequence(scheme: str, partition: AlphaPartition, length: int,
 
     Each stage output is 0 at node 0, so the column-0 term of a later stage
     never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
-    ``P = k_m * ... * k_2``.  Products of lower-triangular Toeplitz
-    matrices commute, so ``P`` is built from one kernel per distinct stage
-    order, raised to its multiplicity by repeated squaring; orders that
-    agree to a relative ``1e-12`` count as one, so a regular schedule
-    composes one kernel raised to a power.  The kernels are built one
-    order at a time, each by one :func:`~fracbvp.fracops.stage_kernels`
-    call and one FFT.  Every product is truncated to ``length`` terms
-    before the next: the spectra of all stages multiplied at once would
-    alias the tail of the full-length product.  GL weights are the
+    ``P = k_m * ... * k_2``.  ``P`` is accumulated stage by stage, in
+    schedule order, as a spectrum; each stage's kernel is built by its own
+    :func:`~fracbvp.fracops.stage_kernels` call, so the build holds one
+    stage's kernel at a time.  Every product is truncated to ``length``
+    terms before the next: the spectra of all stages multiplied at once
+    would alias the tail of the full-length product.  GL weights are the
     coefficients of ``(1 - z)**-mu``, so the GL stages compose in closed
     form and need no products at all.
     """
-    orders, index = _merged_orders(partition.stage_orders)
-    if len(index) > 1 and scheme == "gl":
+    orders = partition.stage_orders
+    if len(orders) > 1 and scheme == "gl":
         # P is the GL kernel of order 2 - mu_1, and v_1 is -e_0
         k, p = stage_kernels("gl", (-TOTAL_ORDER,
                                     partition.cumulative[1] - TOTAL_ORDER),
                              length - 1, 1.0)[0]
         return _frozen(k), _frozen(-p)
-    if len(index) == 1:
+    if len(orders) == 1:
         kernels, col0s = stage_kernels(scheme, orders, length - 1, 1.0)
         return _frozen(kernels[0]), _frozen(col0s[0])
     size = 2 * length  # a product of two length-term series fits
-
-    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(np.fft.irfft(a * b, size)[:length], size)
-
-    counts = Counter(index[1:])
-    rest = None  # the spectrum of P
-    for i, alpha in enumerate(orders):
-        kernels, col0s = stage_kernels(scheme, (alpha,), length - 1, 1.0)
-        power = np.fft.rfft(kernels[0], size)
-        if i == 0:
-            first, v = power, col0s[0]
-        count = counts[i]
-        while count:
-            if count & 1:
-                rest = power if rest is None else times(rest, power)
-            count >>= 1
-            if count:
-                power = times(power, power)
+    first = rest = None  # the spectra of k_1 and of P
+    for alpha in orders:
+        (kernel,), (col0,) = stage_kernels(scheme, (alpha,), length - 1, 1.0)
+        spectrum = np.fft.rfft(kernel, size)
+        if first is None:
+            first, v = spectrum, col0
+        elif rest is None:
+            rest = spectrum
+        else:
+            rest = np.fft.rfft(
+                np.fft.irfft(rest * spectrum, size)[:length], size)
     return (_frozen(np.fft.irfft(rest * first, size)[:length]),
             _frozen(np.fft.irfft(rest * np.fft.rfft(v, size), size)[:length]))
 
@@ -304,13 +275,13 @@ def staged(f: GridFunction, partition: AlphaPartition,
     """The partial integrals of ``f`` after each stage of ``partition``, by
     one direct convolution per stage, in ``O(m n^2)``, with full memory;
     the last one is the :class:`ComposedOperator` applied to ``f``, to
-    rounding.  The kernels of all distinct stage orders are built in one
-    :func:`~fracbvp.fracops.stage_kernels` call."""
-    orders, index = _merged_orders(partition.stage_orders)
-    kernels, col0s = stage_kernels(scheme, orders, f.n, f.h)
+    rounding.  The kernels of all ``m`` stages are built in one
+    :func:`~fracbvp.fracops.stage_kernels` call and applied in schedule
+    order."""
+    kernels, col0s = stage_kernels(scheme, partition.stage_orders, f.n, f.h)
     out = []
-    for i in index:
-        f = apply_pair(kernels[i], col0s[i], f)
+    for kernel, col0 in zip(kernels, col0s):
+        f = apply_pair(kernel, col0, f)
         out.append(f)
     return out
 

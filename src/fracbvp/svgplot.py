@@ -19,6 +19,7 @@ formatting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,12 +60,23 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _halving(lo: float, hi: float) -> float:
+    """1, or 1/2 where ``hi - lo`` overflows: a span beyond the float range
+    is measured between the halves of its ends, which are exact, and any
+    other span keeps its bits."""
+    return 1.0 if math.isfinite(hi - lo) else 0.5
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick values in ``[lo, hi]``, ``lo < hi``, about five intervals
     apart."""
     # a span of a few subnormal ulps would underflow raw, or its decade, to
     # 0; from 1e-322 on the decade is at least 10**-323, which is not 0
-    raw = max((hi - lo) / 5, 1e-322)
+    s = _halving(lo, hi)
+    raw = max((s * hi - s * lo) / (5 * s), 1e-322)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -125,17 +137,18 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
     xlo, xhi = _widen(float(np.min(xs)), float(np.max(xs)))
     ylo, yhi = _widen(float(np.min(ys)), float(np.max(ys)))
     pad = 0.04 * (yhi - ylo)
-    ylo, yhi = ylo - pad, yhi + pad
+    ylo, yhi = max(ylo - pad, -_FLOAT_MAX), min(yhi + pad, _FLOAT_MAX)
+    sx, sy = _halving(xlo, xhi), _halving(ylo, yhi)
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
 
     # scalar tick positions, or whole float64 arrays for the polylines
     def px(x):
-        return MARGIN_L + (x - xlo) / (xhi - xlo) * inner_w
+        return MARGIN_L + (sx * x - sx * xlo) / (sx * xhi - sx * xlo) * inner_w
 
     def py(y):
-        return MARGIN_T + (yhi - y) / (yhi - ylo) * inner_h
+        return MARGIN_T + (sy * yhi - sy * y) / (sy * yhi - sy * ylo) * inner_h
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -3,15 +3,14 @@ import pytest
 
 import fracbvp.bench as bench_mod
 from fracbvp import cli
-from fracbvp import (CaseSpec, ComposedOperator, GridFunction,
+from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
                      IfoiDivergenceError, IvpProblem, RunConfig,
                      apply_scheme, compose_check, dirichlet, fdm_linear,
                      get_case, ifoi_solve_ivp, make_alpha_partition,
                      make_ivp_solver, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
-from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, _composed_sequence,
-                          _merged_orders, staged)
+from fracbvp.ifoi import COMPOSED_CACHE_SIZE, _composed_sequence, staged
 
 from oracles import rk4_solve_ivp, simpson_double, total_variation
 
@@ -344,26 +343,31 @@ def _staged(values, partition, scheme, n):
 
 # rect keeps its case's five stages: ten rect stages on n = 8 are refused
 # one and two stages leave P (the product of stages 2..m) empty or a single
-# kernel, in the closed gl form and in the grouped products alike;
+# kernel, in the closed gl form and in the stage-by-stage products alike;
 # n = 1023 is the last grid served by a composition of 1024 terms and
-# n = 1024 the first served by one of 2048
+# n = 1024 the first served by one of 2048; the two "custom" stage orders
+# differ by a relative 4e-13, and composing both with the kernel of one of
+# them moves the result by about 3e-12 of its size from n = 1000 on
+NEAR_EQUAL_ORDERS = AlphaPartition("custom", (0.0, 1.0 - 2e-13, 2.0))
 COMPOSED_ROWS = [
-    ("gl", "regular", 10), ("gl", "quadratic", 10),
-    ("rect", "regular", 5), ("rect", "quadratic", 5),
-    ("abm", "regular", 10), ("abm", "quadratic", 10),
-    ("gl", "regular", 1), ("gl", "quadratic", 2),
-    ("rect", "regular", 1), ("rect", "regular", 2),
-    ("abm", "regular", 1), ("abm", "quadratic", 2),
-]
+    (scheme, make_alpha_partition(spacing, m)) for scheme, spacing, m in [
+        ("gl", "regular", 10), ("gl", "quadratic", 10),
+        ("rect", "regular", 5), ("rect", "quadratic", 5),
+        ("abm", "regular", 10), ("abm", "quadratic", 10),
+        ("gl", "regular", 1), ("gl", "quadratic", 2),
+        ("rect", "regular", 1), ("rect", "regular", 2),
+        ("abm", "regular", 1), ("abm", "quadratic", 2),
+    ]
+] + [("rect", NEAR_EQUAL_ORDERS), ("abm", NEAR_EQUAL_ORDERS)]
 
 
 # each id ends in "False", for "not truncated": the composed operator always
 # keeps full memory
 @pytest.mark.parametrize("n", [8, 50, 1000, 1023, 1024, 4000, 10_000])
-@pytest.mark.parametrize("scheme,spacing,m", COMPOSED_ROWS, ids=[
-    f"{scheme}-{spacing}-{m}-False" for scheme, spacing, m in COMPOSED_ROWS])
-def test_composed_operator_matches_staged_composition(n, scheme, spacing, m):
-    partition = make_alpha_partition(spacing, m)
+@pytest.mark.parametrize("scheme,partition", COMPOSED_ROWS, ids=[
+    f"{scheme}-{p.spacing}-{p.stage_count}-False"
+    for scheme, p in COMPOSED_ROWS])
+def test_composed_operator_matches_staged_composition(n, scheme, partition):
     values = np.random.default_rng(n).normal(size=n + 1)
     reference = _staged(values, partition, scheme, n)
     composed = ComposedOperator(scheme, partition, n).apply(values)
@@ -428,9 +432,8 @@ def test_each_length_class_is_composed_once(case_id, monkeypatch):
     case = get_case(case_id)
     partition, scheme = case.default_partition, case.default_scheme
     # gl composes in closed form from one call of two kernels; the other
-    # schemes build one kernel per distinct stage order, one call each
-    per_build = [2] if scheme == "gl" \
-        else [1] * len(_merged_orders(partition.stage_orders)[0])
+    # schemes build one kernel per stage, one call each
+    per_build = [2] if scheme == "gl" else [1] * partition.stage_count
     for n in (50, 33, 63, 50):
         solve_bvp(case, make_ivp_solver(partition, n, scheme))
     assert calls == per_build
@@ -469,15 +472,6 @@ def test_composition_memo_stays_within_its_bound():
     info = _composed_sequence.cache_info()
     assert info.misses == 42 > COMPOSED_CACHE_SIZE
     assert info.currsize == info.maxsize == COMPOSED_CACHE_SIZE
-
-
-def test_regular_stage_orders_merge_and_quadratic_ones_do_not():
-    regular = make_alpha_partition("regular", 10).stage_orders
-    assert len(set(regular)) == 4    # distinct floats, all within 2e-16
-    assert _merged_orders(regular) == ((regular[0],), (0,) * 10)
-    quadratic = make_alpha_partition("quadratic", 10).stage_orders
-    assert _merged_orders(quadratic) == (quadratic, tuple(range(10)))
-    assert _merged_orders((-0.5, -1.0, -0.5)) == ((-0.5, -1.0), (0, 1, 0))
 
 
 def test_shared_operator_solves_like_a_fresh_one():

@@ -225,3 +225,23 @@ def test_subnormal_span_renders_finite_ticks(top):
     svg = _check([Series("a", [0.0, 1.0], [0.0, top], "")])
     labels = _tick_labels(svg, "end")
     assert labels and all(math.isfinite(float(v)) for v in labels)
+
+
+@pytest.mark.parametrize("x, y", [([0.0, 1.0], [-1e308, 1e308]),
+                                  ([0.0, 1.0], [0.0, 1.75e308]),
+                                  ([-1e308, 1e308], [0.0, 1.0])],
+                         ids=["y-span", "y-padding", "x-span"])
+def test_span_beyond_the_float_range_renders_in_the_box(x, y):
+    # hi - lo, or the y axis padding, overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_line_plot([Series("a", x, y, "")], "t")
+    for anchor in ("middle", "end"):
+        labels = [float(v) for v in _tick_labels(svg, anchor)]
+        assert len(labels) >= 2 and all(map(math.isfinite, labels))
+        assert labels == sorted(set(labels))
+    (points,) = _rendered_points(svg)
+    for point in points.split():
+        px, py = map(float, point.split(","))
+        assert MARGIN_L <= px <= WIDTH - MARGIN_R
+        assert MARGIN_T <= py <= HEIGHT - MARGIN_B
