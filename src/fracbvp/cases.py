@@ -263,7 +263,7 @@ def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
         raise ValueError(
             "case 3 is resonant at b = -1: every line u = s*x meets "
             "u'(1) - u(1) = 0, so the Robin condition fixes no solution")
-    left_bc, right_bc = dirichlet("left", a), robin("right", b, c)
+    left_bc, right_bc = dirichlet(a), robin(b, c)
     slope = _affine_coeff_robin(a, b, c, oscillatory_first_integral,
                                 oscillatory_second_integral)
     if not max(abs(a), abs(c), abs(b * a), abs(slope)) <= CASE3_MAX_SCALE:
@@ -290,8 +290,8 @@ def _build_registry() -> dict[str, CaseSpec]:
         id="case1",
         g=gauss_forcing,
         k=None,
-        left_bc=dirichlet("left", a1),
-        right_bc=dirichlet("right", b1),
+        left_bc=dirichlet(a1),
+        right_bc=dirichlet(b1),
         default_scheme="gl",
         default_partition=make_alpha_partition("regular", 10),
         oracle=_line_plus(a1, _affine_coeff_dirichlet(a1, b1, gauss_second_integral),
@@ -305,8 +305,8 @@ def _build_registry() -> dict[str, CaseSpec]:
         id="case2",
         g=gauss_forcing,
         k=None,
-        left_bc=dirichlet("left", a2),
-        right_bc=robin("right", b2, c2),
+        left_bc=dirichlet(a2),
+        right_bc=robin(b2, c2),
         default_scheme="rect",
         # five stages, not ten: the first-order rectangle rule accumulates
         # error linearly in the stage count, and five keeps the benchmark
@@ -326,8 +326,8 @@ def _build_registry() -> dict[str, CaseSpec]:
         # u'' = 2x(5 - u)
         g=lambda x: 10.0 * np.asarray(x, dtype=float),
         k=lambda x: -2.0 * np.asarray(x, dtype=float),
-        left_bc=dirichlet("left", a4),
-        right_bc=dirichlet("right", b4),
+        left_bc=dirichlet(a4),
+        right_bc=dirichlet(b4),
         default_scheme="abm",
         default_partition=make_alpha_partition("regular", 10),
         oracle=_case4_oracle(),

@@ -14,13 +14,14 @@ All three are linear in the input and return 0 at the left node, the value
 the integral from 0 to 0 forces.  Each is one matrix of a common form,
 built by :func:`stage_kernels` for several orders in one vectorized call;
 :func:`apply_scheme` applies one stage to a
-:class:`~fracbvp.grid.GridFunction` by direct convolution.
+:class:`~fracbvp.grid.GridFunction` by direct convolution.  Both take a
+``window``, the history a ``gl`` stage keeps, in units of ``x``; the
+default ``math.inf`` keeps full memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +29,6 @@ from .grid import GridFunction
 
 #: Smallest admissible truncation window, in units of the grid step.
 MIN_WINDOW_STEPS = 10
-
-
-@dataclass(frozen=True)
-class MemoryPolicy:
-    """How much of the convolution tail a ``gl`` stage keeps.
-
-    ``full`` sums over the entire history.  ``truncated`` drops samples
-    farther than ``window_length`` behind the evaluation point, trading
-    accuracy for cost on long domains.  This is the short-memory principle
-    (Podlubny 1999), stated for the binomial series, so
-    :func:`stage_kernels` refuses it for ``rect`` and ``abm``.  It saves
-    work only in direct sums, so only :func:`apply_scheme` and
-    :func:`stage_kernels` take it; ``ifoi.staged``, ``ifoi.compose_check``
-    and the composed solve, applied by FFT, keep full memory.
-    """
-
-    mode: str = "full"
-    window_length: float = math.inf
-
-    def __post_init__(self):
-        if self.mode not in ("full", "truncated"):
-            raise ValueError(f"unknown memory mode {self.mode!r}")
-        if self.mode == "truncated" and not self.window_length > 0.0:
-            raise ValueError("truncated mode needs a positive window_length")
-
-
-FULL_MEMORY = MemoryPolicy()
 
 
 def _check_integration_order(alpha: float) -> float:
@@ -199,7 +173,7 @@ _KERNELS = {"gl": _gl_kernels, "rect": _rect_kernels, "abm": _abm_kernels}
 
 
 def stage_kernels(scheme: str, alphas, n: int, h: float,
-                  policy: MemoryPolicy = FULL_MEMORY,
+                  window: float = math.inf,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Matrices of one fractional integration per order in ``alphas`` on
     ``n + 1`` nodes, built in one vectorized call, as two arrays with one
@@ -209,39 +183,46 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
     correction in column 0: the value at ``x_i`` is
     ``sum_j kernel[i-j] f(x_j) + col0[i] f(x_0)``.  ``col0[0]`` cancels
     ``kernel[0]``, so node 0 maps to 0 and the pairs of successive stages
-    compose into a pair of the same form.  Under a truncated ``policy`` a
-    ``gl`` kernel keeps the weights of ``j <= window_length/h`` only.
+    compose into a pair of the same form.
+
+    ``window`` is the history kept, in units of ``x``; ``math.inf`` keeps
+    full memory.  A finite window keeps the ``gl`` weights of
+    ``j <= window/h`` only, dropping samples farther behind the evaluation
+    point: the short-memory principle (Podlubny 1999), stated for the
+    binomial series, so ``rect`` and ``abm`` refuse it.  A window saves
+    work in direct sums only, so ``ifoi.staged``, ``ifoi.compose_check``
+    and the composed solve, applied by FFT, keep full memory.
 
     :raises ValueError: for an unknown scheme, an order outside
-        ``[-2, 0)``, a truncated policy with ``rect`` or ``abm``, or a
-        window shorter than ``MIN_WINDOW_STEPS`` steps.
+        ``[-2, 0)``, a finite window with ``rect`` or ``abm``, or a window
+        shorter than ``MIN_WINDOW_STEPS`` steps (which covers ``<= 0`` and
+        NaN).
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                          f"{sorted(_KERNELS)}")
-    window = n  # grid steps of history kept
-    if policy.mode != "full":
+    steps = n  # grid steps of history kept
+    if window != math.inf:
         if scheme != "gl":
-            raise ValueError(f"a {policy.mode} memory policy applies to the "
+            raise ValueError("a truncated memory policy applies to the "
                              f"'gl' series only, not to {scheme!r}")
-        if policy.window_length < MIN_WINDOW_STEPS * h:
-            raise ValueError(
-                f"window_length {policy.window_length} is below "
-                f"{MIN_WINDOW_STEPS} grid steps"
-            )
-        window = min(n, int(math.floor(policy.window_length / h + 1e-12)))
+        if not window >= MIN_WINDOW_STEPS * h:
+            raise ValueError(f"window {window} is below "
+                             f"{MIN_WINDOW_STEPS} grid steps")
+        steps = min(n, int(math.floor(window / h + 1e-12)))
     mu = np.array([[_check_integration_order(a)] for a in alphas])
     kernels, col0s = _KERNELS[scheme](mu, n, h)
-    kernels[:, window + 1:] = 0.0
+    kernels[:, steps + 1:] = 0.0
     col0s[:, 0] = -kernels[:, 0]
     return kernels, col0s
 
 
 def apply_scheme(scheme: str, f: GridFunction, alpha: float,
-                 policy: MemoryPolicy = FULL_MEMORY) -> GridFunction:
+                 window: float = math.inf) -> GridFunction:
     """One fractional integration of ``f`` by scheme name, by direct
-    convolution with its pair of :func:`stage_kernels`."""
-    kernels, col0s = stage_kernels(scheme, (alpha,), f.n, f.h, policy)
+    convolution with its pair of :func:`stage_kernels`, keeping ``window``
+    of history."""
+    kernels, col0s = stage_kernels(scheme, (alpha,), f.n, f.h, window)
     return apply_pair(kernels[0], col0s[0], f)
 
 

@@ -224,16 +224,16 @@ class ComposedOperator:
 
     Its fields are all the settings of an IVP solve: the scheme, the
     schedule and the grid of ``n + 1`` nodes on [0, 1].  It always keeps
-    full memory: its FFT apply costs the same whatever the window, so
-    truncation (a :class:`~fracbvp.fracops.MemoryPolicy`) applies to
-    ``apply_scheme`` only.  ``k`` and ``v`` are ``h**2`` times the first
-    ``n + 1`` terms of the grid-free sequence of :func:`_composed_sequence`,
-    which is composed once per scheme, schedule and length class (the
-    smallest power of two ``>= n + 1``) and kept by the process, up to
-    ``COMPOSED_CACHE_SIZE`` of them.  The first solve of a length class
-    pays the composition; later ones, in this solver or any other, only
-    slice it and take one FFT.  Since the class is a function of ``n``
-    alone, a grid's values never depend on which grids ran before it.
+    full memory: its FFT apply costs the same whatever the window, so only
+    ``apply_scheme`` and ``stage_kernels`` take a ``window``.  ``k`` and
+    ``v`` are ``h**2`` times the first ``n + 1`` terms of the grid-free
+    sequence of :func:`_composed_sequence`, which is composed once per
+    scheme, schedule and length class (the smallest power of two
+    ``>= n + 1``) and kept by the process, up to ``COMPOSED_CACHE_SIZE`` of
+    them.  The first solve of a length class pays the composition; later
+    ones, in this solver or any other, only slice it and take one FFT.
+    Since the class is a function of ``n`` alone, a grid's values never
+    depend on which grids ran before it.
 
     :raises ValueError: if ``n < 8``, or if ``scheme`` is ``rect`` and
         ``n`` is below the stage count ``m``: every ``rect`` stage is
@@ -300,12 +300,14 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
     Without coupling one pass solves the problem and counts no Picard
     iteration.  With it, the whole composition iterates as
     ``u <- u0 + s0*x + K[g + k u]`` from the initial-condition line
-    ``u0 + s0*x`` until the sup-norm update drops below ``1e-10``.  When
-    ``s0 = 0``, or ``u0 = 0`` without forcing, as in both IVPs of a
-    shooting solve, that start is the constant ``u0`` or its first
-    iterate, so the passes are those from ``u0``, one fewer in the second
-    case.  Only an iteration can
-    diverge, so only Picard iterates are held to the ``1e8`` guard.
+    ``u0 + s0*x`` until the sup-norm update drops below ``1e-10`` times
+    ``max(1, max|u|)``: relative to the iterate once it passes 1, since the
+    rounding of an FFT apply keeps the update near a fixed fraction of
+    ``max|u|``.  When ``s0 = 0``, or ``u0 = 0`` without forcing, as in both
+    IVPs of a shooting solve, that start is the constant ``u0`` or its
+    first iterate, so the passes are those from ``u0``, one fewer in the
+    second case.  Only an iteration can diverge, so only Picard iterates
+    are held to the ``1e8`` guard.
 
     :raises IfoiDivergenceError: if the right-hand side or the solution
         overflows, or a Picard iterate passes ``1e8`` or fails to settle
@@ -335,13 +337,13 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
                     last_update=math.inf)
             u, iterations = unew, 0
             break
-        if not np.all(np.abs(unew) < DIVERGENCE_GUARD):
+        peak = float(np.max(np.abs(unew)))
+        if not peak < DIVERGENCE_GUARD:
             raise IfoiDivergenceError(
-                "solution exceeded the divergence guard",
-                iterations, float(np.max(np.abs(unew))))
+                "solution exceeded the divergence guard", iterations, peak)
         update = float(np.max(np.abs(unew - u)))
         u = unew
-        if update < PICARD_TOL:
+        if update < PICARD_TOL * max(1.0, peak):
             break
     else:
         raise IfoiDivergenceError(

@@ -37,28 +37,27 @@ class SingularShootingError(RuntimeError):
 @dataclass(frozen=True)
 class BoundaryCondition:
     """One end condition, Dirichlet ``u = value`` or Robin
-    ``u' + robin_weight * u = value``."""
+    ``u' + robin_weight * u = value``.  It names no end: the
+    :class:`~fracbvp.cases.CaseSpec` field that holds it, ``left_bc`` or
+    ``right_bc``, does."""
 
     kind: str
-    at: str
     value: float
     robin_weight: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "robin"):
             raise ValueError(f"unknown condition kind {self.kind!r}")
-        if self.at not in ("left", "right"):
-            raise ValueError(f"unknown end {self.at!r}")
         if not (np.isfinite(self.value) and np.isfinite(self.robin_weight)):
             raise ValueError(f"{self.kind} condition needs finite constants")
 
 
-def dirichlet(at: str, value: float) -> BoundaryCondition:
-    return BoundaryCondition("dirichlet", at, value)
+def dirichlet(value: float) -> BoundaryCondition:
+    return BoundaryCondition("dirichlet", value)
 
 
-def robin(at: str, weight: float, value: float) -> BoundaryCondition:
-    return BoundaryCondition("robin", at, value, robin_weight=weight)
+def robin(weight: float, value: float) -> BoundaryCondition:
+    return BoundaryCondition("robin", value, robin_weight=weight)
 
 
 @dataclass(frozen=True)

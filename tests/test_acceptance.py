@@ -23,8 +23,8 @@ import time
 import numpy as np
 import pytest
 
-from fracbvp import (GridFunction, MemoryPolicy, RunConfig, apply_scheme,
-                     fdm_linear, fdm_newton, get_case, gl_coefficients,
+from fracbvp import (GridFunction, RunConfig, apply_scheme, fdm_linear,
+                     fdm_newton, get_case, gl_coefficients,
                      make_alpha_partition, make_ivp_solver, run, run_quiet,
                      solve_bvp, sup_error)
 from fracbvp.cases import (gauss_forcing, gauss_second_integral,
@@ -286,7 +286,7 @@ def test_criterion_6_operator_property_suite():
     full = apply_scheme("gl", f, -0.5)
     last = np.inf
     for window in (0.2, 0.4, 0.6, 0.8, 1.0):
-        trunc = apply_scheme("gl", f, -0.5, MemoryPolicy("truncated", window))
+        trunc = apply_scheme("gl", f, -0.5, window=window)
         gap = float(np.max(np.abs(trunc.values - full.values)))
         if gap > last:
             failures.append(f"truncation window={window}")
@@ -314,8 +314,8 @@ def test_criterion_7_structural_suite(tmp_path):
     # quadratic exactness of the reference solver
     from fracbvp.cases import CaseSpec
     quad = CaseSpec(id="quad", g=lambda x: 2.0 + 0.0 * x, k=None,
-                    left_bc=dirichlet("left", 0.0),
-                    right_bc=dirichlet("right", 1.0), default_scheme="gl",
+                    left_bc=dirichlet(0.0),
+                    right_bc=dirichlet(1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x**2)
     if sup_error(fdm_linear(quad, 64), quad) > 1e-12:

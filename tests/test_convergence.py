@@ -147,11 +147,11 @@ def _family_case(seed: int, right_kind: str, terms: int = 60) -> CaseSpec:
         return P.polyval(x, ka)
 
     if right_kind == "dirichlet":
-        right_bc, end = dirichlet("right", value), (0.0, 1.0, value)
+        right_bc, end = dirichlet(value), (0.0, 1.0, value)
     else:
-        right_bc, end = robin("right", weight, value), (1.0, weight, value)
+        right_bc, end = robin(weight, value), (1.0, weight, value)
     return CaseSpec(id=f"family{seed}-{right_kind}", g=g, k=k,
-                    left_bc=dirichlet("left", left), right_bc=right_bc,
+                    left_bc=dirichlet(left), right_bc=right_bc,
                     default_scheme="abm",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=chebyshev_bvp(g, k, left, end, terms))

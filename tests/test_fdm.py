@@ -10,7 +10,8 @@ from fracbvp.cases import CaseSpec
 from fracbvp.fdm import _march_solver, _newton_iterate
 from fracbvp.grid import GridFunction
 from fracbvp.ifoi import IfoiDivergenceError, make_ivp_solver
-from fracbvp.shooting import decompose, dirichlet, robin, solve_bvp
+from fracbvp.shooting import (SingularShootingError, decompose, dirichlet,
+                              robin, solve_bvp)
 
 from oracles import rk4_solve_ivp
 
@@ -56,7 +57,7 @@ def test_tridiagonal_guards_zero_pivot():
 @pytest.mark.parametrize("n", [4, 10, 37, 100])
 def test_exact_on_quadratic_dirichlet(n):
     case = synthetic_case(lambda x: 2.0 + 0.0 * x,
-                          dirichlet("left", 0.0), dirichlet("right", 1.0))
+                          dirichlet(0.0), dirichlet(1.0))
     sol = fdm_linear(case, n)
     assert np.max(np.abs(sol.values - sol.nodes**2)) <= 1e-12
 
@@ -65,7 +66,7 @@ def test_exact_on_quadratic_dirichlet(n):
 def test_exact_on_quadratic_robin(n):
     # u = x^2 satisfies u'(1) + 3 u(1) = 5
     case = synthetic_case(lambda x: 2.0 + 0.0 * x,
-                          dirichlet("left", 0.0), robin("right", 3.0, 5.0))
+                          dirichlet(0.0), robin(3.0, 5.0))
     sol = fdm_linear(case, n)
     assert np.max(np.abs(sol.values - sol.nodes**2)) <= 1e-12
 
@@ -114,8 +115,8 @@ def _plain_march(problem, n):
 
 
 AFFINE_ROBIN = synthetic_case(
-    lambda x: 50.0 * np.exp(x), dirichlet("left", 3.0),
-    robin("right", 2.0, -1.0), k=lambda x: -2.0 * (1.0 + x * x))
+    lambda x: 50.0 * np.exp(x), dirichlet(3.0),
+    robin(2.0, -1.0), k=lambda x: -2.0 * (1.0 + x * x))
 
 
 # every n from 4 to 70, and n - 1 prime or a perfect square plus or minus
@@ -167,11 +168,34 @@ def test_march_guard_runs_before_values_turn_non_finite():
     # k = 1e200 overflows the march; its guard must report that as
     # divergence before GridFunction refuses the non-finite values
     case = synthetic_case(lambda x: 1.0 + 0.0 * x,
-                          dirichlet("left", 1.0), dirichlet("right", 0.0),
+                          dirichlet(1.0), dirichlet(0.0),
                           k=lambda x: 1e200 + 0.0 * x)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(IfoiDivergenceError):
         fdm_linear(case, 50)
+
+
+@pytest.mark.parametrize("n", [40, 100, 400, 1000])
+def test_singular_at_the_discrete_dirichlet_eigenvalue(n):
+    """Central differences on ``u'' = -lam u`` have the first Dirichlet
+    eigenvalue ``(4/h^2) sin^2(pi h/2)``.  There the homogeneous march ends
+    at ``u2(1) = 0`` to rounding (measured within 1.5e-16), so shooting
+    cannot match ``u(1) = 1``; a relative ``1e-6`` away, ``u2(1)`` is
+    ``-+5.0e-7`` and the solve goes through."""
+    lam_1 = 4.0 * n * n * np.sin(np.pi / (2 * n)) ** 2
+
+    def case(lam):
+        return synthetic_case(np.zeros_like, dirichlet(1.0), dirichlet(1.0),
+                              k=lambda x: np.full_like(x, -lam))
+
+    with pytest.raises(SingularShootingError):
+        fdm_linear(case(lam_1), n)
+    for shift in (1e-6, -1e-6):
+        near = case(lam_1 * (1.0 + shift))
+        assert decompose(near, _march_solver(near, n)).u2.values[-1] \
+            == pytest.approx(-0.5 * shift, rel=0.01)
+        u = fdm_linear(near, n).values
+        assert u[0] == 1.0 and u[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from fracbvp import (FULL_MEMORY, GridFunction, MemoryPolicy, apply_scheme,
-                     gl_coefficients)
+from fracbvp import GridFunction, apply_scheme, gl_coefficients
 from fracbvp.cases import gauss_forcing, oscillatory_forcing
 from fracbvp.fracops import ABM_SERIES_FROM, stage_kernels
 
@@ -316,11 +315,10 @@ def test_gl_first_order_error_decay():
 # ---------------------------------------------------------------------------
 
 def test_truncated_memory_converges_to_full(unit_grid):
-    full = apply_scheme("gl", unit_grid, -0.5, FULL_MEMORY)
+    full = apply_scheme("gl", unit_grid, -0.5)
     gaps = []
     for window in (0.2, 0.4, 0.6, 0.8, 1.0):
-        trunc = apply_scheme("gl", unit_grid, -0.5,
-                             MemoryPolicy("truncated", window))
+        trunc = apply_scheme("gl", unit_grid, -0.5, window=window)
         gaps.append(np.max(np.abs(trunc.values - full.values)))
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     assert gaps[0] > 0.0
@@ -329,8 +327,7 @@ def test_truncated_memory_converges_to_full(unit_grid):
 
 def test_truncated_memory_rejects_tiny_window(unit_grid):
     with pytest.raises(ValueError):
-        apply_scheme("gl", unit_grid, -0.5,
-                     MemoryPolicy("truncated", 5 * unit_grid.h))
+        apply_scheme("gl", unit_grid, -0.5, window=5 * unit_grid.h)
 
 
 @pytest.mark.parametrize("scheme", ["rect", "abm"])
@@ -340,14 +337,13 @@ def test_truncated_memory_is_refused_off_the_series(scheme):
     result."""
     f = GridFunction.sample(np.cos, 200)
     with pytest.raises(ValueError, match="'gl' series only"):
-        apply_scheme(scheme, f, -0.5, MemoryPolicy("truncated", 0.1))
+        apply_scheme(scheme, f, -0.5, window=0.1)
 
 
-def test_memory_policy_validation():
-    with pytest.raises(ValueError):
-        MemoryPolicy("sometimes")
-    with pytest.raises(ValueError):
-        MemoryPolicy("truncated", -1.0)
+def test_memory_policy_validation(unit_grid):
+    for window in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="grid steps"):
+            apply_scheme("gl", unit_grid, -0.5, window=window)
 
 
 def test_unknown_scheme_rejected(unit_grid):

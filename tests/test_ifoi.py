@@ -255,6 +255,40 @@ def test_picard_cap_trips_on_non_settling_feedback(monkeypatch):
     assert err.value.last_update > 1e-10
 
 
+def _cosh_case(lam):
+    """``u'' = lam u``, ``u(0) = u(1) = 1``, whose solution
+    ``cosh(sqrt(lam)(x - 1/2)) / cosh(sqrt(lam)/2)`` stays below 1 while
+    the IVP values grow like ``exp(sqrt(lam))``."""
+    r = np.sqrt(lam)
+    return CaseSpec(id="cosh", g=np.zeros_like,
+                    k=lambda x: np.full_like(x, lam),
+                    left_bc=dirichlet(1.0), right_bc=dirichlet(1.0),
+                    default_scheme="abm",
+                    default_partition=make_alpha_partition("regular", 10),
+                    oracle=lambda x: np.cosh(r * (x - 0.5)) / np.cosh(r / 2))
+
+
+@pytest.mark.parametrize("lam,error", [(100.0, 4.90e-4), (300.0, 8.83e-4)])
+def test_relative_picard_stop_solves_a_strong_coupling(lam, error):
+    """At ``lam = 100`` the homogeneous IVP reaches 1.1e4, and FFT rounding
+    holds its Picard update near 9e-10: an absolute ``1e-10`` stop never
+    fires.  The stop relative to ``max|u|`` does, and the BVP is solved to
+    its truncation error."""
+    case = _cosh_case(lam)
+    u, _ = solve_bvp(case, make_ivp_solver(case.default_partition, 400,
+                                           "abm"))
+    assert np.max(np.abs(u.values - case.oracle(u.nodes))) \
+        == pytest.approx(error, rel=0.1)
+
+
+def test_picard_still_diverges_past_the_relative_stop():
+    """At ``lam = 350`` the update of ``u1`` stalls at about 9e-2, above
+    ``1e-10`` of its size, so Picard does not settle."""
+    case = _cosh_case(350.0)
+    with pytest.raises(IfoiDivergenceError, match="did not settle"):
+        solve_bvp(case, make_ivp_solver(case.default_partition, 400, "abm"))
+
+
 def _constant(value):
     return lambda x: np.full_like(x, value)
 
@@ -280,8 +314,8 @@ def test_large_constant_forcing_is_solved_not_guarded(scheme):
 def _constant_forcing_case(value):
     """``u'' = value``, ``u(0) = 0``, ``u(1) = value / 2``: ``value x^2/2``."""
     return CaseSpec(id="constant", g=_constant(value), k=None,
-                    left_bc=dirichlet("left", 0.0),
-                    right_bc=dirichlet("right", value / 2),
+                    left_bc=dirichlet(0.0),
+                    right_bc=dirichlet(value / 2),
                     default_scheme="abm",
                     default_partition=make_alpha_partition("quadratic", 10),
                     oracle=lambda x: value * x**2 / 2)

@@ -32,19 +32,17 @@ def affine_grid(n, end_value, end_slope):
 
 def test_condition_validation():
     with pytest.raises(ValueError):
-        BoundaryCondition("mixed", "left", 0.0)
+        BoundaryCondition("mixed", 0.0)
     with pytest.raises(ValueError):
-        BoundaryCondition("dirichlet", "middle", 0.0)
-    with pytest.raises(ValueError):
-        BoundaryCondition("robin", "right", 0.0, robin_weight=np.inf)
+        BoundaryCondition("robin", 0.0, robin_weight=np.inf)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_condition_rejects_non_finite_value(value):
     with pytest.raises(ValueError, match="finite constants"):
-        BoundaryCondition("dirichlet", "left", value)
+        BoundaryCondition("dirichlet", value)
     with pytest.raises(ValueError, match="finite constants"):
-        BoundaryCondition("robin", "right", value, robin_weight=1.0)
+        BoundaryCondition("robin", value, robin_weight=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +90,8 @@ def test_case4_homogeneous_endpoint_via_staged_solver():
 
 def test_zero_forcing_zero_left_value_gives_zero_particular():
     case = CaseSpec(id="null", g=lambda x: 0.0 * x, k=None,
-                    left_bc=dirichlet("left", 0.0),
-                    right_bc=dirichlet("right", 1.0), default_scheme="gl",
+                    left_bc=dirichlet(0.0),
+                    right_bc=dirichlet(1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x)
     pair = decompose(case, classical_solver())
@@ -102,8 +100,8 @@ def test_zero_forcing_zero_left_value_gives_zero_particular():
 
 def test_decompose_needs_dirichlet_left():
     case = CaseSpec(id="bad", g=lambda x: 0.0 * x, k=None,
-                    left_bc=robin("left", 1.0, 0.0),
-                    right_bc=dirichlet("right", 1.0), default_scheme="gl",
+                    left_bc=robin(1.0, 0.0),
+                    right_bc=dirichlet(1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x)
     with pytest.raises(ValueError):
@@ -117,7 +115,7 @@ def test_decompose_needs_dirichlet_left():
 def test_dirichlet_coefficient_arithmetic():
     pair = ShootingPair(affine_grid(50, 0.3, 0.0),
                         affine_grid(50, 1.0, 1.0))
-    c = match_coefficient(pair, dirichlet("right", -2.0), pair.u1.h)
+    c = match_coefficient(pair, dirichlet(-2.0), pair.u1.h)
     assert c == pytest.approx(-2.3, abs=1e-12)
 
 
@@ -125,14 +123,14 @@ def test_robin_coefficient_formula_instantiation():
     p, q = 0.37, -1.8
     pair = ShootingPair(affine_grid(64, p, q),
                         GridFunction(1.0 / 64, np.arange(65) / 64))
-    c = match_coefficient(pair, robin("right", 200.0, 0.1), pair.u1.h)
+    c = match_coefficient(pair, robin(200.0, 0.1), pair.u1.h)
     assert c == pytest.approx((0.1 - q - 200.0 * p) / 201.0, abs=1e-12)
 
 
 def test_null_correction_when_particular_already_matches():
     pair = ShootingPair(affine_grid(50, -2.0, 0.0),
                         affine_grid(50, 1.0, 1.0))
-    assert match_coefficient(pair, dirichlet("right", -2.0),
+    assert match_coefficient(pair, dirichlet(-2.0),
                              pair.u1.h) == 0.0
 
 
@@ -140,7 +138,7 @@ def test_singular_combination_detected():
     pair = ShootingPair(affine_grid(50, 0.5, 0.0),
                         affine_grid(50, 0.0, 0.0))
     with pytest.raises(SingularShootingError):
-        match_coefficient(pair, dirichlet("right", 1.0), pair.u1.h)
+        match_coefficient(pair, dirichlet(1.0), pair.u1.h)
 
 
 # ---------------------------------------------------------------------------
