@@ -47,7 +47,7 @@ class CaseSpec:
     """One benchmark problem plus everything needed to score a solve."""
 
     id: str
-    g: Callable[[np.ndarray], np.ndarray]
+    g: Optional[Callable[[np.ndarray], np.ndarray]]
     k: Optional[Callable[[np.ndarray], np.ndarray]]
     left_bc: BoundaryCondition
     right_bc: BoundaryCondition

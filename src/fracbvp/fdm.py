@@ -106,7 +106,7 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
     """
     h = 1.0 / n
     x = np.arange(n + 1) * h
-    g = np.broadcast_to(np.asarray(case.g(x), dtype=float), x.shape)
+    g = IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)  # None reads as 0
     if case.k is None:
         def summed(problem: IvpProblem) -> GridFunction:
             out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
@@ -201,6 +201,8 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,
                     max_iter: int) -> tuple[np.ndarray, list[float]]:
+    if case.left_bc.kind != "dirichlet":
+        raise ValueError("decomposition requires a Dirichlet left condition")
     h = 1.0 / n
     x = np.arange(n + 1) * h
     a = case.left_bc.value
@@ -256,6 +258,7 @@ def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,
     Jacobian ``k``, so it takes two steps, the second confirming the first
     (three near ``n = 10^5``, where the sweep's rounding passes ``tol``).
 
+    :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
     :raises NewtonConvergenceError: carrying the last residual norm when
         ``max_iter`` steps do not settle.
     """

@@ -5,10 +5,9 @@ fractional integrations whose orders follow an :class:`AlphaPartition`
 schedule; the semigroup law of the fractional integral makes the composition
 converge to the plain double integral as the grid refines.  A solve applies
 the whole schedule as one convolution, a :class:`ComposedOperator` of a
-scheme, a schedule and a grid; its sequence does not depend on the grid and
-is composed once per power-of-two length, always with full memory.
-:func:`staged` runs the stages one by one instead, also with full memory,
-for the stage-evolution plot.  A problem is ``u'' = g(x) + k(x) u``;
+scheme, a schedule and a grid, composed once per power-of-two length;
+:func:`staged` runs the stages one by one instead, for the stage-evolution
+plot.  Both keep full memory.  A problem is ``u'' = g(x) + k(x) u``;
 a coupling ``k`` is handled by an outer Picard iteration around the composed
 operator, and only its iterates are held to the divergence guard.
 """
@@ -182,15 +181,19 @@ def _composed_sequence(scheme: str, partition: AlphaPartition, length: int,
     ``n + 1 <= length`` reads its operator off a prefix.
 
     Each stage output is 0 at node 0, so the column-0 term of a later stage
-    never acts and the composition is ``k = P * k_1``, ``v = P * v_1`` with
-    ``P = k_m * ... * k_2``.  ``P`` is accumulated stage by stage, in
-    schedule order, as a spectrum; each stage's kernel is built by its own
-    :func:`~fracbvp.fracops.stage_kernels` call, so the build holds one
-    stage's kernel at a time.  Every product is truncated to ``length``
-    terms before the next: the spectra of all stages multiplied at once
-    would alias the tail of the full-length product.  GL weights are the
-    coefficients of ``(1 - z)**-mu``, so the GL stages compose in closed
-    form and need no products at all.
+    never acts and the kernel is ``k = P * k_1`` with ``P = k_m * ... * k_2``
+    accumulated in schedule order, one :func:`~fracbvp.fracops.stage_kernels`
+    call and one stage kernel held at a time.  Every product is truncated
+    to ``length`` terms before the next: the spectra of all stages
+    multiplied at once would alias the tail of the full-length product.
+    GL weights are the coefficients of ``(1 - z)**-mu``, so GL stages
+    compose in closed form.
+
+    The column is read off ``k``.  A ``rect`` stage, and a lone ``gl`` one,
+    has none past node 0, so ``v = 0``.  For ``abm``,
+    ``v = j**2/2 - cumsum(k)`` makes ``K 1 = x**2/2``: the composed operator
+    is exact on constants and second order for every forcing, while
+    :func:`staged` converges at order ``1 + mu_1`` when ``f(0) != 0``.
     """
     orders = partition.stage_orders
     if len(orders) > 1 and scheme == "gl":
@@ -199,23 +202,20 @@ def _composed_sequence(scheme: str, partition: AlphaPartition, length: int,
                                     partition.cumulative[1] - TOTAL_ORDER),
                              length - 1, 1.0)[0]
         return _frozen(k), _frozen(-p)
-    if len(orders) == 1:
-        kernels, col0s = stage_kernels(scheme, orders, length - 1, 1.0)
-        return _frozen(kernels[0]), _frozen(col0s[0])
     size = 2 * length  # a product of two length-term series fits
-    first = rest = None  # the spectra of k_1 and of P
-    for alpha in orders:
-        (kernel,), (col0,) = stage_kernels(scheme, (alpha,), length - 1, 1.0)
-        spectrum = np.fft.rfft(kernel, size)
-        if first is None:
-            first, v = spectrum, col0
-        elif rest is None:
-            rest = spectrum
-        else:
-            rest = np.fft.rfft(
-                np.fft.irfft(rest * spectrum, size)[:length], size)
-    return (_frozen(np.fft.irfft(rest * first, size)[:length]),
-            _frozen(np.fft.irfft(rest * np.fft.rfft(v, size), size)[:length]))
+    k = None
+    for alpha in orders[1:] + orders[:1]:
+        (kernel,), _ = stage_kernels(scheme, (alpha,), length - 1, 1.0)
+        k = kernel if k is None else np.fft.irfft(
+            np.fft.rfft(k, size) * np.fft.rfft(kernel, size), size)[:length]
+    v = np.zeros(length)
+    if scheme == "abm":
+        # blocks of ~sqrt(length) terms: a plain cumsum rounds up to 200x worse
+        width = 1 << (length.bit_length() // 2)
+        sums = np.cumsum(k.reshape(-1, width), axis=1)
+        sums[1:] += np.cumsum(sums[:-1, -1])[:, None]
+        v = np.arange(length, dtype=float) ** 2 / 2.0 - sums.ravel()
+    return _frozen(k), _frozen(v)
 
 
 @dataclass(frozen=True)
@@ -224,16 +224,15 @@ class ComposedOperator:
 
     Its fields are all the settings of an IVP solve: the scheme, the
     schedule and the grid of ``n + 1`` nodes on [0, 1].  It always keeps
-    full memory: its FFT apply costs the same whatever the window, so only
-    ``apply_scheme`` and ``stage_kernels`` take a ``window``.  ``k`` and
-    ``v`` are ``h**2`` times the first ``n + 1`` terms of the grid-free
-    sequence of :func:`_composed_sequence`, which is composed once per
-    scheme, schedule and length class (the smallest power of two
-    ``>= n + 1``) and kept by the process, up to ``COMPOSED_CACHE_SIZE`` of
-    them.  The first solve of a length class pays the composition; later
-    ones, in this solver or any other, only slice it and take one FFT.
-    Since the class is a function of ``n`` alone, a grid's values never
-    depend on which grids ran before it.
+    full memory, since its FFT apply costs the same whatever the window.
+    ``k`` and ``v`` are ``h**2`` times the first ``n + 1`` terms of the
+    grid-free sequence of :func:`_composed_sequence`, composed once per
+    scheme, schedule and :func:`_length_class` and kept by the process, up
+    to ``COMPOSED_CACHE_SIZE`` of them: later solves of a class, in any
+    solver, only slice it and take one FFT, and a grid's values never
+    depend on which grids ran before it.  For ``abm`` it is exact on
+    constants and the stage snapshots of :func:`staged` are not; the two
+    agree when ``f(0) = 0``, as in cases 3 and 4.
 
     :raises ValueError: if ``n < 8``, or if ``scheme`` is ``rect`` and
         ``n`` is below the stage count ``m``: every ``rect`` stage is
@@ -275,9 +274,9 @@ def staged(f: GridFunction, partition: AlphaPartition,
     """The partial integrals of ``f`` after each stage of ``partition``, by
     one direct convolution per stage, in ``O(m n^2)``, with full memory;
     the last one is the :class:`ComposedOperator` applied to ``f``, to
-    rounding.  The kernels of all ``m`` stages are built in one
-    :func:`~fracbvp.fracops.stage_kernels` call and applied in schedule
-    order."""
+    rounding, unless the scheme is ``abm`` and ``f(0) != 0`` (that operator
+    is exact on constants, these snapshots are not).  All ``m`` kernels
+    come from one :func:`~fracbvp.fracops.stage_kernels` call."""
     kernels, col0s = stage_kernels(scheme, partition.stage_orders, f.n, f.h)
     out = []
     for kernel, col0 in zip(kernels, col0s):
@@ -317,9 +316,7 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
     h = 1.0 / n
     x = np.arange(n + 1) * h
     ic = problem.u0 + problem.s0 * x
-    g = np.zeros(n + 1)
-    if problem.g is not None:
-        g += problem.g(x)
+    g = IvpProblem(problem.g, None, 0.0, 0.0).rhs(x, None)
     k = None if problem.k is None else problem.k(x)
 
     u = ic

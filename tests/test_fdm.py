@@ -198,6 +198,17 @@ def test_singular_at_the_discrete_dirichlet_eigenvalue(n):
         assert u[0] == 1.0 and u[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_absent_forcing_reads_as_zero():
+    # u'' = -u, u(0) = u(1) = 1, with g = None: both methods solve it near
+    # cos x + B sin x, measured 8.1e-6 (fdm) and 5.0e-5 (ifoi, abm)
+    b = (1.0 - np.cos(1.0)) / np.sin(1.0)
+    case = replace(synthetic_case(None, dirichlet(1.0), dirichlet(1.0),
+                                  k=lambda x: -np.ones_like(x)),
+                   oracle=lambda x: np.cos(x) + b * np.sin(x))
+    assert sup_error(fdm_linear(case, 40), case) <= 1e-5
+    assert sup_error(_shoot(case, "ifoi", 40), case) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # Newton solver
 # ---------------------------------------------------------------------------
@@ -249,6 +260,14 @@ def test_newton_case4_against_classical_shooting_oracle():
     c = (case.right_bc.value - v[-1]) / w[-1]
     reference = v + c * w
     assert np.max(np.abs(sol.values - reference)) <= 1e-4
+
+
+def test_newton_refuses_a_robin_left_end():
+    # its first row would read the condition as u(0) = value
+    case = synthetic_case(np.ones_like, robin(1.0, 1.0), dirichlet(1.0))
+    with pytest.raises(ValueError,
+                       match="requires a Dirichlet left condition"):
+        fdm_newton(case, 40)
 
 
 def test_newton_reports_non_convergence():

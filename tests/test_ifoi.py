@@ -268,12 +268,14 @@ def _cosh_case(lam):
                     oracle=lambda x: np.cosh(r * (x - 0.5)) / np.cosh(r / 2))
 
 
-@pytest.mark.parametrize("lam,error", [(100.0, 4.90e-4), (300.0, 8.83e-4)])
+@pytest.mark.parametrize("lam,error", [(100.0, 6.89e-5), (300.0, 1.82e-4)])
 def test_relative_picard_stop_solves_a_strong_coupling(lam, error):
     """At ``lam = 100`` the homogeneous IVP reaches 1.1e4, and FFT rounding
     holds its Picard update near 9e-10: an absolute ``1e-10`` stop never
     fires.  The stop relative to ``max|u|`` does, and the BVP is solved to
-    its truncation error."""
+    its truncation error.  At ``lam = 300`` the error is set by rounding
+    instead: the last bits of the ``abm`` column move it between 1.8e-4
+    and 9.2e-4."""
     case = _cosh_case(lam)
     u, _ = solve_bvp(case, make_ivp_solver(case.default_partition, 400,
                                            "abm"))
@@ -297,7 +299,9 @@ def _constant(value):
 def test_large_constant_forcing_is_solved_not_guarded(scheme):
     """``u'' = 1e8`` peaks at ``5e7``, under the ``1e8`` guard, and has no
     iteration that could diverge, so it is solved; linearity makes its
-    error ``1e8`` times the scheme's own error on ``u'' = 1``."""
+    error ``1e8`` times the scheme's own error on ``u'' = 1``.  The
+    composed ``abm`` operator is exact on constants, so both of its errors
+    are rounding: measured 3 and 6 ulp of the solution's peak."""
     operator = ComposedOperator(scheme, make_alpha_partition("quadratic", 10),
                                 100)
     errors = []
@@ -308,7 +312,11 @@ def test_large_constant_forcing_is_solved_not_guarded(scheme):
         assert trace.picard_iterations == 0
         errors.append(np.max(np.abs(solution.values
                                     - value * solution.nodes**2 / 2)))
-    assert errors[1] <= 1e8 * errors[0] * (1.0 + 1e-9)
+    if scheme == "abm":
+        assert errors[0] <= 8 * np.spacing(0.5)
+        assert errors[1] <= 8 * np.spacing(0.5e8)
+    else:
+        assert errors[1] <= 1e8 * errors[0] * (1.0 + 1e-9)
 
 
 def _constant_forcing_case(value):
@@ -403,7 +411,14 @@ COMPOSED_ROWS = [
     for scheme, p in COMPOSED_ROWS])
 def test_composed_operator_matches_staged_composition(n, scheme, partition):
     values = np.random.default_rng(n).normal(size=n + 1)
-    reference = _staged(values, partition, scheme, n)
+    if scheme == "abm":
+        # the composed abm operator is exact on constants and its stages are
+        # not, so the two agree on data that vanishes at node 0
+        x = np.arange(n + 1) / n
+        reference = (_staged(values - values[0], partition, scheme, n)
+                     + values[0] * x**2 / 2)
+    else:
+        reference = _staged(values, partition, scheme, n)
     composed = ComposedOperator(scheme, partition, n).apply(values)
     assert composed[0] == 0.0
     gap = np.max(np.abs(composed - reference))
