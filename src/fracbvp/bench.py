@@ -197,9 +197,8 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
     forcing = IvpProblem(case.g, case.k, u_ref[0], 0.0).rhs(x, u_ref)
     params = ifoi.params
     partition = make_alpha_partition(params["spacing"], params["m"])
-    stages = staged(GridFunction(1.0 / params["n"],
-                                 ifoi.extra["trace"].forcing),
-                    partition, params["scheme"])
+    stages = staged(GridFunction(ifoi.extra["trace"].forcing), partition,
+                    params["scheme"])
     stage_series = [
         Series(f"order {order:.2f}", gf.nodes,
                case.left_bc.value + gf.values,

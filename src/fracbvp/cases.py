@@ -30,12 +30,10 @@ SQRT10 = math.sqrt(10.0)
 SQRT10PI = math.sqrt(10.0 * math.pi)
 OMEGA = 200.0
 
-CASE1_CONSTANTS = {"a": -3.0, "b": -2.0}
-CASE2_CONSTANTS = {"a": 5.0, "b": 200.0, "c": 0.1}
-# The Robin weight mirrors case 2; see the package notes on why the weight
-# is the one constant the benchmark errors are sensitive to.
+# The defaults of make_case3.  The Robin weight mirrors case 2; see the
+# package notes on why the weight is the one constant the benchmark errors
+# are sensitive to.
 CASE3_CONSTANTS = {"a": 0.0, "b": 200.0, "c": 0.0}
-CASE4_CONSTANTS = {"a": 3.0, "b": -2.0}
 # Largest magnitude of the case-3 constants and of the solution's slope.
 # Finite-difference rows scale the solution by 1/h**2, so a larger solution
 # can overflow inside the solvers; this leaves room for any grid in memory.
@@ -194,9 +192,9 @@ def oscillatory_second_integral(x):
 # case 4: the power-series reference
 # ---------------------------------------------------------------------------
 
-def _case4_oracle():
+def _case4_oracle(left_bc: BoundaryCondition, right_bc: BoundaryCondition):
     """``u = 5 + A(x^3) + x B(x^3)``, with the rows of ``A`` and ``B``
-    computed once.
+    computed once, for Dirichlet values at both ends.
 
     ``u = 5 + w`` turns ``u'' = 2x(5 - u)`` into ``w'' = -2x w``, whose
     power series obey ``c_{k+3} = -2 c_k / ((k+2)(k+3))``; ten terms leave a
@@ -206,7 +204,7 @@ def _case4_oracle():
     k = 3.0 * np.arange(9)  # nine ratios, ten terms per row
     even = np.cumprod(np.r_[1.0, -2.0 / ((k + 2) * (k + 3))])
     odd = np.cumprod(np.r_[1.0, -2.0 / ((k + 3) * (k + 4))])
-    w0, w1 = CASE4_CONSTANTS["a"] - 5.0, CASE4_CONSTANTS["b"] - 5.0
+    w0, w1 = left_bc.value - 5.0, right_bc.value - 5.0
     even, odd = w0 * even, (w1 - w0 * even.sum()) / odd.sum() * odd
 
     def oracle(x):
@@ -226,25 +224,23 @@ def _case4_oracle():
 # the registry
 # ---------------------------------------------------------------------------
 
-def _line_plus(a: float, slope: float, particular):
+def _closed_form(left_bc: BoundaryCondition, right_bc: BoundaryCondition,
+                 first, second):
+    """The slope ``s`` and oracle ``a + s x + second(x)`` of ``u'' = g``,
+    ``u(0) = a``; ``first`` and ``second`` integrate ``g`` once and twice
+    from 0, and ``s`` meets the right condition."""
+    a, b, w = left_bc.value, right_bc.value, right_bc.robin_weight
+    s1, s2 = float(first(1.0)), float(second(1.0))
+    slope = (b - a - s2 if right_bc.kind == "dirichlet"
+             else (b - s1 - w * (a + s2)) / (1.0 + w))
+
     def oracle(x):
-        x = np.asarray(x, dtype=float)
-        bend = particular(x)
+        bend = second(x)
         out = slope * x
         out += a
         out += bend
         return out
-    return oracle
-
-
-def _affine_coeff_dirichlet(a: float, b: float, particular) -> float:
-    return b - a - float(particular(1.0))
-
-
-def _affine_coeff_robin(a: float, weight: float, value: float,
-                        first, second) -> float:
-    return (value - float(first(1.0)) - weight * (a + float(second(1.0)))) \
-        / (1.0 + weight)
+    return slope, oracle
 
 
 def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
@@ -264,8 +260,8 @@ def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
             "case 3 is resonant at b = -1: every line u = s*x meets "
             "u'(1) - u(1) = 0, so the Robin condition fixes no solution")
     left_bc, right_bc = dirichlet(a), robin(b, c)
-    slope = _affine_coeff_robin(a, b, c, oscillatory_first_integral,
-                                oscillatory_second_integral)
+    slope, oracle = _closed_form(left_bc, right_bc, oscillatory_first_integral,
+                                 oscillatory_second_integral)
     if not max(abs(a), abs(c), abs(b * a), abs(slope)) <= CASE3_MAX_SCALE:
         raise ValueError(
             f"case-3 constants a={a!r}, b={b!r}, c={c!r} are out of range: "
@@ -279,58 +275,55 @@ def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
         right_bc=right_bc,
         default_scheme="abm",
         default_partition=make_alpha_partition("quadratic", 10),
-        oracle=_line_plus(a, slope, oscillatory_second_integral),
+        oracle=oracle,
         default_n=40,
     )
 
 
 def _build_registry() -> dict[str, CaseSpec]:
-    a1, b1 = CASE1_CONSTANTS["a"], CASE1_CONSTANTS["b"]
+    gauss = gauss_first_integral, gauss_second_integral
+    left1, right1 = dirichlet(-3.0), dirichlet(-2.0)
     case1 = CaseSpec(
         id="case1",
         g=gauss_forcing,
         k=None,
-        left_bc=dirichlet(a1),
-        right_bc=dirichlet(b1),
+        left_bc=left1,
+        right_bc=right1,
         default_scheme="gl",
         default_partition=make_alpha_partition("regular", 10),
-        oracle=_line_plus(a1, _affine_coeff_dirichlet(a1, b1, gauss_second_integral),
-                          gauss_second_integral),
+        oracle=_closed_form(left1, right1, *gauss)[1],
         default_n=100,
     )
 
-    a2, b2, c2 = (CASE2_CONSTANTS["a"], CASE2_CONSTANTS["b"],
-                  CASE2_CONSTANTS["c"])
+    left2, right2 = dirichlet(5.0), robin(200.0, 0.1)
     case2 = CaseSpec(
         id="case2",
         g=gauss_forcing,
         k=None,
-        left_bc=dirichlet(a2),
-        right_bc=robin(b2, c2),
+        left_bc=left2,
+        right_bc=right2,
         default_scheme="rect",
         # five stages, not ten: the first-order rectangle rule accumulates
         # error linearly in the stage count, and five keeps the benchmark
         # error at the documented magnitude
         default_partition=make_alpha_partition("regular", 5),
-        oracle=_line_plus(a2, _affine_coeff_robin(a2, b2, c2, gauss_first_integral,
-                                                  gauss_second_integral),
-                          gauss_second_integral),
+        oracle=_closed_form(left2, right2, *gauss)[1],
         default_n=100,
     )
 
     case3 = make_case3()
 
-    a4, b4 = CASE4_CONSTANTS["a"], CASE4_CONSTANTS["b"]
+    left4, right4 = dirichlet(3.0), dirichlet(-2.0)
     case4 = CaseSpec(
         id="case4",
         # u'' = 2x(5 - u)
         g=lambda x: 10.0 * np.asarray(x, dtype=float),
         k=lambda x: -2.0 * np.asarray(x, dtype=float),
-        left_bc=dirichlet(a4),
-        right_bc=dirichlet(b4),
+        left_bc=left4,
+        right_bc=right4,
         default_scheme="abm",
         default_partition=make_alpha_partition("regular", 10),
-        oracle=_case4_oracle(),
+        oracle=_case4_oracle(left4, right4),
         default_n=50,
     )
     return {c.id: c for c in (case1, case2, case3, case4)}

@@ -21,13 +21,16 @@ from pathlib import Path
 
 from .bench import RunConfig, run, sweep, table1
 
-_CONFIG_KEYS = {"case", "method", "n", "m", "alpha_spacing", "scheme",
-                "repeats", "out", "n_list"}
-
 
 def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
     """The entries of a ``key=value`` file as ``--key=value`` flags, so that
-    the parser checks their values as it checks the command line's."""
+    the parser checks their values as it checks the command line's.  A key
+    is any flag of a subcommand that takes a value, but ``--config``."""
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    keys = {flag[2:].replace("-", "_") for sub in commands.values()
+            for flag, action in sub._option_string_actions.items()
+            if action.nargs != 0 and action.dest != "config"}
     flags = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -37,7 +40,7 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
             parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             parser.error(f"{path}:{lineno}: unknown key {key!r}")
         flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     return flags

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, nodes
 from .ifoi import DIVERGENCE_GUARD, IfoiDivergenceError, IvpProblem
 from .shooting import IvpSolver, solve_bvp
 
@@ -102,22 +102,30 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
 
     The solver raises :class:`IfoiDivergenceError` when a marched value
     passes ``1e8`` or a summed one overflows; only the march can diverge,
-    so only it is held to the guard.
+    so only it is held to the guard.  Any forcing but ``case.g`` or
+    ``None`` (zero), or coupling but ``case.k``, is a ``ValueError``.
     """
     h = 1.0 / n
-    x = np.arange(n + 1) * h
+    x = nodes(n)
     g = IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)  # None reads as 0
+
+    def check(problem: IvpProblem) -> None:
+        if problem.g not in (None, case.g) or problem.k is not case.k:
+            raise ValueError("an IVP of another forcing or coupling")
+
     if case.k is None:
         def summed(problem: IvpProblem) -> GridFunction:
+            check(problem)
             out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
-            np.cumsum(g[1:n], out=out[2:])
-            np.cumsum(out[2:], out=out[2:])
-            out *= h * h
+            if problem.g is not None:
+                np.cumsum(g[1:n], out=out[2:])
+                np.cumsum(out[2:], out=out[2:])
+                out *= h * h
             out += problem.u0 + problem.s0 * x
             # a cumulative sum that overflows anywhere ends non-finite
             if not math.isfinite(out[-1]):
                 raise IfoiDivergenceError("the sum overflowed", 0, math.inf)
-            return GridFunction(h, out)
+            return GridFunction(out)
         return summed
 
     steps = n - 1
@@ -154,6 +162,7 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
     def joined(problem: IvpProblem) -> GridFunction:
         # a block entered at (U, D) = (a, b) exits at a times the exit of
         # row phi, plus b times that of psi, plus that of p if forced
+        check(problem)
         forced = problem.g is not None
         a, b = problem.u0 + problem.s0 * h, problem.s0 * h
         entries = []
@@ -175,7 +184,7 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
         if not peak < DIVERGENCE_GUARD:
             raise IfoiDivergenceError(
                 "the march exceeded the divergence guard", 0, peak)
-        return GridFunction(h, out)
+        return GridFunction(out)
     return joined
 
 
@@ -204,7 +213,7 @@ def _newton_iterate(case: "CaseSpec", n: int, tol: float,
     if case.left_bc.kind != "dirichlet":
         raise ValueError("decomposition requires a Dirichlet left condition")
     h = 1.0 / n
-    x = np.arange(n + 1) * h
+    x = nodes(n)
     a = case.left_bc.value
     right = case.right_bc
     b_guess = right.value if right.kind == "dirichlet" else a
@@ -265,4 +274,4 @@ def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,
     if n < 4:
         raise ValueError("need at least 4 intervals")
     U, _ = _newton_iterate(case, n, tol, max_iter)
-    return GridFunction(1.0 / n, U)
+    return GridFunction(U)

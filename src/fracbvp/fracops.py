@@ -12,11 +12,11 @@ scheme name:
 
 All three are linear in the input and return 0 at the left node, the value
 the integral from 0 to 0 forces.  Each is one matrix of a common form,
-built by :func:`stage_kernels` for several orders in one vectorized call;
-:func:`apply_scheme` applies one stage to a
-:class:`~fracbvp.grid.GridFunction` by direct convolution.  Both take a
-``window``, the history a ``gl`` stage keeps, in units of ``x``; the
-default ``math.inf`` keeps full memory.
+built by :func:`stage_kernels` for several orders at a step ``h`` in one
+vectorized call; :func:`apply_scheme` applies one stage to a
+:class:`~fracbvp.grid.GridFunction`, at its step ``1/n``, by direct
+convolution.  Both take a ``window``, the history a ``gl`` stage keeps, in
+units of ``x``; the default ``math.inf`` keeps full memory.
 """
 
 from __future__ import annotations
@@ -232,4 +232,4 @@ def apply_pair(kernel: np.ndarray, col0: np.ndarray,
     applied to ``f`` by direct convolution."""
     out = np.convolve(kernel, f.values)[: f.n + 1] + col0 * f.values[0]
     out[0] = 0.0
-    return f.with_values(out)
+    return GridFunction(out)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fracops import apply_pair, apply_scheme, stage_kernels
-from .grid import GridFunction, sup_distance
+from .grid import GridFunction, nodes, sup_distance
 
 TOTAL_ORDER = 2.0
 PICARD_TOL = 1e-10
@@ -312,9 +312,7 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
         overflows, or a Picard iterate passes ``1e8`` or fails to settle
         within 200 iterations.
     """
-    n = operator.n
-    h = 1.0 / n
-    x = np.arange(n + 1) * h
+    x = nodes(operator.n)
     ic = problem.u0 + problem.s0 * x
     g = IvpProblem(problem.g, None, 0.0, 0.0).rhs(x, None)
     k = None if problem.k is None else problem.k(x)
@@ -347,7 +345,7 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
             f"Picard did not settle in {PICARD_MAX_ITER} iterations",
             PICARD_MAX_ITER, update)
 
-    return GridFunction(h, u), IfoiTrace(iterations, forcing)
+    return GridFunction(u), IfoiTrace(iterations, forcing)
 
 
 def make_ivp_solver(partition: AlphaPartition, n: int, scheme: str,

@@ -50,6 +50,8 @@ class BoundaryCondition:
             raise ValueError(f"unknown condition kind {self.kind!r}")
         if not (np.isfinite(self.value) and np.isfinite(self.robin_weight)):
             raise ValueError(f"{self.kind} condition needs finite constants")
+        if self.kind == "dirichlet" and self.robin_weight != 0.0:
+            raise ValueError("a Dirichlet condition takes no Robin weight")
 
 
 def dirichlet(value: float) -> BoundaryCondition:
@@ -86,7 +88,7 @@ def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
         raise ValueError("decomposition requires a Dirichlet left condition")
     u1 = solver(IvpProblem(case.g, case.k, case.left_bc.value, 0.0))
     if case.k is None:
-        return ShootingPair(u1, u1.with_values(u1.nodes))
+        return ShootingPair(u1, GridFunction(u1.nodes))
     return ShootingPair(u1, solver(IvpProblem(None, case.k, 0.0, 1.0)))
 
 
@@ -95,13 +97,13 @@ def _end_slope(values: np.ndarray, h: float) -> float:
     return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
 
 
-def match_coefficient(pair: ShootingPair, right_bc: BoundaryCondition,
-                      h: float) -> float:
+def match_coefficient(pair: ShootingPair,
+                      right_bc: BoundaryCondition) -> float:
     """Coefficient that makes ``u1 + c*u2`` satisfy the right condition.
 
     Dirichlet: ``c = (b - u1(1)) / u2(1)``.  Robin ``u'(1) + B u(1) = C``:
     ``c = (C - d1 - B u1(1)) / (d2 + B u2(1))`` with ``d_i`` the backward
-    difference end slopes at step ``h``.
+    difference end slopes at the pair's step ``h = 1/n``.
 
     :raises SingularShootingError: when the denominator magnitude falls
         below ``1e-12``.
@@ -112,8 +114,8 @@ def match_coefficient(pair: ShootingPair, right_bc: BoundaryCondition,
         denom = u2[-1]
     else:
         B = right_bc.robin_weight
-        numer = right_bc.value - _end_slope(u1, h) - B * u1[-1]
-        denom = _end_slope(u2, h) + B * u2[-1]
+        numer = right_bc.value - _end_slope(u1, pair.u1.h) - B * u1[-1]
+        denom = _end_slope(u2, pair.u1.h) + B * u2[-1]
     if abs(denom) < SINGULAR_TOL:
         raise SingularShootingError(
             f"combination denominator {denom:.3e} is numerically zero")
@@ -122,11 +124,11 @@ def match_coefficient(pair: ShootingPair, right_bc: BoundaryCondition,
 
 def combine(pair: ShootingPair, c: float) -> GridFunction:
     """Pointwise ``u1 + c * u2``."""
-    return pair.u1.with_values(pair.u1.values + c * pair.u2.values)
+    return GridFunction(pair.u1.values + c * pair.u2.values)
 
 
 def solve_bvp(case: "CaseSpec", solver: IvpSolver) -> tuple[GridFunction, float]:
     """Full shooting pipeline; returns the solution and the coefficient."""
     pair = decompose(case, solver)
-    c = match_coefficient(pair, case.right_bc, pair.u1.h)
+    c = match_coefficient(pair, case.right_bc)
     return combine(pair, c), c

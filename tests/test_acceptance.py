@@ -218,7 +218,7 @@ def test_criterion_5c_case4_quadratic_divergence(case4_reports):
     x = np.arange(n + 1) * h
     staged = np.empty((n + 1, n + 1))
     for j, unit in enumerate(np.eye(n + 1)):
-        g = GridFunction(h, unit)
+        g = GridFunction(unit)
         for alpha in partition.stage_orders:
             g = apply_scheme("abm", g, alpha)
         staged[:, j] = g.values

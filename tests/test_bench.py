@@ -397,6 +397,29 @@ def test_cli_flags_override_config_file(tmp_path):
     assert int(read_results_csv(tmp_path / "results.csv")[0]["n"]) == 64
 
 
+@pytest.mark.parametrize("key", ["case3_a", "case3_b", "case3_c"])
+def test_cli_config_file_takes_every_flag_with_a_value(tmp_path, key):
+    # a config entry is read as the flag of the same name
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"{key}=5\n", encoding="utf-8")
+    common = ["run", "--case", "3", "--method", "fdm", "--n", "40"]
+    flag = f"--{key.replace('_', '-')}=5"
+    assert cli.main(common + [flag, "--out", str(by_flag)]) == 0
+    assert cli.main(common + ["--config", str(cfg),
+                              "--out", str(by_file)]) == 0
+    rows = [read_results_csv(d / "results.csv")[0] for d in (by_flag, by_file)]
+    assert rows[0]["error"] == rows[1]["error"]
+
+
+def test_cli_config_keys_leave_out_config_and_trace(tmp_path):
+    for key in ("config", "trace"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}=1\n", encoding="utf-8")
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--case", "1", "--config", str(cfg)])
+
+
 def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("turbo=yes\n", encoding="utf-8")

@@ -315,15 +315,15 @@ def test_sup_error_zero_for_sampled_oracle():
 def test_sup_error_sees_constant_offset():
     case = get_case(1)
     g = GridFunction.sample(case.oracle, 100)
-    shifted = g.with_values(g.values + 1e-3)
+    shifted = GridFunction(g.values + 1e-3)
     assert sup_error(shifted, case) == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_sup_error_triangle_inequality():
     case = get_case(1)
     rng = np.random.default_rng(5)
-    f = GridFunction(0.01, rng.normal(size=101))
-    g = GridFunction(0.01, rng.normal(size=101))
+    f = GridFunction(rng.normal(size=101))
+    g = GridFunction(rng.normal(size=101))
     assert sup_error(f, case) <= sup_distance(f, g) + sup_error(g, case) + 1e-15
 
 

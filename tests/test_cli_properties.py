@@ -27,7 +27,7 @@ INTS = st.integers(-3, 160)
 CONFIG_JUNK = st.one_of(INTS.map(str), st.text("0123456789-.xe ", max_size=5))
 
 CONFIG_KEYS = ["case", "method", "n", "m", "alpha_spacing", "scheme",
-               "repeats"]
+               "repeats", "case3_a", "case3_b", "case3_c"]
 OPTIONS = st.fixed_dictionaries({"case": st.sampled_from("1234")}, optional={
     "method": st.sampled_from(["fdm", "ifoi", "both"]),
     "n": INTS,
@@ -71,7 +71,7 @@ def test_cli_ends_in_rows_or_a_usage_error(command, options, in_config, junk,
         if io_fault == "out-is-file":
             out.write_text("", encoding="utf-8")
         argv = [command, _flag("out", out)]
-        argv += [_flag(k, v) for k, v in case3.items()]
+        options = {**options, **case3}
         config = {k: v for k, v in options.items() if k in in_config}
         config.update(junk)
         argv += [_flag(k, v) for k, v in options.items() if k not in config]

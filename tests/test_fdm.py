@@ -9,7 +9,7 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
 from fracbvp.cases import CaseSpec
 from fracbvp.fdm import _march_solver, _newton_iterate
 from fracbvp.grid import GridFunction
-from fracbvp.ifoi import IfoiDivergenceError, make_ivp_solver
+from fracbvp.ifoi import IfoiDivergenceError, IvpProblem, make_ivp_solver
 from fracbvp.shooting import (SingularShootingError, decompose, dirichlet,
                               robin, solve_bvp)
 
@@ -111,7 +111,7 @@ def _plain_march(problem, n):
     for i in range(1, n):
         D += h * h * (g[i] + (g1[i] - g[i]) * U[i])
         U.append(U[i] + D)
-    return GridFunction(h, np.array(U))
+    return GridFunction(np.array(U))
 
 
 AFFINE_ROBIN = synthetic_case(
@@ -207,6 +207,28 @@ def test_absent_forcing_reads_as_zero():
                    oracle=lambda x: np.cos(x) + b * np.sin(x))
     assert sup_error(fdm_linear(case, 40), case) <= 1e-5
     assert sup_error(_shoot(case, "ifoi", 40), case) <= 1e-4
+
+
+def test_unforced_march_is_the_initial_line():
+    # the march of a forcing-only case solves an IVP without forcing as
+    # u0 + s0 x, bit for bit, as the staged solver does
+    line = IvpProblem(None, None, 0.0, 1.0)
+    march = _march_solver(get_case(1), 40)(line)
+    staged = make_ivp_solver(make_alpha_partition("regular", 10), 40,
+                             "gl")(line)
+    assert march.values.tobytes() == march.nodes.tobytes()
+    assert staged.values.tobytes() == march.nodes.tobytes()
+
+
+@pytest.mark.parametrize("case_id", ["1", "4"])
+def test_march_refuses_another_forcing_or_coupling(case_id):
+    case = get_case(case_id)
+    solve = _march_solver(case, 40)
+    # a zero function that is not the case's own
+    with pytest.raises(ValueError, match="another forcing"):
+        solve(IvpProblem(np.zeros_like, case.k, 1.0, 0.0))
+    with pytest.raises(ValueError, match="coupling"):
+        solve(IvpProblem(case.g, np.zeros_like, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

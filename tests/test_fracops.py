@@ -99,7 +99,7 @@ def test_rect_ramp_half_order(ramp_grid):
 
 def test_rect_matches_direct_summation_on_arbitrary_data():
     rng = np.random.default_rng(7)
-    f = GridFunction(0.02, rng.normal(size=51))
+    f = GridFunction(rng.normal(size=51))
     for alpha in (-0.3, -1.0, -1.7):
         out = apply_scheme("rect", f, alpha)
         assert out.values[-1] == pytest.approx(
@@ -127,7 +127,7 @@ def test_abm_weights_integrate_the_linear_interpolant():
     integral of the piecewise-linear interpolant; reproduce that integral
     by dense quadrature on the reconstructed interpolant."""
     rng = np.random.default_rng(19)
-    f = GridFunction(0.05, rng.normal(size=21))
+    f = GridFunction(rng.normal(size=21))
     for mu, tol in ((2.0, 1e-9), (1.5, 1e-7)):
         out = apply_scheme("abm", f, -mu)
         t = np.linspace(0.0, 1.0, 2_000_001)
@@ -143,7 +143,7 @@ def test_rect_weights_integrate_the_left_step_interpolant():
     """Same idea for the rectangle rule, whose defining interpolant is the
     left-value step function."""
     rng = np.random.default_rng(23)
-    f = GridFunction(0.05, rng.normal(size=21))
+    f = GridFunction(rng.normal(size=21))
     mu = 1.5
     out = apply_scheme("rect", f, -mu)
     t = np.linspace(0.0, 1.0, 2_000_001)
@@ -257,9 +257,10 @@ def test_left_node_is_zero(scheme, unit_grid):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_operators_are_linear(scheme):
     rng = np.random.default_rng(3)
-    f = GridFunction(0.01, rng.normal(size=101))
-    g = GridFunction(0.01, rng.normal(size=101))
-    both = apply_scheme(scheme, f.with_values(2.0 * f.values - 3.0 * g.values), -0.8)
+    f = GridFunction(rng.normal(size=101))
+    g = GridFunction(rng.normal(size=101))
+    both = apply_scheme(scheme, GridFunction(2.0 * f.values - 3.0 * g.values),
+                        -0.8)
     parts = 2.0 * apply_scheme(scheme, f, -0.8).values \
         - 3.0 * apply_scheme(scheme, g, -0.8).values
     assert np.allclose(both.values, parts, atol=1e-12)

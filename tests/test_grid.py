@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fracbvp import GridFunction, sup_distance
+from fracbvp.grid import nodes
 
 
 def test_sample_covers_unit_interval():
@@ -17,23 +20,30 @@ def test_nodes_are_uniform():
     assert np.allclose(g.nodes, np.arange(9) / 8)
 
 
-def test_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        GridFunction(0.0, np.zeros(5))
-    with pytest.raises(ValueError):
-        GridFunction(-0.1, np.zeros(5))
+@pytest.mark.parametrize("n", [1, 3, 40, 9_973, 100_000])
+def test_step_and_nodes_follow_from_the_sample_count(n):
+    g = GridFunction(np.zeros(n + 1))
+    assert g.n == n
+    assert g.h == 1.0 / n
+    expected = np.arange(n + 1) * (1.0 / n)
+    assert g.nodes.tobytes() == expected.tobytes()
+    assert nodes(n).tobytes() == expected.tobytes()
+
+
+def test_samples_are_the_only_field():
+    assert [f.name for f in dataclasses.fields(GridFunction)] == ["values"]
 
 
 def test_rejects_single_sample():
     with pytest.raises(ValueError):
-        GridFunction(0.1, np.array([1.0]))
+        GridFunction(np.array([1.0]))
 
 
 def test_rejects_nan_and_inf():
     with pytest.raises(ValueError):
-        GridFunction(0.1, np.array([0.0, np.nan, 1.0]))
+        GridFunction(np.array([0.0, np.nan, 1.0]))
     with pytest.raises(ValueError):
-        GridFunction(0.1, np.array([0.0, np.inf, 1.0]))
+        GridFunction(np.array([0.0, np.inf, 1.0]))
 
 
 def test_values_are_read_only():
@@ -47,9 +57,11 @@ def test_sup_distance_requires_matching_grids():
     b = GridFunction.sample(lambda x: x, 20)
     with pytest.raises(ValueError):
         sup_distance(a, b)
+    with pytest.raises(ValueError):
+        sup_distance(GridFunction(np.zeros(11)), GridFunction(np.zeros(12)))
 
 
 def test_sup_distance_value():
     a = GridFunction.sample(lambda x: x, 10)
-    b = a.with_values(a.values + 0.25)
+    b = GridFunction(a.values + 0.25)
     assert sup_distance(a, b) == pytest.approx(0.25)

@@ -169,7 +169,7 @@ def test_trace_orders_and_final_snapshot():
     partition = make_alpha_partition("regular", 10)
     sol, trace = ifoi_solve_ivp(problem,
                                 ComposedOperator("gl", partition, 100))
-    stages = staged(GridFunction(sol.h, trace.forcing), partition, "gl")
+    stages = staged(GridFunction(trace.forcing), partition, "gl")
     assert len(stages) == partition.stage_count
     gap = np.max(np.abs(-3.0 + stages[-1].values - sol.values))
     assert gap <= 1e-12 * np.max(np.abs(sol.values))
@@ -183,7 +183,7 @@ def test_stage_snapshots_smooth_monotonically():
                                                           100))
     forcing = GridFunction.sample(gauss_forcing, 100)
     tvs = [total_variation(g.values) for g in staged(
-        GridFunction(sol.h, trace.forcing), partition, "gl")]
+        GridFunction(trace.forcing), partition, "gl")]
     assert tvs[0] <= total_variation(forcing.values)
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tvs, tvs[1:]))
 
@@ -212,7 +212,7 @@ def test_compose_check_quadratic_abm():
 
 
 def test_compose_check_zero_function():
-    f = GridFunction(0.01, np.zeros(101))
+    f = GridFunction(np.zeros(101))
     assert compose_check(f, make_alpha_partition("regular", 4), "rect") == 0.0
 
 
@@ -376,8 +376,8 @@ def test_no_solve_runs_the_staged_pass(monkeypatch):
 # the composed operator against the staged composition
 # ---------------------------------------------------------------------------
 
-def _staged(values, partition, scheme, n):
-    g = GridFunction(1.0 / n, values)
+def _staged(values, partition, scheme):
+    g = GridFunction(values)
     for alpha in partition.stage_orders:
         g = apply_scheme(scheme, g, alpha)
     return g.values
@@ -415,10 +415,10 @@ def test_composed_operator_matches_staged_composition(n, scheme, partition):
         # the composed abm operator is exact on constants and its stages are
         # not, so the two agree on data that vanishes at node 0
         x = np.arange(n + 1) / n
-        reference = (_staged(values - values[0], partition, scheme, n)
+        reference = (_staged(values - values[0], partition, scheme)
                      + values[0] * x**2 / 2)
     else:
-        reference = _staged(values, partition, scheme, n)
+        reference = _staged(values, partition, scheme)
     composed = ComposedOperator(scheme, partition, n).apply(values)
     assert composed[0] == 0.0
     gap = np.max(np.abs(composed - reference))
@@ -435,17 +435,17 @@ def _staged_reference_solver(partition, n, scheme):
         def one_pass(u):
             rhs = np.broadcast_to(np.asarray(problem.rhs(x, u), dtype=float),
                                   x.shape)
-            return ic + _staged(rhs, partition, scheme, n)
+            return ic + _staged(rhs, partition, scheme)
 
         if problem.k is None:
-            return GridFunction(1.0 / n, one_pass(np.zeros(n + 1)))
+            return GridFunction(one_pass(np.zeros(n + 1)))
         u = np.full(n + 1, float(problem.u0))
         for _ in range(200):
             unew = one_pass(u)
             update = np.max(np.abs(unew - u))
             u = unew
             if update < 1e-10:
-                return GridFunction(1.0 / n, u)
+                return GridFunction(u)
         raise AssertionError("reference Picard did not settle")
 
     return solve

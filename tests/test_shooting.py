@@ -14,7 +14,7 @@ from oracles import rk4_dense, rk4_solve_ivp
 def classical_solver(n=50, substeps=200):
     """RK4-based IVP handle, the reference alternative to the staged solver."""
     def solve(problem):
-        return GridFunction(1.0 / n, rk4_solve_ivp(
+        return GridFunction(rk4_solve_ivp(
             lambda x, u: float(problem.rhs(x, u)), problem.u0, problem.s0,
             n, substeps))
     return solve
@@ -23,7 +23,7 @@ def classical_solver(n=50, substeps=200):
 def affine_grid(n, end_value, end_slope):
     """u(x) = end_value + end_slope * (x - 1) on n+1 nodes."""
     x = np.arange(n + 1) / n
-    return GridFunction(1.0 / n, end_value + end_slope * (x - 1.0))
+    return GridFunction(end_value + end_slope * (x - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +35,13 @@ def test_condition_validation():
         BoundaryCondition("mixed", 0.0)
     with pytest.raises(ValueError):
         BoundaryCondition("robin", 0.0, robin_weight=np.inf)
+
+
+def test_dirichlet_condition_refuses_a_robin_weight():
+    # no code reads the weight of a Dirichlet condition
+    with pytest.raises(ValueError, match="no Robin weight"):
+        BoundaryCondition("dirichlet", 1.0, robin_weight=5.0)
+    assert dirichlet(1.0) == BoundaryCondition("dirichlet", 1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -115,30 +122,29 @@ def test_decompose_needs_dirichlet_left():
 def test_dirichlet_coefficient_arithmetic():
     pair = ShootingPair(affine_grid(50, 0.3, 0.0),
                         affine_grid(50, 1.0, 1.0))
-    c = match_coefficient(pair, dirichlet(-2.0), pair.u1.h)
+    c = match_coefficient(pair, dirichlet(-2.0))
     assert c == pytest.approx(-2.3, abs=1e-12)
 
 
 def test_robin_coefficient_formula_instantiation():
     p, q = 0.37, -1.8
     pair = ShootingPair(affine_grid(64, p, q),
-                        GridFunction(1.0 / 64, np.arange(65) / 64))
-    c = match_coefficient(pair, robin(200.0, 0.1), pair.u1.h)
+                        GridFunction(np.arange(65) / 64))
+    c = match_coefficient(pair, robin(200.0, 0.1))
     assert c == pytest.approx((0.1 - q - 200.0 * p) / 201.0, abs=1e-12)
 
 
 def test_null_correction_when_particular_already_matches():
     pair = ShootingPair(affine_grid(50, -2.0, 0.0),
                         affine_grid(50, 1.0, 1.0))
-    assert match_coefficient(pair, dirichlet(-2.0),
-                             pair.u1.h) == 0.0
+    assert match_coefficient(pair, dirichlet(-2.0)) == 0.0
 
 
 def test_singular_combination_detected():
     pair = ShootingPair(affine_grid(50, 0.5, 0.0),
                         affine_grid(50, 0.0, 0.0))
     with pytest.raises(SingularShootingError):
-        match_coefficient(pair, dirichlet(1.0), pair.u1.h)
+        match_coefficient(pair, dirichlet(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +157,7 @@ def test_combine_zero_coefficient_returns_particular():
 
 
 def test_combine_recovers_homogeneous():
-    zeros = GridFunction(0.05, np.zeros(21))
+    zeros = GridFunction(np.zeros(21))
     pair = ShootingPair(zeros, affine_grid(20, 1.0, 1.0))
     assert np.allclose(combine(pair, 1.0).values, pair.u2.values, atol=0)
 
@@ -192,7 +198,7 @@ def test_combined_error_bounded_by_amplified_ivp_error():
     case = get_case(1)
     solver = make_ivp_solver(make_alpha_partition("regular", 10), 100, "gl")
     pair = decompose(case, solver)
-    c = match_coefficient(pair, case.right_bc, pair.u1.h)
+    c = match_coefficient(pair, case.right_bc)
     u = combine(pair, c)
 
     x = pair.u1.nodes
