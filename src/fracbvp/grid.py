@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,7 @@ class GridFunction:
     ``h = 1/n``.  Instances are immutable and safe to share.
     """
 
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

@@ -32,6 +32,8 @@ def test_step_and_nodes_follow_from_the_sample_count(n):
 
 def test_samples_are_the_only_field():
     assert [f.name for f in dataclasses.fields(GridFunction)] == ["values"]
+    assert repr(GridFunction(np.zeros(3))) \
+        == "GridFunction(values=array([0., 0., 0.]))"
 
 
 def test_rejects_single_sample():
