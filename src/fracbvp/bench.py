@@ -36,7 +36,9 @@ class RunConfig:
 
     Unset numeric fields fall back to the case defaults (grid size, stage
     count, spacing, scheme).  The alpha fields are accepted and ignored for
-    pure FDM runs.
+    pure FDM runs.  ``case3_constants`` holds the keywords of
+    :func:`~fracbvp.cases.make_case3` that are set; the others keep their
+    defaults.
     """
 
     case_id: str
@@ -48,7 +50,7 @@ class RunConfig:
     repeats: int = 1
     output_dir: Union[str, Path] = "."
     emit_trace: bool = False
-    case3_constants: Optional[tuple[float, float, float]] = None
+    case3_constants: Optional[dict[str, float]] = None
 
     def __post_init__(self):
         if self.method not in ("fdm", "ifoi", "both"):
@@ -59,8 +61,8 @@ class RunConfig:
 
 def _resolve_case(config: RunConfig) -> CaseSpec:
     case = get_case(config.case_id)
-    if case.id == "case3" and config.case3_constants is not None:
-        case = make_case3(*config.case3_constants)
+    if case.id == "case3" and config.case3_constants:
+        case = make_case3(**config.case3_constants)
     return case
 
 
@@ -201,7 +203,7 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
                     params["scheme"])
     stage_series = [
         Series(f"order {order:.2f}", gf.nodes,
-               case.left_bc.value + gf.values,
+               case.left_bc.value / case.left_bc.weight + gf.values,
                ramp_color(order / TOTAL_ORDER),
                1.2, in_legend=(i in (0, len(stages) - 1)))
         for i, (order, gf) in enumerate(zip(partition.cumulative[1:],

@@ -30,10 +30,6 @@ SQRT10 = math.sqrt(10.0)
 SQRT10PI = math.sqrt(10.0 * math.pi)
 OMEGA = 200.0
 
-# The defaults of make_case3.  The Robin weight mirrors case 2; see the
-# package notes on why the weight is the one constant the benchmark errors
-# are sensitive to.
-CASE3_CONSTANTS = {"a": 0.0, "b": 200.0, "c": 0.0}
 # Largest magnitude of the case-3 constants and of the solution's slope.
 # Finite-difference rows scale the solution by 1/h**2, so a larger solution
 # can overflow inside the solvers; this leaves room for any grid in memory.
@@ -204,7 +200,7 @@ def _case4_oracle(left_bc: BoundaryCondition, right_bc: BoundaryCondition):
     k = 3.0 * np.arange(9)  # nine ratios, ten terms per row
     even = np.cumprod(np.r_[1.0, -2.0 / ((k + 2) * (k + 3))])
     odd = np.cumprod(np.r_[1.0, -2.0 / ((k + 3) * (k + 4))])
-    w0, w1 = left_bc.value - 5.0, right_bc.value - 5.0
+    w0, w1 = (bc.value / bc.weight - 5.0 for bc in (left_bc, right_bc))
     even, odd = w0 * even, (w1 - w0 * even.sum()) / odd.sum() * odd
 
     def oracle(x):
@@ -228,11 +224,12 @@ def _closed_form(left_bc: BoundaryCondition, right_bc: BoundaryCondition,
                  first, second):
     """The slope ``s`` and oracle ``a + s x + second(x)`` of ``u'' = g``,
     ``u(0) = a``; ``first`` and ``second`` integrate ``g`` once and twice
-    from 0, and ``s`` meets the right condition."""
-    a, b, w = left_bc.value, right_bc.value, right_bc.robin_weight
+    from 0, and ``s`` meets the right condition as the coefficient of
+    ``u2 = x`` in :func:`~fracbvp.shooting.match_coefficient` does."""
+    a = left_bc.value / left_bc.weight
+    p, q, b = right_bc.slope, right_bc.weight, right_bc.value
     s1, s2 = float(first(1.0)), float(second(1.0))
-    slope = (b - a - s2 if right_bc.kind == "dirichlet"
-             else (b - s1 - w * (a + s2)) / (1.0 + w))
+    slope = (b - p * s1 - q * (a + s2)) / (p + q)
 
     def oracle(x):
         bend = second(x)
@@ -243,13 +240,13 @@ def _closed_form(left_bc: BoundaryCondition, right_bc: BoundaryCondition,
     return slope, oracle
 
 
-def make_case3(a: float = CASE3_CONSTANTS["a"], b: float = CASE3_CONSTANTS["b"],
-               c: float = CASE3_CONSTANTS["c"]) -> CaseSpec:
-    """Case 3 with configurable Robin constants.
+def make_case3(a: float = 0.0, b: float = 200.0, c: float = 0.0) -> CaseSpec:
+    """Case 3, ``u(0) = a`` and ``u'(1) + b u(1) = c``, with configurable
+    constants.
 
-    The benchmark ships defaults; the sup-norm errors of both methods depend
-    only on the Robin weight ``b`` among the three, so overriding ``a`` or
-    ``c`` merely shifts the solution.
+    The defaults are the benchmark's, and the Robin weight mirrors case 2's.
+    The sup-norm errors of both methods depend only on ``b`` among the
+    three, so overriding ``a`` or ``c`` merely shifts the solution.
 
     :raises ValueError: for ``b = -1``, where the problem is resonant, for
         non-finite constants, and for constants whose solution is too large

@@ -72,13 +72,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="case-3 Robin right-hand value override")
 
 
-def _case3_constants(args: argparse.Namespace):
-    triple = (args.case3_a, args.case3_b, args.case3_c)
-    if all(v is None for v in triple):
-        return None
-    from .cases import CASE3_CONSTANTS
-    defaults = (CASE3_CONSTANTS["a"], CASE3_CONSTANTS["b"], CASE3_CONSTANTS["c"])
-    return tuple(v if v is not None else d for v, d in zip(triple, defaults))
+def _case3_constants(args: argparse.Namespace) -> dict[str, float]:
+    """The ``--case3-*`` values given, as keywords of ``make_case3``."""
+    given = {key: getattr(args, f"case3_{key}") for key in "abc"}
+    return {key: v for key, v in given.items() if v is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:

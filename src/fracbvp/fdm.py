@@ -6,7 +6,7 @@ right-end condition to :mod:`fracbvp.shooting`; every package case is
 solved this way.  Without coupling the forcing is summed in closed form;
 with it the rows are marched once per solve as a blocked two-level scan,
 shared by both IVPs.  ``fdm_newton`` is an independent reference on the
-same problems: it runs a guarded Thomas sweep per step, and its Robin row
+same problems: it runs a guarded Thomas sweep per step, and its right row
 eliminates the out-of-band node of the one-sided difference through the
 last interior equation, so the system stays tridiagonal.
 """
@@ -135,7 +135,7 @@ def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
     # of one another; 0.15 and 1.0 sqrt(steps) were up to 23% and 28% slower
     width = max(1, math.isqrt(steps // 8))
     blocks = -(-steps // width)
-    # h^2 k and h^2 g by step within a block, kind and block; the last
+    # h^2 k and h^2 g by step within a block, coefficient and block; the last
     # block is padded with zero steps
     coef = np.zeros((width, 2, blocks))
     full, rest = divmod(steps, width)
@@ -192,8 +192,8 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     """Central-difference solve of ``u'' = g(x) + k(x) u`` by shooting.
 
     The ``n - 1`` interior rows are marched as an IVP and the right-end
-    condition, with the second-order one-sided slope under Robin, is matched
-    by shooting, which is exact for this linear equation.  Exact for
+    condition, with the second-order one-sided slope for its ``u'`` term, is
+    matched by shooting, which is exact for this linear equation.  Exact for
     solutions that are polynomials of degree at most two, second-order
     otherwise.
 
@@ -210,14 +210,13 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,
                     max_iter: int) -> tuple[np.ndarray, list[float]]:
-    if case.left_bc.kind != "dirichlet":
+    left, right = case.left_bc, case.right_bc
+    if left.slope != 0.0:
         raise ValueError("decomposition requires a Dirichlet left condition")
     h = 1.0 / n
     x = nodes(n)
-    a = case.left_bc.value
-    right = case.right_bc
-    b_guess = right.value if right.kind == "dirichlet" else a
-    U = a + (b_guess - a) * x
+    a = left.value / left.weight
+    U = a + (right.value - a) * x
     problem = IvpProblem(case.g, case.k, a, 0.0)
     dfu = IvpProblem(None, case.k, a, 0.0).rhs(x, 1.0)  # k, the Jacobian
 
@@ -236,15 +235,10 @@ def _newton_iterate(case: "CaseSpec", n: int, tol: float,
         sub[1:n] = 1.0 / h**2
         diag[1:n] = -2.0 / h**2 - dfu[1:n]
         sup[1:n] = 1.0 / h**2
-        if right.kind == "dirichlet":
-            F[n] = U[n] - right.value
-            diag[n] = 1.0
-        else:
-            B, C = right.robin_weight, right.value
-            F[n] = (U[n] - U[n - 1]) / h + B * U[n] - C \
-                + 0.5 * h * f_nodes[n - 1]
-            sub[n] = -1.0 / h + 0.5 * h * dfu[n - 1]
-            diag[n] = 1.0 / h + B
+        F[n] = right.slope * (U[n] - U[n - 1]) / h + right.weight * U[n] \
+            - right.value + right.slope * 0.5 * h * f_nodes[n - 1]
+        sub[n] = right.slope * (-1.0 / h + 0.5 * h * dfu[n - 1])
+        diag[n] = right.slope / h + right.weight
 
         delta = solve_tridiagonal(TridiagonalSystem(sub, diag, sup, -F))
         U = U + delta
@@ -261,11 +255,11 @@ def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,
                max_iter: int = 50) -> GridFunction:
     """Newton iteration on the central-difference discretization.
 
-    Starts from the straight line between the boundary values (or a flat
-    profile under a Robin right condition) and stops once the sup-norm
-    update drops below ``tol``.  The discrete system is linear, with
-    Jacobian ``k``, so it takes two steps, the second confirming the first
-    (three near ``n = 10^5``, where the sweep's rounding passes ``tol``).
+    Starts from the straight line from the left value to the right
+    condition's ``value`` and stops once the sup-norm update drops below
+    ``tol``.  The discrete system is linear, with Jacobian ``k``, so it
+    takes two steps, the second confirming the first (three near
+    ``n = 10^5``, where the sweep's rounding passes ``tol``).
 
     :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
     :raises NewtonConvergenceError: carrying the last residual norm when

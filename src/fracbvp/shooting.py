@@ -6,6 +6,10 @@ value and zero slope, ``u2`` solves the homogeneous equation ``u'' = k u``
 with zero value and unit slope, and ``c`` is fixed by the right boundary
 condition.  The combination itself is exact linear algebra; all
 discretization error lives in the two IVP solves.
+
+An end condition is the line ``slope * u' + weight * u = value``: Dirichlet
+is ``(0, 1, value)`` and Robin ``(1, weight, value)``, and each reader takes
+the three numbers in one expression.
 """
 
 from __future__ import annotations
@@ -36,30 +40,30 @@ class SingularShootingError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """One end condition, Dirichlet ``u = value`` or Robin
-    ``u' + robin_weight * u = value``.  It names no end: the
-    :class:`~fracbvp.cases.CaseSpec` field that holds it, ``left_bc`` or
-    ``right_bc``, does."""
+    """One linear end condition ``slope * u' + weight * u = value``.  It
+    names no end: the :class:`~fracbvp.cases.CaseSpec` field that holds it,
+    ``left_bc`` or ``right_bc``, does."""
 
-    kind: str
+    slope: float
+    weight: float
     value: float
-    robin_weight: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("dirichlet", "robin"):
-            raise ValueError(f"unknown condition kind {self.kind!r}")
-        if not (np.isfinite(self.value) and np.isfinite(self.robin_weight)):
-            raise ValueError(f"{self.kind} condition needs finite constants")
-        if self.kind == "dirichlet" and self.robin_weight != 0.0:
-            raise ValueError("a Dirichlet condition takes no Robin weight")
+        if not all(np.isfinite((self.slope, self.weight, self.value))):
+            raise ValueError("a boundary condition needs finite constants")
+        if self.slope == 0.0 and self.weight == 0.0:
+            raise ValueError("a condition with zero slope and zero weight "
+                             "constrains nothing")
 
 
 def dirichlet(value: float) -> BoundaryCondition:
-    return BoundaryCondition("dirichlet", value)
+    """``u = value``."""
+    return BoundaryCondition(0.0, 1.0, value)
 
 
 def robin(weight: float, value: float) -> BoundaryCondition:
-    return BoundaryCondition("robin", value, robin_weight=weight)
+    """``u' + weight * u = value``."""
+    return BoundaryCondition(1.0, weight, value)
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,9 @@ class ShootingPair:
     u2: GridFunction
 
     def __post_init__(self):
-        if self.u1.values.size != self.u2.values.size:
-            raise ValueError("shooting pair must share one grid")
+        # three samples at least: the match reads a backward-difference slope
+        if not self.u1.values.size == self.u2.values.size >= 3:
+            raise ValueError("shooting pair must share one grid of 3+ samples")
 
 
 def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
@@ -84,9 +89,10 @@ def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
 
     :raises ValueError: for a left condition that is not Dirichlet.
     """
-    if case.left_bc.kind != "dirichlet":
+    left = case.left_bc
+    if left.slope != 0.0:
         raise ValueError("decomposition requires a Dirichlet left condition")
-    u1 = solver(IvpProblem(case.g, case.k, case.left_bc.value, 0.0))
+    u1 = solver(IvpProblem(case.g, case.k, left.value / left.weight, 0.0))
     if case.k is None:
         return ShootingPair(u1, GridFunction(u1.nodes))
     return ShootingPair(u1, solver(IvpProblem(None, case.k, 0.0, 1.0)))
@@ -99,23 +105,19 @@ def _end_slope(values: np.ndarray, h: float) -> float:
 
 def match_coefficient(pair: ShootingPair,
                       right_bc: BoundaryCondition) -> float:
-    """Coefficient that makes ``u1 + c*u2`` satisfy the right condition.
-
-    Dirichlet: ``c = (b - u1(1)) / u2(1)``.  Robin ``u'(1) + B u(1) = C``:
-    ``c = (C - d1 - B u1(1)) / (d2 + B u2(1))`` with ``d_i`` the backward
-    difference end slopes at the pair's step ``h = 1/n``.
+    """Coefficient that makes ``u1 + c*u2`` satisfy the right condition
+    ``slope * u'(1) + weight * u(1) = value``:
+    ``c = (value - slope d1 - weight u1(1)) / (slope d2 + weight u2(1))``,
+    with ``d_i`` the backward-difference end slopes at the pair's step
+    ``h = 1/n``.
 
     :raises SingularShootingError: when the denominator magnitude falls
         below ``1e-12``.
     """
     u1, u2 = pair.u1.values, pair.u2.values
-    if right_bc.kind == "dirichlet":
-        numer = right_bc.value - u1[-1]
-        denom = u2[-1]
-    else:
-        B = right_bc.robin_weight
-        numer = right_bc.value - _end_slope(u1, pair.u1.h) - B * u1[-1]
-        denom = _end_slope(u2, pair.u1.h) + B * u2[-1]
+    h, slope, weight = pair.u1.h, right_bc.slope, right_bc.weight
+    numer = right_bc.value - slope * _end_slope(u1, h) - weight * u1[-1]
+    denom = slope * _end_slope(u2, h) + weight * u2[-1]
     if abs(denom) < SINGULAR_TOL:
         raise SingularShootingError(
             f"combination denominator {denom:.3e} is numerically zero")

@@ -140,12 +140,19 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
     ylo, yhi = max(ylo - pad, -_FLOAT_MAX), min(yhi + pad, _FLOAT_MAX)
     sx, sy = _halving(xlo, xhi), _halving(ylo, yhi)
 
-    inner_w = WIDTH - MARGIN_L - MARGIN_R
+    yticks = [t for t in _nice_ticks(ylo, yhi) if ylo <= t <= yhi]
+    ylabels = _tick_labels(yticks)
+    # a y tick label ends 8 px left of the frame and is about 0.6 em wide
+    # per character at font size 11; the rotated "u" title takes the first
+    # 18 px of the canvas, so the frame moves right for labels over 5 wide
+    widest = max(map(len, ylabels), default=0)
+    margin_l = max(MARGIN_L, 18 + math.ceil(6.6 * widest) + 8)
+    inner_w = WIDTH - margin_l - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
 
     # scalar tick positions, or whole float64 arrays for the polylines
     def px(x):
-        return MARGIN_L + (sx * x - sx * xlo) / (sx * xhi - sx * xlo) * inner_w
+        return margin_l + (sx * x - sx * xlo) / (sx * xhi - sx * xlo) * inner_w
 
     def py(y):
         return MARGIN_T + (sy * yhi - sy * y) / (sy * yhi - sy * ylo) * inner_h
@@ -162,7 +169,7 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
 
     # frame
     out.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{inner_w}" '
+        f'<rect x="{margin_l}" y="{MARGIN_T}" width="{inner_w}" '
         f'height="{inner_h}" fill="none" stroke="#333333" stroke-width="1"/>')
 
     xticks = [t for t in _nice_ticks(xlo, xhi) if xlo <= t <= xhi]
@@ -174,16 +181,15 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
         out.append(f'<text x="{X}" y="{MARGIN_T + inner_h + 20}" '
                    f'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="11">{label}</text>')
-    yticks = [t for t in _nice_ticks(ylo, yhi) if ylo <= t <= yhi]
-    for t, label in zip(yticks, _tick_labels(yticks)):
+    for t, label in zip(yticks, ylabels):
         Y = _fmt(py(t))
-        out.append(f'<line x1="{MARGIN_L - 5}" y1="{Y}" x2="{MARGIN_L}" '
+        out.append(f'<line x1="{margin_l - 5}" y1="{Y}" x2="{margin_l}" '
                    f'y2="{Y}" stroke="#333333" stroke-width="1"/>')
-        out.append(f'<text x="{MARGIN_L - 8}" y="{Y}" text-anchor="end" '
+        out.append(f'<text x="{margin_l - 8}" y="{Y}" text-anchor="end" '
                    f'dominant-baseline="middle" font-family="sans-serif" '
                    f'font-size="11">{label}</text>')
 
-    out.append(f'<text x="{MARGIN_L + inner_w // 2}" y="{HEIGHT - 8}" '
+    out.append(f'<text x="{margin_l + inner_w // 2}" y="{HEIGHT - 8}" '
                f'text-anchor="middle" font-family="sans-serif" '
                f'font-size="12">x</text>')
     out.append(f'<text x="16" y="{MARGIN_T + inner_h // 2}" '
@@ -216,9 +222,9 @@ def render_line_plot(series: Sequence[Series], title: str) -> str:
     legend = [s for s in series if s.in_legend]
     ly = MARGIN_T + 10
     for s in legend:
-        out.append(f'<rect x="{MARGIN_L + 10}" y="{ly - 8}" width="18" '
+        out.append(f'<rect x="{margin_l + 10}" y="{ly - 8}" width="18" '
                    f'height="4" fill="{s.color}"/>')
-        out.append(f'<text x="{MARGIN_L + 34}" y="{ly - 1}" '
+        out.append(f'<text x="{margin_l + 34}" y="{ly - 1}" '
                    f'font-family="sans-serif" font-size="11">{s.label}</text>')
         ly += 16
 

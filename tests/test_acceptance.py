@@ -328,13 +328,9 @@ def test_criterion_7_structural_suite(tmp_path):
                                  case.default_scheme)
         solution, _ = solve_bvp(case, solver)
         left = abs(solution.values[0] - case.left_bc.value)
-        if case.right_bc.kind == "dirichlet":
-            right = abs(solution.values[-1] - case.right_bc.value)
-        else:
-            v = solution.values
-            slope = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * solution.h)
-            right = abs(slope + case.right_bc.robin_weight * v[-1]
-                        - case.right_bc.value)
+        v, bc = solution.values, case.right_bc
+        end_slope = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * solution.h)
+        right = abs(bc.slope * end_slope + bc.weight * v[-1] - bc.value)
         if left > 1e-9 or right > 1e-9:
             failures.append(f"bc residual case{case_id}")
 

@@ -14,7 +14,6 @@ import fracbvp
 from fracbvp import RunConfig, run, run_quiet, sweep, table1
 from fracbvp import bench as bench_mod
 from fracbvp import cli
-from fracbvp.cases import CASE3_CONSTANTS
 from fracbvp.ifoi import IfoiDivergenceError
 from fracbvp.shooting import SingularShootingError
 from fracbvp.svgplot import ramp_color
@@ -293,7 +292,7 @@ def test_cli_near_resonant_case3_weight_is_singular_for_both_methods(
 
 
 def test_failed_solves_are_timed_up_to_the_exception(tmp_path):
-    constants = (CASE3_CONSTANTS["a"], -1.0000000000001, CASE3_CONSTANTS["c"])
+    constants = {"b": -1.0000000000001}
     reports = run(RunConfig("3", method="both", n=40, output_dir=tmp_path,
                             case3_constants=constants))
     rows = read_results_csv(tmp_path / "results.csv")
@@ -337,6 +336,23 @@ def test_cli_comparison_ticks_at_1e17_read_differently(tmp_path):
     labels = re.findall(r'text-anchor="end" [^>]*font-size="11">([^<]*)<',
                         svg)
     assert len(labels) == 3 and len(set(labels)) == 3
+
+
+def test_cli_y_tick_labels_at_1e17_fit_the_canvas(tmp_path):
+    # 22-character labels such as 9.9999999999999984e+16, at about 6.6 px a
+    # character, widen the left margin, so each label ends 8 px left of the
+    # frame and starts right of the rotated axis title, which keeps 18 px
+    assert cli.main(["run", "--case", "3", "--method", "both", "--n", "40",
+                     "--trace", "--case3-a", "1e17", "--case3-c", "2e19",
+                     "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "case3_comparison.svg").read_text(encoding="utf-8")
+    frame = int(re.search(r'<rect x="(\d+)" y="36" ', svg).group(1))
+    labels = re.findall(r'<text x="(\d+)" [^>]*text-anchor="end" [^>]*'
+                        r'font-size="11">([^<]*)<', svg)
+    assert max(len(label) for _, label in labels) == 22
+    for x, label in labels:
+        assert int(x) == frame - 8
+        assert int(x) - 6.6 * len(label) >= 18
 
 
 def test_cli_sweep_has_no_parallel_flag(tmp_path):

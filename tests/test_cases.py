@@ -1,17 +1,21 @@
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 from fracbvp import GridFunction, get_case, make_case3, oracle_solution, sup_error
-from fracbvp.cases import (CASE3_CONSTANTS, _erf, gauss_first_integral,
-                           gauss_forcing, gauss_second_integral,
-                           oscillatory_first_integral, oscillatory_forcing,
-                           oscillatory_second_integral)
+from fracbvp.cases import (_erf, gauss_first_integral, gauss_forcing,
+                           gauss_second_integral, oscillatory_first_integral,
+                           oscillatory_forcing, oscillatory_second_integral)
 from fracbvp.grid import sup_distance
 from fracbvp.ifoi import IvpProblem
+from fracbvp.shooting import dirichlet, robin
 
+import oracles
 from oracles import (CASE4_SERIES, case4_operator_series, case4_series,
                      rk4_dense, simpson, simpson_double)
 
@@ -35,8 +39,7 @@ def test_case1_forcing_peak():
 def test_case2_constants():
     case = get_case(2)
     assert case.left_bc.value == 5.0
-    assert case.right_bc.robin_weight == 200.0
-    assert case.right_bc.value == 0.1
+    assert case.right_bc == robin(200.0, 0.1)
     assert case.default_scheme == "rect"
 
 
@@ -135,15 +138,17 @@ def test_dirichlet_oracle_boundary_values(case_id, a_res, b_res):
     (2, gauss_first_integral, gauss_second_integral),
     (3, oscillatory_first_integral, oscillatory_second_integral)])
 def test_robin_oracle_boundary_residual(case_id, first, second):
-    """u'(1) + w u(1) - C at rounding level, with the slope reconstructed
-    from oracle values and the independently validated antiderivatives."""
+    """slope u'(1) + weight u(1) - value at rounding level, with u'(1)
+    reconstructed from oracle values and the independently validated
+    antiderivatives."""
     case = get_case(case_id)
     a = case.left_bc.value
     assert abs(oracle_solution(case_id, 0.0) - a) <= 1e-10
     u1 = float(oracle_solution(case_id, 1.0))
     affine_slope = u1 - a - float(second(1.0))
     slope_1 = affine_slope + float(first(1.0))
-    residual = slope_1 + case.right_bc.robin_weight * u1 - case.right_bc.value
+    right = case.right_bc
+    residual = right.slope * slope_1 + right.weight * u1 - right.value
     assert abs(residual) <= 1e-10
 
 
@@ -155,7 +160,8 @@ def test_robin_oracle_slope_numerically(case_id, tol):
     pts = 1.0 - d * np.arange(5)
     u = oracle_solution(case_id, pts)
     slope_1 = (25 * u[0] - 48 * u[1] + 36 * u[2] - 16 * u[3] + 3 * u[4]) / (12 * d)
-    residual = slope_1 + case.right_bc.robin_weight * u[0] - case.right_bc.value
+    right = case.right_bc
+    residual = right.slope * slope_1 + right.weight * u[0] - right.value
     assert abs(residual) <= tol
 
 
@@ -245,12 +251,10 @@ def _scalar_oracle(case_id):
             + [weight * o * x ** (3 * k + 1) for k, o in enumerate(odd)])
     integrals = _oscillatory_integrals if case_id == 3 else _gauss_integrals
     first, second = integrals(1.0)
+    # the line a + s x + second meets slope u'(1) + weight u(1) = value
     right = case.right_bc
-    if right.kind == "dirichlet":
-        slope = right.value - a - second
-    else:
-        B = right.robin_weight
-        slope = (right.value - first - B * (a + second)) / (1.0 + B)
+    slope = ((right.value - right.slope * first - right.weight * (a + second))
+             / (right.slope + right.weight))
     return lambda x: a + slope * x + integrals(x)[1]
 
 
@@ -270,6 +274,18 @@ def test_oracle_domain_guard():
         oracle_solution(1, -0.1)
     with pytest.raises(ValueError):
         oracle_solution(1, 1.1)
+
+
+def test_oracles_import_nothing_from_the_package():
+    """The references in ``tests/oracles.py`` stand apart from fracbvp: no
+    import statement in the module, at any depth, names the package."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[0] == "fracbvp"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +315,11 @@ def test_case3_constants_at_the_scale_are_kept():
 
 
 def test_case3_defaults_recorded():
-    assert CASE3_CONSTANTS == {"a": 0.0, "b": 200.0, "c": 0.0}
+    defaults = {name: p.default for name, p
+                in inspect.signature(make_case3).parameters.items()}
+    assert defaults == {"a": 0.0, "b": 200.0, "c": 0.0}
+    case = get_case(3)
+    assert (case.left_bc, case.right_bc) == (dirichlet(0.0), robin(200.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

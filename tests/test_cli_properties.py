@@ -17,7 +17,7 @@ from fracbvp import cli
 
 STATUSES = {"converged", "diverged", "singular"}
 
-# the resonant weight, values beside it, and every kind of double
+# the resonant weight, values beside it, and every class of double
 REALS = st.one_of(st.sampled_from([-1.0, -1.0000001, -0.9999999, 0.0]),
                   st.floats(allow_nan=True, allow_infinity=True))
 # small grids keep each example to milliseconds; they cross every

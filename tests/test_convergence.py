@@ -130,7 +130,7 @@ def test_case3_ifoi_order_climbs_towards_two():
 # a seeded family of coupled problems off the four cases
 # ---------------------------------------------------------------------------
 
-def _family_case(seed: int, right_kind: str, terms: int = 60) -> CaseSpec:
+def _family_case(seed: int, right_end: str, terms: int = 60) -> CaseSpec:
     """``u'' = g + k u`` with ``g`` a quadratic plus ``sin 5x`` and ``k`` a
     quadratic, all coefficients drawn from ``seed`` in [-2, 2], so that
     ``|k| <= 6`` stays below the first Dirichlet resonance ``pi^2``; a
@@ -147,11 +147,10 @@ def _family_case(seed: int, right_kind: str, terms: int = 60) -> CaseSpec:
     def k(x):
         return P.polyval(x, ka)
 
-    if right_kind == "dirichlet":
-        right_bc, end = dirichlet(value), (0.0, 1.0, value)
-    else:
-        right_bc, end = robin(weight, value), (1.0, weight, value)
-    return CaseSpec(id=f"family{seed}-{right_kind}", g=g, k=k,
+    right_bc = {"dirichlet": dirichlet(value),
+                "robin": robin(weight, value)}[right_end]
+    end = (right_bc.slope, right_bc.weight, right_bc.value)
+    return CaseSpec(id=f"family{seed}-{right_end}", g=g, k=k,
                     left_bc=dirichlet(left), right_bc=right_bc,
                     default_scheme="abm",
                     default_partition=make_alpha_partition("regular", 10),
@@ -162,34 +161,34 @@ FAMILY = [(1, "dirichlet"), (2, "robin"), (3, "dirichlet"), (4, "robin")]
 FAMILY_GRIDS = (200, 400, 800, 1600, 3200)
 
 
-@pytest.mark.parametrize("seed,right_kind", FAMILY)
-def test_family_reference_is_converged(seed, right_kind):
+@pytest.mark.parametrize("seed,right_end", FAMILY)
+def test_family_reference_is_converged(seed, right_end):
     # measured within 2.3e-16 (seed 1), 1.2e-15 (seed 2) and 1.5e-15
     # (seeds 3 and 4) of 80 terms
     x = np.linspace(0.0, 1.0, 1001)
-    coarse = _family_case(seed, right_kind).oracle(x)
-    fine = _family_case(seed, right_kind, terms=80).oracle(x)
+    coarse = _family_case(seed, right_end).oracle(x)
+    fine = _family_case(seed, right_end, terms=80).oracle(x)
     assert np.max(np.abs(coarse - fine)) <= 1e-13 * np.max(np.abs(fine))
 
 
-@pytest.mark.parametrize("seed,right_kind", FAMILY)
-def test_family_fdm_convergence_order(seed, right_kind):
+@pytest.mark.parametrize("seed,right_end", FAMILY)
+def test_family_fdm_convergence_order(seed, right_end):
     # three-point differences are second order on smooth coupled problems,
     # Robin end included: measured 2.000 on every halving (seeds 1 and 3),
     # 2.016, 2.008, 2.004, 2.002 (seed 2) and 2.009 ... 2.001 (seed 4)
-    case = _family_case(seed, right_kind)
+    case = _family_case(seed, right_end)
     orders = _observed_orders([sup_error(fdm_linear(case, n), case)
                                for n in FAMILY_GRIDS])
     assert all(1.95 <= p <= 2.05 for p in orders), orders
 
 
-@pytest.mark.parametrize("seed,right_kind", FAMILY)
+@pytest.mark.parametrize("seed,right_end", FAMILY)
 @pytest.mark.parametrize("scheme,stages", [("gl", 10), ("rect", 5)])
-def test_family_ifoi_first_order_schemes(seed, right_kind, scheme, stages):
+def test_family_ifoi_first_order_schemes(seed, right_end, scheme, stages):
     # the binomial series and the product rectangle rule stay first order
     # on coupled problems, Robin end included, under a regular schedule:
     # measured 0.993-1.004 (gl) and 1.011-1.033 (rect) over the four seeds
-    case = _family_case(seed, right_kind)
+    case = _family_case(seed, right_end)
     partition = make_alpha_partition("regular", stages)
     orders = _observed_orders([
         sup_error(solve_bvp(case, make_ivp_solver(partition, n, scheme))[0],
@@ -197,14 +196,14 @@ def test_family_ifoi_first_order_schemes(seed, right_kind, scheme, stages):
     assert all(0.9 <= p <= 1.15 for p in orders), orders
 
 
-@pytest.mark.parametrize("seed,right_kind", FAMILY)
+@pytest.mark.parametrize("seed,right_end", FAMILY)
 @pytest.mark.parametrize("spacing", ["regular", "quadratic"])
-def test_family_ifoi_abm_second_order(seed, right_kind, spacing):
+def test_family_ifoi_abm_second_order(seed, right_end, spacing):
     # the family's forcing is not 0 at x = 0, so only a composed trapezoid
     # operator that is exact on constants keeps the order: measured
     # 1.943-1.972 on seeds 1, 2 and 4, and 1.852-1.931 on seed 3, still
     # rising (the stage-by-stage column read 0.525-2.813)
-    case = _family_case(seed, right_kind)
+    case = _family_case(seed, right_end)
     partition = make_alpha_partition(spacing, 10)
     orders = _observed_orders([
         sup_error(solve_bvp(case, make_ivp_solver(partition, n, "abm"))[0],

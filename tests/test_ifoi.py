@@ -5,7 +5,8 @@ import fracbvp.bench as bench_mod
 from fracbvp import cli
 from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
                      IfoiDivergenceError, IvpProblem, RunConfig,
-                     apply_scheme, compose_check, dirichlet, fdm_linear,
+                     SingularShootingError, apply_scheme, compose_check,
+                     dirichlet, fdm_linear,
                      get_case, ifoi_solve_ivp, make_alpha_partition,
                      make_ivp_solver, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
@@ -370,6 +371,59 @@ def test_no_solve_runs_the_staged_pass(monkeypatch):
     for case_id in ("1", "2", "3", "4"):
         assert run_quiet(RunConfig(case_id, method="ifoi"))[0].status \
             == "converged"
+
+
+# ---------------------------------------------------------------------------
+# Sturm-Liouville eigenvalues as the oracle of ``singular``
+# ---------------------------------------------------------------------------
+
+def _homogeneous_end(lam, operator):
+    """``u2(1)`` of ``u'' = -lam u`` from ``u(0) = 0``, ``u'(0) = 1``."""
+    problem = IvpProblem(None, _constant(-lam), 0.0, 1.0)
+    return float(ifoi_solve_ivp(problem, operator)[0].values[-1])
+
+
+def _bisect_eigenvalue(lo, hi, operator):
+    """The ``lam`` in ``[lo, hi]`` where ``u2(1)`` changes sign, bisected
+    until the bracket is two neighbouring doubles: the end of it with the
+    smaller ``|u2(1)|``, and that ``u2(1)``."""
+    f_lo, f_hi = _homogeneous_end(lo, operator), _homogeneous_end(hi, operator)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = _homogeneous_end(mid, operator)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return min((lo, f_lo), (hi, f_hi), key=lambda end: abs(end[1]))
+
+
+@pytest.mark.parametrize("scheme,band", [("gl", (1.95, 2.05)),
+                                         ("abm", (1.85, 2.05))])
+def test_dirichlet_eigenvalues_converge_and_read_singular(scheme, band):
+    """The first two eigenvalues ``(k pi)^2`` of ``u'' = -lam u``,
+    ``u(0) = u(1) = 0``, located on ten regular stages by bisection on the
+    homogeneous IVP's ``u2(1)``, converge at second order over
+    n = 100 -> 800 (measured 2.000-2.002 for ``gl`` and 1.905-1.941 for
+    ``abm``).  At the located ``lam``, ``|u2(1)|`` is at most 1.1e-14, so
+    shooting cannot meet ``u(1) = 1`` and the solve ends as singular.
+    ``rect`` is left out: its orders are erratic (3.35, 1.51, 0.06 for
+    k = 1 on ten stages; 1.01, 0.35, 1.00 on its case's five)."""
+    partition = make_alpha_partition("regular", 10)
+    for k, bracket in [(1, (5.0, 15.0)), (2, (30.0, 50.0))]:
+        errors = []
+        for n in (100, 200, 400, 800):
+            operator = ComposedOperator(scheme, partition, n)
+            lam, end = _bisect_eigenvalue(*bracket, operator)
+            assert abs(end) <= 1e-13
+            case = CaseSpec(id="eigen", g=None, k=_constant(-lam),
+                            left_bc=dirichlet(1.0), right_bc=dirichlet(1.0),
+                            default_scheme=scheme, default_partition=partition,
+                            oracle=np.zeros_like)
+            with pytest.raises(SingularShootingError):
+                solve_bvp(case, make_ivp_solver(partition, n, scheme))
+            errors.append(abs(lam - (k * np.pi) ** 2))
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert all(band[0] <= p <= band[1] for p in orders), (k, orders)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fracbvp import (GridFunction, SingularShootingError, combine, decompose,
-                     get_case, make_alpha_partition, make_ivp_solver,
-                     match_coefficient, solve_bvp, sup_error)
+                     fdm_linear, get_case, make_alpha_partition,
+                     make_ivp_solver, match_coefficient, solve_bvp, sup_error)
 from fracbvp.cases import CaseSpec, gauss_second_integral
 from fracbvp.ifoi import IvpProblem
 from fracbvp.shooting import BoundaryCondition, ShootingPair, dirichlet, robin
@@ -31,25 +33,28 @@ def affine_grid(n, end_value, end_slope):
 # ---------------------------------------------------------------------------
 
 def test_condition_validation():
-    with pytest.raises(ValueError):
-        BoundaryCondition("mixed", 0.0)
-    with pytest.raises(ValueError):
-        BoundaryCondition("robin", 0.0, robin_weight=np.inf)
+    # slope * u' + weight * u = value with no u' and no u constrains nothing
+    with pytest.raises(ValueError, match="constrains nothing"):
+        BoundaryCondition(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite constants"):
+        BoundaryCondition(1.0, np.inf, 0.0)
+    with pytest.raises(ValueError, match="finite constants"):
+        BoundaryCondition(np.nan, 1.0, 0.0)
 
 
-def test_dirichlet_condition_refuses_a_robin_weight():
-    # no code reads the weight of a Dirichlet condition
-    with pytest.raises(ValueError, match="no Robin weight"):
-        BoundaryCondition("dirichlet", 1.0, robin_weight=5.0)
-    assert dirichlet(1.0) == BoundaryCondition("dirichlet", 1.0)
+def test_constructors_state_the_linear_form():
+    assert dirichlet(1.5) == BoundaryCondition(0.0, 1.0, 1.5)
+    assert robin(200.0, 0.1) == BoundaryCondition(1.0, 200.0, 0.1)
+    # a Neumann end is a Robin one of weight 0
+    assert robin(0.0, 2.0) == BoundaryCondition(1.0, 0.0, 2.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_condition_rejects_non_finite_value(value):
     with pytest.raises(ValueError, match="finite constants"):
-        BoundaryCondition("dirichlet", value)
+        dirichlet(value)
     with pytest.raises(ValueError, match="finite constants"):
-        BoundaryCondition("robin", value, robin_weight=1.0)
+        robin(1.0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +124,16 @@ def test_decompose_needs_dirichlet_left():
 # coefficient matching
 # ---------------------------------------------------------------------------
 
+def test_pair_shares_one_grid_of_three_samples_or_more():
+    # the match reads a three-point end slope, whatever the condition
+    with pytest.raises(ValueError, match="share one grid"):
+        ShootingPair(affine_grid(20, 0.3, 1.1), affine_grid(21, 1.0, 1.0))
+    with pytest.raises(ValueError, match="3\\+ samples"):
+        ShootingPair(affine_grid(1, 0.3, 1.1), affine_grid(1, 1.0, 1.0))
+    pair = ShootingPair(affine_grid(2, 0.0, 1.0), affine_grid(2, 1.0, 1.0))
+    assert match_coefficient(pair, dirichlet(1.0)) == 1.0
+
+
 def test_dirichlet_coefficient_arithmetic():
     pair = ShootingPair(affine_grid(50, 0.3, 0.0),
                         affine_grid(50, 1.0, 1.0))
@@ -183,13 +198,38 @@ def test_boundary_residuals_of_combined_solution(case_id):
     solution, _ = solve_bvp(case, solver)
     assert solution.values[0] == case.left_bc.value
     right = case.right_bc
-    if right.kind == "dirichlet":
-        assert abs(solution.values[-1] - right.value) <= 1e-9
-    else:
-        v = solution.values
-        slope = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * solution.h)
-        residual = slope + right.robin_weight * v[-1] - right.value
-        assert abs(residual) <= 1e-9
+    v = solution.values
+    end_slope = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * solution.h)
+    residual = right.slope * end_slope + right.weight * v[-1] - right.value
+    assert abs(residual) <= 1e-9
+
+
+def _scaled(bc, factor):
+    return BoundaryCondition(factor * bc.slope, factor * bc.weight,
+                             factor * bc.value)
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [None, 200, 1023])
+def test_scaled_conditions_state_the_same_problem(case_id, n):
+    """A condition is its line ``slope u' + weight u = value``, whatever the
+    scale it is written at: scaling by 2 is exact in binary and keeps every
+    solve's bits, and scaling by 3 moves them by rounding only (measured at
+    most 8.5e-16 relative)."""
+    case = get_case(case_id)
+    n = n or case.default_n
+
+    def solves(c):
+        ifoi = make_ivp_solver(c.default_partition, n, c.default_scheme)
+        return fdm_linear(c, n).values, solve_bvp(c, ifoi)[0].values
+
+    plain = solves(case)
+    for factor, rtol in [(2.0, 0.0), (3.0, 1e-14)]:
+        scaled = replace(case, left_bc=_scaled(case.left_bc, factor),
+                         right_bc=_scaled(case.right_bc, factor))
+        for got, want in zip(solves(scaled), plain):
+            gap = np.max(np.abs(got - want))
+            assert gap <= rtol * np.max(np.abs(want))
 
 
 def test_combined_error_bounded_by_amplified_ivp_error():

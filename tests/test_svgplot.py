@@ -17,7 +17,6 @@ import pytest
 from fracbvp.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T,
                              WIDTH, Series, render_line_plot)
 
-INNER_W = WIDTH - MARGIN_L - MARGIN_R
 INNER_H = HEIGHT - MARGIN_T - MARGIN_B
 
 
@@ -36,17 +35,17 @@ def _axis_ranges(series):
     return xlo, xhi, ylo - pad, yhi + pad
 
 
-def _px(x, xlo, xhi):
-    return MARGIN_L + (x - xlo) / (xhi - xlo) * INNER_W
+def _px(x, xlo, xhi, left=MARGIN_L):
+    return left + (x - xlo) / (xhi - xlo) * (WIDTH - left - MARGIN_R)
 
 
 def _py(y, ylo, yhi):
     return MARGIN_T + (yhi - y) / (yhi - ylo) * INNER_H
 
 
-def _reference_points(series):
+def _reference_points(series, left=MARGIN_L):
     xlo, xhi, ylo, yhi = _axis_ranges(series)
-    return [" ".join(f"{_px(float(a), xlo, xhi):.2f},"
+    return [" ".join(f"{_px(float(a), xlo, xhi, left):.2f},"
                      f"{_py(float(b), ylo, yhi):.2f}"
                      for a, b in zip(s.x, s.y))
             for s in series]
@@ -56,9 +55,19 @@ def _rendered_points(svg):
     return re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
 
 
+def _left_margin(ylabels):
+    """The frame's left edge: the default margin, or wider where the widest
+    y tick label (about 6.6 px a character, 8 px from the frame) would reach
+    into the 18 px of the rotated axis title."""
+    widest = max(map(len, ylabels), default=0)
+    return max(MARGIN_L, 18 + math.ceil(6.6 * widest) + 8)
+
+
 def _check(series):
     svg = render_line_plot(series, "t")
-    assert _rendered_points(svg) == _reference_points(series)
+    left = _left_margin(_tick_labels(svg, "end"))
+    assert f'<rect x="{left}" y="{MARGIN_T}" ' in svg
+    assert _rendered_points(svg) == _reference_points(series, left)
     return svg
 
 
