@@ -1,16 +1,45 @@
-"""Functions on [0, 1] as ``n + 1`` samples, the currency of all solvers."""
+"""Functions on [0, 1] as ``n + 1`` samples, the currency of all solvers.
+
+Importing it, as every solver does, sets the C heap to keep freed blocks.
+"""
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 
+def _keep_freed_blocks(libc) -> None:
+    """Let the C heap keep freed blocks of up to 32 MiB for the next solve.
+
+    glibc's default thresholds hand a freed block above 128 KiB back to the
+    kernel, so every 16-800 KB numpy temporary of a solve at
+    ``n = 10^3 .. 10^5`` is page-faulted in again by the next solve.  The
+    values are the ceiling of glibc's own dynamic rule:
+    ``M_MMAP_THRESHOLD`` (-3) at its 64-bit maximum of 32 MiB and
+    ``M_TRIM_THRESHOLD`` (-1) at twice that; either alone leaves the
+    faults.  A C library without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)
+        mallopt(-1, 64 << 20)
+
+
+try:
+    _keep_freed_blocks(ctypes.CDLL(None))
+except (OSError, TypeError):  # no dlopen of the process itself, as on Windows
+    pass
+
+
 def nodes(n: int) -> np.ndarray:
     """The ``n + 1`` nodes ``j * (1/n)`` on [0, 1] that every solver uses."""
-    return np.arange(n + 1) * (1.0 / n)
+    return np.arange(n + 1, dtype=float) * (1.0 / n)
 
 
 @dataclass(frozen=True)

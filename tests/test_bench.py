@@ -522,3 +522,33 @@ def test_package_imports_only_numpy_and_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 found.add(node.module.split(".")[0])
     assert found and found <= allowed, sorted(found - allowed)
+
+
+def test_the_environment_is_never_consulted():
+    """No module of the package reads or sets the process environment, so
+    a command runs the same in every shell.  The C heap thresholds that
+    :mod:`fracbvp.grid` sets at import are constants too, not read from
+    glibc's ``MALLOC_*`` variables."""
+    banned = {"environ", "environb", "getenv", "putenv"}
+    found = []
+    for path in sorted((REPO / "src" / "fracbvp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names
+                    if alias.name == "os"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and getattr(node.value, "id", None) in os_names):
+                found.append((path.name, node.attr))
+            elif (isinstance(node, ast.Constant)
+                  and "MALLOC_" in str(node.value)):
+                found.append((path.name, node.value))
+    assert not found
+    grid = ast.parse((REPO / "src" / "fracbvp" / "grid.py").read_text())
+    calls = [node for node in ast.walk(grid) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "mallopt"]
+    assert [[ast.unparse(arg) for arg in call.args] for call in calls] \
+        == [["-3", "32 << 20"], ["-1", "64 << 20"]]
