@@ -17,8 +17,8 @@ from .fdm import (NewtonConvergenceError, SingularSystemError,
 from .fracops import apply_scheme, gl_coefficients
 from .grid import GridFunction, sup_distance
 from .ifoi import (AlphaPartition, ComposedOperator, IfoiDivergenceError,
-                   IfoiTrace, IvpProblem, compose_check, ifoi_solve_ivp,
-                   make_alpha_partition, make_ivp_solver)
+                   IfoiTrace, IvpProblem, ifoi_solve_ivp, make_alpha_partition,
+                   make_ivp_solver)
 from .shooting import (BoundaryCondition, ShootingPair, SingularShootingError,
                        combine, decompose, dirichlet, match_coefficient,
                        robin, solve_bvp)
@@ -30,10 +30,10 @@ __all__ = [
     "GridFunction", "IfoiDivergenceError", "IfoiTrace", "IvpProblem",
     "NewtonConvergenceError", "RunConfig", "ShootingPair",
     "SingularShootingError", "SingularSystemError", "SolveReport",
-    "TridiagonalSystem", "apply_scheme", "combine", "compose_check",
-    "decompose", "dirichlet", "fdm_linear", "fdm_newton", "get_case",
-    "gl_coefficients", "ifoi_solve_ivp", "make_alpha_partition", "make_case3",
-    "make_ivp_solver", "match_coefficient", "oracle_solution", "robin", "run",
-    "run_quiet", "solve_bvp", "solve_tridiagonal", "sup_distance",
-    "sup_error", "sweep", "table1",
+    "TridiagonalSystem", "apply_scheme", "combine", "decompose", "dirichlet",
+    "fdm_linear", "fdm_newton", "get_case", "gl_coefficients",
+    "ifoi_solve_ivp", "make_alpha_partition", "make_case3", "make_ivp_solver",
+    "match_coefficient", "oracle_solution", "robin", "run", "run_quiet",
+    "solve_bvp", "solve_tridiagonal", "sup_distance", "sup_error", "sweep",
+    "table1",
 ]

@@ -1,14 +1,14 @@
 """Finite-difference reference solvers for the benchmark problems.
 
-Both use central second differences on ``u'' = g(x) + k(x) u``.
-``fdm_linear`` marches the interior rows, a discrete IVP, and leaves the
-right-end condition to :mod:`fracbvp.shooting`; every package case is
-solved this way.  Without coupling the forcing is summed in closed form;
-with it the rows are marched once per solve as a blocked two-level scan,
-shared by both IVPs.  ``fdm_newton`` is an independent reference on the
-same problems: it runs a guarded Thomas sweep per step, and its right row
-eliminates the out-of-band node of the one-sided difference through the
-last interior equation, so the system stays tridiagonal.
+Both solve the same rows: ``u(0)`` given, central second differences on
+``u'' = g(x) + k(x) u`` inside, and the right condition on the three-node
+backward slope.  ``fdm_linear`` solves every package case: it sums the
+forcing without coupling, and with it marches the rows in blocks joined by
+one stabilized sweep (Ascher, Mattheij & Russell 1995, *Numerical Solution
+of Boundary Value Problems for ODEs*, ch. 4), so a growing coupling never
+enters through a growing IVP.  ``fdm_newton`` is an independent reference:
+a guarded Thomas sweep per step, its right row reduced to tridiagonal
+through the last interior equation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import GridFunction, nodes
-from .ifoi import DIVERGENCE_GUARD, IfoiDivergenceError, IvpProblem
-from .shooting import IvpSolver, solve_bvp
+from .ifoi import IfoiDivergenceError, IvpProblem
+from .shooting import (SINGULAR_TOL, ShootingPair, SingularShootingError,
+                       combine, match_coefficient)
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -83,139 +84,142 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _march_solver(case: "CaseSpec", n: int) -> IvpSolver:
-    """The central-difference IVP ``U[i+1] = 2 U[i] - U[i-1] + h^2 f[i]``
-    from ``U[0] = u0`` and ``U[1] = u0 + s0 h``, for the IVPs that
-    :func:`~fracbvp.shooting.decompose` makes of ``case``.
+def _march(case: "CaseSpec", n: int) -> tuple[np.ndarray, list, tuple]:
+    """The interior rows ``D[i] = D[i-1] + h^2 (g[i] + k[i] U[i])``,
+    ``U[i+1] = U[i] + D[i]`` for ``i = 1 .. n-1``, cut into blocks that
+    march at once from the entry states ``(U, S) = (1, 0)``, ``(0, 1)`` and
+    ``(0, 0)`` plus forcing, ``S = D/h``: rows ``phi``, ``psi`` and ``p``.
+    The first block leads with zero steps, so the last exits at
+    ``(U[n], S[n-1])``.
 
-    Without coupling the forcing ``g`` is summed twice cumulatively.  With
-    ``f = g + k U`` the rows are the recurrence of 2-vectors
-    ``D[i] = D[i-1] + h^2 (g[i] + k[i] U[i])``, ``U[i+1] = U[i] + D[i]``
-    from ``D[0] = s0 h``, the running sums of the double sum.  It is
-    marched exactly as a two-level scan: the ``n - 1`` steps are cut into
-    blocks that march at once from the entry states ``(1, 0)``, ``(0, 1)``
-    and ``(0, 0)`` plus forcing (rows ``phi``, ``psi`` and ``p``), a scalar
-    loop finds each block's entry state ``(alpha, beta)``, and the block's
-    values are ``alpha phi + beta psi + p``.  Both IVPs share ``k``, so the
-    rows are marched once, here, and each IVP joins them from its own
-    start: the particular one with ``p``, the homogeneous one without.
-
-    The solver raises :class:`IfoiDivergenceError` when a marched value
-    passes ``1e8`` or a summed one overflows; only the march can diverge,
-    so only it is held to the guard.  Any forcing but ``case.g`` or
-    ``None`` (zero), or coupling but ``case.k``, is a ``ValueError``.
+    Returns the table by step, row and block, each block's exits
+    ``(U_phi, U_psi, U_p, S_phi, S_psi, S_p)``, and ``h^2 k`` and ``h^2 g``
+    at node ``n - 1``; the coefficient arrays are freed before the sweep.
     """
     h = 1.0 / n
     x = nodes(n)
     g = IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)  # None reads as 0
-
-    def check(problem: IvpProblem) -> None:
-        if problem.g not in (None, case.g) or problem.k is not case.k:
-            raise ValueError("an IVP of another forcing or coupling")
-
-    if case.k is None:
-        def summed(problem: IvpProblem) -> GridFunction:
-            check(problem)
-            out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
-            if problem.g is not None:
-                np.cumsum(g[1:n], out=out[2:])
-                np.cumsum(out[2:], out=out[2:])
-                out *= h * h
-            out += problem.u0 + problem.s0 * x
-            # a cumulative sum that overflows anywhere ends non-finite
-            if not math.isfinite(out[-1]):
-                raise IfoiDivergenceError("the sum overflowed", 0, math.inf)
-            return GridFunction(out)
-        return summed
-
+    k = np.broadcast_to(np.asarray(case.k(x), dtype=float), x.shape)
     steps = n - 1
     # steps per block, about sqrt(steps / 8): a step costs four numpy calls
-    # across all blocks and a block one pass of the scalar join.  Timed on
+    # across all blocks and a block one pass of the scalar sweep.  Timed on
     # case 4 at n = 50..10^5, widths of 0.25-0.5 sqrt(steps) were within 5%
     # of one another; 0.15 and 1.0 sqrt(steps) were up to 23% and 28% slower
     width = max(1, math.isqrt(steps // 8))
     blocks = -(-steps // width)
-    # h^2 k and h^2 g by step within a block, coefficient and block; the last
-    # block is padded with zero steps
+    lead = blocks * width - steps
+    # h^2 k and h^2 g by step within a block, coefficient and block
     coef = np.zeros((width, 2, blocks))
-    full, rest = divmod(steps, width)
-    k = np.broadcast_to(np.asarray(case.k(x), dtype=float), x.shape)
     for by_block, f in zip(coef.transpose(1, 2, 0), (k, g)):
-        by_block[:full] = f[1:1 + full * width].reshape(full, width)
-        by_block[full:, :rest] = f[1 + full * width:n]
+        by_block[0, lead:] = f[1:1 + width - lead]
+        by_block[1:] = f[1 + width - lead:n].reshape(blocks - 1, width)
     coef *= h * h
-    # rows phi, psi, p of every block, marched together step by step
     table = np.empty((width, 3, blocks))
     u = np.zeros((3, blocks))
     u[0] = 1.0
     d = np.zeros((3, blocks))
-    d[1] = 1.0
+    d[1] = h
     dk = np.empty((3, blocks))
     for (kh, gh), row in zip(coef, table):
         np.multiply(u, kh, out=dk)
         d += dk
         d[2] += gh
         u = np.add(u, d, out=row)
-    exits = list(zip(zip(*u.tolist()), zip(*d.tolist())))
-    phi, psi, p = table.transpose(1, 0, 2)
+    exits = np.vstack((u, d / h)).T.tolist()
+    return table, exits, tuple(coef[-1, :, -1].tolist())
 
-    def joined(problem: IvpProblem) -> GridFunction:
-        # a block entered at (U, D) = (a, b) exits at a times the exit of
-        # row phi, plus b times that of psi, plus that of p if forced
-        check(problem)
-        forced = problem.g is not None
-        a, b = problem.u0 + problem.s0 * h, problem.s0 * h
-        entries = []
-        for (u_phi, u_psi, u_p), (d_phi, d_psi, d_p) in exits:
-            entries.append((a, b))
-            a, b = a * u_phi + b * u_psi, a * d_phi + b * d_psi
-            if forced:
-                a, b = a + u_p, b + d_p
-        alpha, beta = np.array(entries).T
-        rows = phi * alpha
-        rows += psi * beta
-        if forced:
-            rows += p
-        out = np.empty(2 + blocks * width)
-        out[0], out[1] = problem.u0, problem.u0 + problem.s0 * h
-        out[2:].reshape(blocks, width)[...] = rows.T
-        out = out[:n + 1]
-        peak = max(float(out.max()), -float(out.min()))
-        if not peak < DIVERGENCE_GUARD:
-            raise IfoiDivergenceError(
-                "the march exceeded the divergence guard", 0, peak)
-        return GridFunction(out)
-    return joined
+
+def _left_value(case: "CaseSpec") -> float:
+    """``u(0)``; a left end with a ``u'`` term is a ``ValueError``."""
+    left = case.left_bc
+    if left.slope != 0.0:
+        raise ValueError("FDM requires a Dirichlet left condition")
+    return left.value / left.weight
 
 
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
-    """Central-difference solve of ``u'' = g(x) + k(x) u`` by shooting.
+    """Central-difference solve of ``u'' = g(x) + k(x) u``, its right
+    condition read on the three-node backward slope: exact for solutions
+    that are polynomials of degree at most two, second-order otherwise.
 
-    The ``n - 1`` interior rows are marched as an IVP and the right-end
-    condition, with the second-order one-sided slope for its ``u'`` term, is
-    matched by shooting, which is exact for this linear equation.  Exact for
-    solutions that are polynomials of degree at most two, second-order
-    otherwise.
+    Without coupling the forcing is summed twice and matched once against
+    the line ``x``.  With it, the rows are marched in blocks and one
+    forward sweep carries the line ``offset + t direction`` of entry states
+    that the left value allows, in ``(U, S = D/h)``; each block exit
+    normalises ``direction`` and projects it out of ``offset``, so the
+    line never grows with the coupling.  The right row fixes ``t`` and one
+    backward pass gives every block's entry.
 
-    :raises SingularShootingError: when the homogeneous solution already
-        meets the homogeneous right condition, so that no slope matches it.
-    :raises IfoiDivergenceError: when a marched value passes ``1e8`` or a
-        summed one overflows.
+    :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
+    :raises SingularShootingError: when the right row's coefficient of
+        ``t``, normalised, falls below ``1e-12``: the homogeneous rows
+        already meet the homogeneous right condition.
+    :raises IfoiDivergenceError: when the solution overflows.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")
-    solution, _ = solve_bvp(case, _march_solver(case, n))
-    return solution
+    u0, h, right = _left_value(case), 1.0 / n, case.right_bc
+    if case.k is None:
+        x = nodes(n)
+        out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
+        np.cumsum(IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)[1:n],
+                  out=out[2:])
+        np.cumsum(out[2:], out=out[2:])
+        out *= h * h
+        out += u0
+        # a cumulative sum that overflows anywhere ends non-finite
+        if not math.isfinite(out[-1]):
+            raise IfoiDivergenceError("the sum overflowed", 0, math.inf)
+        pair = ShootingPair(GridFunction(out), GridFunction(x))
+        return combine(pair, match_coefficient(pair, right))
+
+    table, exits, (kh, gh) = _march(case, n)
+    width, _, blocks = table.shape
+    lead = blocks * width - (n - 1)
+    # block 0 is entered at (u0, 0) + s ((1 - lead) h, 1), s the slope u'(0)
+    line, sweep = ((u0, 0.0), ((1 - lead) * h, 1.0)), []
+    for u_phi, u_psi, u_p, s_phi, s_psi, s_p in exits:
+        (a, s), (b, r) = line
+        b, r = b * u_phi + r * u_psi, b * s_phi + r * s_psi
+        scale = math.hypot(b, r)
+        b, r = b / scale, r / scale
+        a, s = a * u_phi + s * u_psi + u_p, a * s_phi + s * s_psi + s_p
+        shift = a * b + s * r
+        sweep.append((line, scale, shift))
+        line = (a - shift * b, s - shift * r), (b, r)
+    # the right condition on the slope S[n-1] + h f[n-1] / 2, with
+    # U[n-1] = U[n] - h S[n-1], is cu U[n] + cs S[n-1] = value - slope gh/2h
+    cu = right.weight + right.slope * kh / (2.0 * h)
+    cs = right.slope * (1.0 - kh / 2.0)
+    (a, s), (b, r) = line
+    denom, norm = cu * b + cs * r, math.hypot(cu, cs)
+    if abs(denom) <= SINGULAR_TOL * norm:  # a row of zeros included
+        raise SingularShootingError(
+            f"right-row coefficient {denom:.3e} of a row of norm {norm:.3e}"
+            " is numerically zero")
+    t = (right.value - right.slope * gh / (2.0 * h) - cu * a - cs * s) / denom
+    entries = []
+    for ((a, s), (b, r)), scale, shift in reversed(sweep):
+        t = (t - shift) / scale
+        entries.append((a + t * b, s + t * r))
+    alpha, beta = np.array(entries[::-1]).T
+    phi, psi, p = table.transpose(1, 0, 2)
+    rows = phi * alpha
+    rows += psi * beta
+    rows += p
+    out = np.empty(2 + blocks * width)
+    out[2:].reshape(blocks, width)[...] = rows.T
+    out = out[lead:]
+    out[0], out[1] = u0, u0 + h * beta[0]
+    if not np.isfinite(out).all():
+        raise IfoiDivergenceError("the march overflowed", 0, math.inf)
+    return GridFunction(out)
 
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,
                     max_iter: int) -> tuple[np.ndarray, list[float]]:
-    left, right = case.left_bc, case.right_bc
-    if left.slope != 0.0:
-        raise ValueError("decomposition requires a Dirichlet left condition")
-    h = 1.0 / n
-    x = nodes(n)
-    a = left.value / left.weight
+    right, h, x = case.right_bc, 1.0 / n, nodes(n)
+    a = _left_value(case)
     U = a + (right.value - a) * x
     problem = IvpProblem(case.g, case.k, a, 0.0)
     dfu = IvpProblem(None, case.k, a, 0.0).rhs(x, 1.0)  # k, the Jacobian

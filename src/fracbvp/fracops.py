@@ -190,8 +190,8 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
     ``j <= window/h`` only, dropping samples farther behind the evaluation
     point: the short-memory principle (Podlubny 1999), stated for the
     binomial series, so ``rect`` and ``abm`` refuse it.  A window saves
-    work in direct sums only, so ``ifoi.staged``, ``ifoi.compose_check``
-    and the composed solve, applied by FFT, keep full memory.
+    work in direct sums only, so ``ifoi.staged`` and the composed solve,
+    applied by FFT, keep full memory.
 
     :raises ValueError: for an unknown scheme, an order outside
         ``[-2, 0)``, a finite window with ``rect`` or ``abm``, or a window

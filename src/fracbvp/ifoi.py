@@ -21,8 +21,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fracops import apply_pair, apply_scheme, stage_kernels
-from .grid import GridFunction, nodes, sup_distance
+from .fracops import apply_pair, stage_kernels
+# unused here: the benchmark's tracer wraps this module's ``apply_scheme``
+from .fracops import apply_scheme  # noqa: F401
+from .grid import GridFunction, nodes
 
 TOTAL_ORDER = 2.0
 PICARD_TOL = 1e-10
@@ -32,9 +34,8 @@ MIN_GRID = 8
 
 
 class IfoiDivergenceError(RuntimeError):
-    """A solve diverged: a Picard iterate or the coupled FDM march passed
-    the ``1e8`` guard, Picard failed to settle, or a forcing-only solve
-    overflowed to non-finite values."""
+    """A solve diverged: a Picard iterate passed the ``1e8`` guard, Picard
+    failed to settle, or a solve overflowed to non-finite values."""
 
     def __init__(self, message: str, iterations: int, last_update: float):
         super().__init__(message)
@@ -370,14 +371,3 @@ def make_ivp_solver(partition: AlphaPartition, n: int, scheme: str,
 
     return solver
 
-
-def compose_check(f: GridFunction, partition: AlphaPartition,
-                  scheme: str) -> float:
-    """Sup-norm gap between the staged composition and one order-2 pass.
-
-    A diagnostic for how well the discrete operators inherit the semigroup
-    law of their continuous counterparts; it vanishes identically for a
-    single-stage partition.
-    """
-    direct = apply_scheme(scheme, f, -TOTAL_ORDER)
-    return sup_distance(staged(f, partition, scheme)[-1], direct)

@@ -224,3 +224,56 @@ def chebyshev_bvp(g, k, left: float, right: tuple[float, float, float],
     coeffs = np.linalg.solve(matrix, np.r_[g(x), left, r])
     return lambda xs: C.chebval(2.0 * np.asarray(xs, dtype=float) - 1.0,
                                 coeffs)
+
+
+# ---------------------------------------------------------------------------
+# central differences, marched step by step and solved as dense rows
+# ---------------------------------------------------------------------------
+
+def central_march(g, k, u0: float, s0: float, n: int) -> np.ndarray:
+    """Central differences on ``u'' = g(x) + k(x) u`` as an IVP from
+    ``U[0] = u0`` and ``U[1] = u0 + s0 h``, one step at a time in the
+    difference form ``D[i] = D[i-1] + h^2 (g[i] + k[i] U[i])``,
+    ``U[i+1] = U[i] + D[i]``; ``g`` and ``k`` are samples at the nodes."""
+    h = 1.0 / n
+    g, k = (np.broadcast_to(f, (n + 1,)).tolist() for f in (g, k))
+    U = [u0, u0 + s0 * h]
+    D = s0 * h
+    for i in range(1, n):
+        D += h * h * (g[i] + k[i] * U[i])
+        U.append(U[i] + D)
+    return np.array(U)
+
+
+def fdm_dense(g, k, left: float, right: tuple[float, float, float],
+              n: int) -> np.ndarray:
+    """The central-difference solution of ``u'' = g(x) + k(x) u`` on the
+    nodes ``j / n``, from its ``(n + 1) x (n + 1)`` rows, scaled to unit
+    entries: ``U[0] = left``,
+    ``U[i-1] - (2 + h^2 k[i]) U[i] + U[i+1] = h^2 g[i]`` for ``0 < i < n``,
+    and ``p (3 U[n] - 4 U[n-1] + U[n-2]) / 2 + h q U[n] = h r`` for
+    ``right = (p, q, r)``, the three-node backward slope times ``h``.
+
+    ``numpy.linalg.solve`` runs on the dense matrix, then on the residual
+    three times.  Rounding ``-2 - h^2 k`` moves ``k`` by about
+    ``1e-16 / h^2``, up to 3e-12 of ``max|u|`` at ``n = 1000``, so the
+    residual is taken through first differences, as the rows read.
+    """
+    h = 1.0 / n
+    x = np.arange(n + 1) * h
+    hk = h * h * np.broadcast_to(k(x), x.shape)[1:n]
+    hg = h * h * np.broadcast_to(g(x), x.shape)[1:n]
+    p, q, r = right
+    i = np.arange(1, n)
+    matrix = np.zeros((n + 1, n + 1))
+    matrix[0, 0] = 1.0
+    matrix[i, i - 1] = matrix[i, i + 1] = 1.0
+    matrix[i, i] = -2.0 - hk
+    matrix[n, n - 2:] = 0.5 * p, -2.0 * p, 1.5 * p + h * q
+    u = np.zeros(n + 1)
+    for _ in range(4):
+        d = np.diff(u)
+        residual = np.r_[left - u[0], hg - np.diff(d) + hk * u[1:n],
+                         h * r - p * (1.5 * d[-1] - 0.5 * d[-2]) - h * q * u[n]]
+        u = u + np.linalg.solve(matrix, residual)
+    return u

