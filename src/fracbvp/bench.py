@@ -201,9 +201,9 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
     partition = make_alpha_partition(params["spacing"], params["m"])
     stages = staged(GridFunction(ifoi.extra["trace"].forcing), partition,
                     params["scheme"])
+    lift = case.left_bc.value / case.left_bc.weight
     stage_series = [
-        Series(f"order {order:.2f}", gf.nodes,
-               case.left_bc.value / case.left_bc.weight + gf.values,
+        Series(f"order {order:.2f}", x, lift + gf.values,
                ramp_color(order / TOTAL_ORDER),
                1.2, in_legend=(i in (0, len(stages) - 1)))
         for i, (order, gf) in enumerate(zip(partition.cumulative[1:],

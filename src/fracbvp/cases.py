@@ -9,8 +9,10 @@ closed form; case 4 couples the unknown back through ``k = -2x`` and its
 reference solution is an entire power series (Airy functions of
 ``-2^(1/3) x``) whose ten-term coefficient rows are computed at import.
 The oracles work in place on a few arrays of the grid's size, with no
-Python call per node, so scoring costs a small share of a solve at any
-grid size.
+Python call per node, in ``O(n)``; even so, scoring costs as much as an
+FDM solve or more at large grids: best of 35 at ``n = 90,007``, 1.22 ms
+against 0.81 ms for the solve in case 1, and 1.56 ms against 1.34 ms in
+case 3 (2-CPU x86_64 host, numpy 2.4).
 """
 
 from __future__ import annotations

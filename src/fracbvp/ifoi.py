@@ -6,10 +6,12 @@ schedule; the semigroup law of the fractional integral makes the composition
 converge to the plain double integral as the grid refines.  A solve applies
 the whole schedule as one convolution, a :class:`ComposedOperator` of a
 scheme, a schedule and a grid, composed once per power-of-two length;
-:func:`staged` runs the stages one by one instead, for the stage-evolution
-plot.  Both keep full memory.  A problem is ``u'' = g(x) + k(x) u``;
-a coupling ``k`` is handled by an outer Picard iteration around the composed
-operator, and only its iterates are held to the divergence guard.
+:func:`staged` gives the partial integral after every stage instead, for
+the stage-evolution plot, by FFT: on short grids in one batch, with the
+compositions of stages ``1..j`` kept the same way.  Both keep full
+memory.  A problem is ``u'' = g(x) + k(x) u``; a coupling ``k`` is
+handled by an outer Picard iteration around the composed operator, and
+only its iterates are held to the divergence guard.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fracops import apply_pair, stage_kernels
+from .fracops import _fft_size, apply_pair, gl_coefficients, stage_kernels
 # unused here: the benchmark's tracer wraps this module's ``apply_scheme``
 from .fracops import apply_scheme  # noqa: F401
 from .grid import GridFunction, nodes
@@ -132,28 +134,11 @@ class IfoiTrace:
     forcing: np.ndarray = field(repr=False, compare=False)
 
 
-def _fft_size(target: int) -> int:
-    """Smallest ``2**a * 3**b * 5**c >= target``; numpy transforms such
-    lengths fastest.  On the benchmark's ``ifoi-large`` workload this gave
-    14% more ops per second and a 22% shorter p75 op time than the next
-    power of two (four seeds each, 2-CPU host)."""
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < target:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-#: Compositions kept by :func:`_composed_sequence`, one per scheme,
-#: schedule and length class.  The benchmark's ``ifoi-large``
-#: workload uses 16 (about 2 MB at ``n <= 10^4``) and ``paper`` about 12.
+#: Compositions kept by :func:`_composed_sequence`, and tables kept by
+#: :func:`_stage_prefixes`, each one per scheme, schedule and length class.
+#: The benchmark's ``ifoi-large`` workload uses 16 compositions (about
+#: 2 MB at ``n <= 10^4``) and no table; ``paper`` about 12 compositions
+#: and 12 tables (under 0.5 MB).
 COMPOSED_CACHE_SIZE = 32
 
 
@@ -270,20 +255,81 @@ class ComposedOperator:
         return out
 
 
+#: Longest length class whose stage snapshots are read off a table of
+#: :func:`_stage_prefixes`; longer grids chain the stages one by one.  Up
+#: to here the first call of a class, which builds the table, costs about
+#: what the chain costs and later calls a third of it.  Beyond, the build
+#: costs more than the chain (71-164 ms against 29-67 ms at ``n = 10^5``,
+#: 2-CPU x86_64 host), and a traced run stages its grid once.
+STAGED_TABLE_LENGTH = 256
+
+
+@functools.lru_cache(maxsize=COMPOSED_CACHE_SIZE)
+def _stage_prefixes(scheme: str, partition: AlphaPartition, length: int,
+                    ) -> np.ndarray:
+    """The pairs of stages ``1..j`` of a staged integration, for each ``j``,
+    at ``h = 1``, on ``length`` terms, with full memory, read-only: a
+    ``(2, m, length)`` array of the kernels ``P_j = k_j * ... * k_1`` and
+    the columns ``V_j = k_j * ... * k_2 * v_1``.
+
+    Each stage output is 0 at node 0, so only stage 1's column term acts
+    and, at step ``h``, the partial integral after stage ``j`` is
+    ``h**c_j`` times ``conv(P_j, f) + V_j f[0]``, ``c_j`` the cumulative
+    order.  As for :func:`_composed_sequence`, every grid with
+    ``n + 1 <= length`` reads its rows off a prefix, and a grid's
+    snapshots never depend on which grids ran before it.  An entry holds
+    ``16 m length`` bytes, at most ``16 m STAGED_TABLE_LENGTH``: 41 kB for
+    ``m = 10``.
+
+    GL weights are the coefficients of ``(1 - z)**-mu``, so ``P_j`` is the
+    GL kernel of order ``c_j`` and, with ``v_1 = -e_0``, ``V_j`` is minus
+    that of order ``c_j - c_1``.  Otherwise each row is the previous one
+    times one stage kernel, truncated to ``length`` terms; ``rect`` has
+    ``v_1 = 0``, so its columns stay 0.
+    """
+    if scheme == "gl":
+        c = np.array(partition.cumulative[1:])
+        rows = gl_coefficients(np.stack((-c, c[0] - c)), length)
+        np.negative(rows[1], out=rows[1])
+    else:
+        kernels, col0s = stage_kernels(scheme, partition.stage_orders,
+                                       length - 1, 1.0)
+        rows = np.zeros((2,) + kernels.shape)
+        rows[:, 0] = kernels[0], col0s[0]
+        live = rows[:, 0].any(axis=1)
+        size = 2 * length  # a product of two length-term series fits
+        spectra = np.fft.rfft(kernels[1:], size)
+        for j in range(1, partition.stage_count):
+            rows[live, j] = np.fft.irfft(
+                np.fft.rfft(rows[live, j - 1], size) * spectra[j - 1],
+                size)[:, :length]
+    rows.setflags(write=False)
+    return rows
+
+
 def staged(f: GridFunction, partition: AlphaPartition,
            scheme: str) -> list[GridFunction]:
-    """The partial integrals of ``f`` after each stage of ``partition``, by
-    one direct convolution per stage, in ``O(m n^2)``, with full memory;
-    the last one is the :class:`ComposedOperator` applied to ``f``, to
-    rounding, unless the scheme is ``abm`` and ``f(0) != 0`` (that operator
-    is exact on constants, these snapshots are not).  All ``m`` kernels
-    come from one :func:`~fracbvp.fracops.stage_kernels` call."""
-    kernels, col0s = stage_kernels(scheme, partition.stage_orders, f.n, f.h)
-    out = []
-    for kernel, col0 in zip(kernels, col0s):
-        f = apply_pair(kernel, col0, f)
-        out.append(f)
-    return out
+    """The partial integrals of ``f`` after each stage of ``partition``,
+    with full memory, in ``O(m n log n)``: up to ``STAGED_TABLE_LENGTH``
+    nodes by one batched FFT convolution of ``f`` with the rows of
+    :func:`_stage_prefixes`, on longer grids by one FFT convolution per
+    stage.  The last one is the :class:`ComposedOperator` applied to ``f``,
+    to rounding, unless the scheme is ``abm`` and ``f(0) != 0`` (that
+    operator is exact on constants, these snapshots are not)."""
+    length = _length_class(f.n)
+    if length > STAGED_TABLE_LENGTH:
+        kernels, col0s = stage_kernels(scheme, partition.stage_orders,
+                                       f.n, f.h)
+        out = []
+        for j in range(partition.stage_count):
+            f = GridFunction(apply_pair(kernels[j:j + 1], col0s[j:j + 1],
+                                        f)[0])
+            out.append(f)
+        return out
+    kernels, col0s = _stage_prefixes(scheme, partition, length)
+    powers = np.array([f.h**c for c in partition.cumulative[1:]])[:, None]
+    return [GridFunction(row) for row in apply_pair(
+        kernels[:, : f.n + 1] * powers, col0s[:, : f.n + 1] * powers, f)]
 
 
 def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,

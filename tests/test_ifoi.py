@@ -12,8 +12,9 @@ from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
 from fracbvp.grid import sup_distance
-from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, TOTAL_ORDER,
-                          _composed_sequence, staged)
+from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, STAGED_TABLE_LENGTH,
+                          TOTAL_ORDER, _composed_sequence, _stage_prefixes,
+                          staged)
 from fracbvp.shooting import SINGULAR_TOL, _end_slope
 
 from oracles import (central_march, rk4_solve_ivp, simpson_double,
@@ -204,6 +205,83 @@ def test_doubling_stage_count_does_not_blow_up(scheme):
         solution, _ = solve_bvp(case, solver)
         errs[m] = sup_error(solution, case)
     assert errs[20] <= 3.0 * errs[10] + 1e-12
+
+
+def _direct_snapshots(values, partition, scheme):
+    """The partial integrals after each stage, one direct convolution with
+    the stage's :func:`stage_kernels` pair per stage."""
+    n = values.size - 1
+    kernels, col0s = stage_kernels(scheme, partition.stage_orders, n, 1.0 / n)
+    out = []
+    for kernel, col0 in zip(kernels, col0s):
+        values = np.convolve(kernel, values)[: n + 1] + col0 * values[0]
+        values[0] = 0.0
+        out.append(values)
+    return out
+
+
+# random data starts away from 0, so the abm column term of stage 1 acts;
+# the sine vanishes at node 0.  n = 40 and 200 read a table of stage
+# prefixes, n = 4000 chains the stages
+@pytest.mark.parametrize("data", ["random", "sine"])
+@pytest.mark.parametrize("spacing", ["regular", "quadratic"])
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+@pytest.mark.parametrize("n", [40, 200, 4000])
+def test_stage_snapshots_match_direct_convolution(n, scheme, spacing, data):
+    x = np.arange(n + 1) / n
+    values = (np.random.default_rng(n).normal(size=n + 1) if data == "random"
+              else np.sin(7.0 * x))
+    partition = make_alpha_partition(spacing, 10)
+    snapshots = staged(GridFunction(values), partition, scheme)
+    references = _direct_snapshots(values, partition, scheme)
+    assert len(snapshots) == len(references) == 10
+    for snapshot, reference in zip(snapshots, references):
+        gap = np.max(np.abs(snapshot.values - reference))
+        assert gap <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+def test_stage_snapshots_do_not_depend_on_earlier_grids(scheme):
+    """A grid's snapshots are the same bits whether its table of prefix
+    compositions was built for it or for another grid of its length
+    class, and whatever else was staged before."""
+    partition = make_alpha_partition("quadratic", 10)
+
+    def snapshots(n):
+        f = GridFunction(np.cos(3.0 * np.arange(n + 1) / n) + 0.5)
+        return [g.values.tobytes() for g in staged(f, partition, scheme)]
+
+    _stage_prefixes.cache_clear()
+    fresh = snapshots(200)
+    _stage_prefixes.cache_clear()
+    for n in (150, 1000, 255, 40):
+        snapshots(n)
+    assert snapshots(200) == fresh
+
+
+def test_only_short_grids_keep_a_table_of_stage_prefixes():
+    """Grids of up to ``STAGED_TABLE_LENGTH`` nodes read their snapshots
+    off a kept table; longer ones chain the stages and keep nothing."""
+    partition = make_alpha_partition("regular", 10)
+    _stage_prefixes.cache_clear()
+    for n in (STAGED_TABLE_LENGTH - 1, STAGED_TABLE_LENGTH):
+        staged(GridFunction.sample(np.cos, n), partition, "abm")
+    assert _stage_prefixes.cache_info().currsize == 1
+
+
+def test_staged_and_apply_scheme_convolve_by_fft_only(monkeypatch):
+    """Neither the stage snapshots nor a single stage fall back to a direct
+    convolution, which costs ``O(n^2)`` per stage."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve was called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    # n = 100 reads a table of stage prefixes, n = 300 chains the stages
+    for n in (100, 300):
+        f = GridFunction.sample(np.cos, n)
+        for scheme in ("gl", "rect", "abm"):
+            staged(f, make_alpha_partition("regular", 10), scheme)
+            apply_scheme(scheme, f, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +593,7 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
 # ---------------------------------------------------------------------------
 
 def _staged(values, partition, scheme):
-    g = GridFunction(values)
-    for alpha in partition.stage_orders:
-        g = apply_scheme(scheme, g, alpha)
-    return g.values
+    return _direct_snapshots(values, partition, scheme)[-1]
 
 
 # rect keeps its case's five stages: ten rect stages on n = 8 are refused

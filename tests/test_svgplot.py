@@ -254,3 +254,54 @@ def test_span_beyond_the_float_range_renders_in_the_box(x, y):
         px, py = map(float, point.split(","))
         assert MARGIN_L <= px <= WIDTH - MARGIN_R
         assert MARGIN_T <= py <= HEIGHT - MARGIN_B
+
+
+# ---------------------------------------------------------------------------
+# M4: series longer than four points per pixel column
+# ---------------------------------------------------------------------------
+
+def _frame(svg):
+    """The plot area's left edge and width, in pixels."""
+    left, width = re.search(
+        rf'<rect x="(\d+)" y="{MARGIN_T}" width="(\d+)"', svg).groups()
+    return int(left), int(width)
+
+
+def _m4_reference(x, y, left, width):
+    """Indices of the first, lowest, highest and last point of each pixel
+    column, one column at a time."""
+    px = left + (x - x.min()) / (x.max() - x.min()) * width
+    columns = np.minimum((px - left).astype(int), width - 1)
+    keep = set()
+    for c in np.unique(columns):
+        idx = np.flatnonzero(columns == c)
+        keep |= {idx[0], idx[np.argmin(y[idx])], idx[np.argmax(y[idx])],
+                 idx[-1]}
+    keep = np.array(sorted(keep))
+    return keep, columns[keep]
+
+
+def test_long_series_keep_each_columns_first_lowest_highest_and_last():
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 1.0, 100_000)
+    y = np.sin(40.0 * x) + rng.normal(scale=0.3, size=x.size)
+    short = Series("b", x[::2000], np.cos(x[::2000]), "")
+    svg = render_line_plot([Series("a", x, y, ""), short], "t")
+    left, width = _frame(svg)
+    keep, columns = _m4_reference(x, y, left, width)
+    assert np.bincount(columns).max() <= 4
+    # the kept points span the same ranges, so they map to the same pixels
+    assert svg == render_line_plot([Series("a", x[keep], y[keep], ""),
+                                    short], "t")
+
+
+def test_series_of_at_most_four_points_per_column_keep_every_point():
+    count = 4 * (WIDTH - MARGIN_L - MARGIN_R)
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, count + 1)
+    y = rng.uniform(size=count + 1)
+    svg = _check([Series("a", x[:count], y[:count], "")])
+    assert _frame(svg) == (MARGIN_L, count // 4)
+    (points,) = _rendered_points(render_line_plot([Series("a", x, y, "")],
+                                                  "t"))
+    assert len(points.split()) < count
