@@ -201,13 +201,13 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
     partition = make_alpha_partition(params["spacing"], params["m"])
     stages = staged(GridFunction(ifoi.extra["trace"].forcing), partition,
                     params["scheme"])
-    lift = case.left_bc.value / case.left_bc.weight
+    lift = shooting.left_value(case)
     stage_series = [
-        Series(f"order {order:.2f}", x, lift + gf.values,
+        Series(f"order {order:.2f}", x, lift + row,
                ramp_color(order / TOTAL_ORDER),
                1.2, in_legend=(i in (0, len(stages) - 1)))
-        for i, (order, gf) in enumerate(zip(partition.cumulative[1:],
-                                            stages))
+        for i, (order, row) in enumerate(zip(partition.cumulative[1:],
+                                             stages))
     ]
     evolution = [Series("forcing", x, forcing, "#1f77b4", 2.0)] \
         + stage_series \

@@ -6,9 +6,9 @@ backward slope.  ``fdm_linear`` solves every package case: it sums the
 forcing without coupling, and with it marches the rows in blocks joined by
 one stabilized sweep (Ascher, Mattheij & Russell 1995, *Numerical Solution
 of Boundary Value Problems for ODEs*, ch. 4), so a growing coupling never
-enters through a growing IVP.  ``fdm_newton`` is an independent reference:
-a guarded Thomas sweep per step, its right row reduced to tridiagonal
-through the last interior equation.
+enters through a growing IVP; IFOI's ``shooting.solve_right_row`` fixes
+its free direction.  ``fdm_newton``, a guarded Thomas sweep per step, is an
+independent reference.  Both read ``u(0)`` by ``shooting.left_value``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 
 from .grid import GridFunction, nodes
 from .ifoi import IfoiDivergenceError, IvpProblem
-from .shooting import (SINGULAR_TOL, ShootingPair, SingularShootingError,
-                       combine, match_coefficient)
+from .shooting import _end_slope, left_value, solve_right_row
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -129,14 +128,6 @@ def _march(case: "CaseSpec", n: int) -> tuple[np.ndarray, list, tuple]:
     return table, exits, tuple(coef[-1, :, -1].tolist())
 
 
-def _left_value(case: "CaseSpec") -> float:
-    """``u(0)``; a left end with a ``u'`` term is a ``ValueError``."""
-    left = case.left_bc
-    if left.slope != 0.0:
-        raise ValueError("FDM requires a Dirichlet left condition")
-    return left.value / left.weight
-
-
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     """Central-difference solve of ``u'' = g(x) + k(x) u``, its right
     condition read on the three-node backward slope: exact for solutions
@@ -151,14 +142,13 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     backward pass gives every block's entry.
 
     :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
-    :raises SingularShootingError: when the right row's coefficient of
-        ``t``, normalised, falls below ``1e-12``: the homogeneous rows
-        already meet the homogeneous right condition.
+    :raises SingularShootingError: when the homogeneous rows meet the
+        homogeneous right condition.
     :raises IfoiDivergenceError: when the solution overflows.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")
-    u0, h, right = _left_value(case), 1.0 / n, case.right_bc
+    u0, h = left_value(case), 1.0 / n
     if case.k is None:
         x = nodes(n)
         out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
@@ -170,8 +160,9 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
         # a cumulative sum that overflows anywhere ends non-finite
         if not math.isfinite(out[-1]):
             raise IfoiDivergenceError("the sum overflowed", 0, math.inf)
-        pair = ShootingPair(GridFunction(out), GridFunction(x))
-        return combine(pair, match_coefficient(pair, right))
+        out += solve_right_row(case.right_bc, (out[n], x[n]),
+                               (_end_slope(out, h), _end_slope(x, h))) * x
+        return GridFunction(out)
 
     table, exits, (kh, gh) = _march(case, n)
     width, _, blocks = table.shape
@@ -187,17 +178,12 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
         shift = a * b + s * r
         sweep.append((line, scale, shift))
         line = (a - shift * b, s - shift * r), (b, r)
-    # the right condition on the slope S[n-1] + h f[n-1] / 2, with
-    # U[n-1] = U[n] - h S[n-1], is cu U[n] + cs S[n-1] = value - slope gh/2h
-    cu = right.weight + right.slope * kh / (2.0 * h)
-    cs = right.slope * (1.0 - kh / 2.0)
+    # the end slope S[n-1] + h f[n-1] / 2, with U[n-1] = U[n] - h S[n-1],
+    # is S[n-1] (1 - kh/2) + (kh U[n] + gh) / 2h, affine in t on the line
     (a, s), (b, r) = line
-    denom, norm = cu * b + cs * r, math.hypot(cu, cs)
-    if abs(denom) <= SINGULAR_TOL * norm:  # a row of zeros included
-        raise SingularShootingError(
-            f"right-row coefficient {denom:.3e} of a row of norm {norm:.3e}"
-            " is numerically zero")
-    t = (right.value - right.slope * gh / (2.0 * h) - cu * a - cs * s) / denom
+    t = solve_right_row(case.right_bc, (a, b),
+                        (s * (1.0 - kh / 2.0) + (kh * a + gh) / (2.0 * h),
+                         r * (1.0 - kh / 2.0) + kh * b / (2.0 * h)))
     entries = []
     for ((a, s), (b, r)), scale, shift in reversed(sweep):
         t = (t - shift) / scale
@@ -218,8 +204,7 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,
                     max_iter: int) -> tuple[np.ndarray, list[float]]:
-    right, h, x = case.right_bc, 1.0 / n, nodes(n)
-    a = _left_value(case)
+    a, right, h, x = left_value(case), case.right_bc, 1.0 / n, nodes(n)
     U = a + (right.value - a) * x
     problem = IvpProblem(case.g, case.k, a, 0.0)
     dfu = IvpProblem(None, case.k, a, 0.0).rhs(x, 1.0)  # k, the Jacobian

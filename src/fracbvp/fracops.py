@@ -224,24 +224,23 @@ def apply_scheme(scheme: str, f: GridFunction, alpha: float,
     :func:`apply_pair` with its pair of :func:`stage_kernels`, keeping
     ``window`` of history."""
     kernels, col0s = stage_kernels(scheme, (alpha,), f.n, f.h, window)
-    return GridFunction(apply_pair(kernels, col0s, f)[0])
+    return GridFunction(apply_pair(kernels, col0s, f.values)[0])
 
 
 def apply_pair(kernels: np.ndarray, col0s: np.ndarray,
-               f: GridFunction) -> np.ndarray:
-    """The matrices of (kernel, col0) rows of the form of
-    :func:`stage_kernels`, ``n + 1`` terms each, applied to ``f``: one row
-    of results per row, all by one batched FFT convolution at
-    ``_fft_size(2n + 1)`` terms, in ``O(r n log n)`` for ``r``
-    rows."""
-    size = _fft_size(2 * f.n + 1)
+               f: np.ndarray) -> np.ndarray:
+    """The (kernel, col0) rows of the form of :func:`stage_kernels` applied
+    to the ``n + 1`` samples ``f``: one row of results per row, all by one
+    batched FFT convolution at ``_fft_size(2n + 1)`` terms, in
+    ``O(r n log n)`` for ``r`` rows."""
+    size = _fft_size(2 * f.size - 1)
     conv = np.fft.irfft(np.fft.rfft(kernels, size)
-                        * np.fft.rfft(f.values, size), size)
-    out = conv[:, : f.n + 1] + col0s * f.values[0]
+                        * np.fft.rfft(f, size), size)
+    out = conv[:, : f.size] + col0s * f[0]
     # the matrices are lower triangular with a zero first row: keep exact
     # the zeros that node 0 and any leading zeros of f give, where the FFT
     # leaves its rounding
-    out[:, : max(1, int(np.argmax(f.values != 0.0)))] = 0.0
+    out[:, : max(1, int(np.argmax(f != 0.0)))] = 0.0
     return out
 
 

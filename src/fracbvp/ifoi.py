@@ -308,28 +308,29 @@ def _stage_prefixes(scheme: str, partition: AlphaPartition, length: int,
 
 
 def staged(f: GridFunction, partition: AlphaPartition,
-           scheme: str) -> list[GridFunction]:
+           scheme: str) -> np.ndarray:
     """The partial integrals of ``f`` after each stage of ``partition``,
-    with full memory, in ``O(m n log n)``: up to ``STAGED_TABLE_LENGTH``
-    nodes by one batched FFT convolution of ``f`` with the rows of
-    :func:`_stage_prefixes`, on longer grids by one FFT convolution per
-    stage.  The last one is the :class:`ComposedOperator` applied to ``f``,
-    to rounding, unless the scheme is ``abm`` and ``f(0) != 0`` (that
-    operator is exact on constants, these snapshots are not)."""
+    rows of one read-only ``(m, n + 1)`` array, with full memory, in
+    ``O(m n log n)``: up to ``STAGED_TABLE_LENGTH`` nodes by one batched FFT
+    convolution of ``f`` with the rows of :func:`_stage_prefixes`, on
+    longer grids by one FFT convolution per stage.  The last row is the
+    :class:`ComposedOperator` applied to ``f``, to rounding, unless the
+    scheme is ``abm`` and ``f(0) != 0`` (that operator is exact on
+    constants, these snapshots are not)."""
     length = _length_class(f.n)
     if length > STAGED_TABLE_LENGTH:
         kernels, col0s = stage_kernels(scheme, partition.stage_orders,
                                        f.n, f.h)
-        out = []
-        for j in range(partition.stage_count):
-            f = GridFunction(apply_pair(kernels[j:j + 1], col0s[j:j + 1],
-                                        f)[0])
-            out.append(f)
-        return out
-    kernels, col0s = _stage_prefixes(scheme, partition, length)
-    powers = np.array([f.h**c for c in partition.cumulative[1:]])[:, None]
-    return [GridFunction(row) for row in apply_pair(
-        kernels[:, : f.n + 1] * powers, col0s[:, : f.n + 1] * powers, f)]
+        rows, row = np.empty((partition.stage_count, f.n + 1)), f.values
+        for kernel, col0, out in zip(kernels[:, None], col0s[:, None], rows):
+            out[...] = row = apply_pair(kernel, col0, row)[0]
+    else:
+        kernels, col0s = _stage_prefixes(scheme, partition, length)
+        powers = np.array([f.h**c for c in partition.cumulative[1:]])[:, None]
+        rows = apply_pair(kernels[:, : f.n + 1] * powers,
+                          col0s[:, : f.n + 1] * powers, f.values)
+    rows.setflags(write=False)
+    return rows
 
 
 def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,

@@ -14,6 +14,7 @@ the three numbers in one expression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -25,17 +26,16 @@ from .ifoi import IvpProblem
 if TYPE_CHECKING:
     from .cases import CaseSpec
 
+# relative to both norms in the right row: see solve_right_row
 SINGULAR_TOL = 1e-12
 
 IvpSolver = Callable[[IvpProblem], GridFunction]
 
 
 class SingularShootingError(RuntimeError):
-    """The homogeneous solution already satisfies the right condition.
-
-    No finite combination can then enforce it: the BVP is ill-posed or
-    resonant for this discretization.
-    """
+    """The free direction already meets the homogeneous right condition, so
+    no finite multiple of it enforces the condition: the BVP is ill-posed or
+    resonant for this discretization."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,15 @@ class ShootingPair:
             raise ValueError("shooting pair must share one grid of 3+ samples")
 
 
+def left_value(case: "CaseSpec") -> float:
+    """``u(0)`` of a Dirichlet left condition, read by both methods; a left
+    condition with a ``u'`` term is a ``ValueError``."""
+    left = case.left_bc
+    if left.slope != 0.0:
+        raise ValueError("each method requires a Dirichlet left condition")
+    return left.value / left.weight
+
+
 def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
     """Solve the particular and homogeneous halves of a case.
 
@@ -89,10 +98,7 @@ def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
 
     :raises ValueError: for a left condition that is not Dirichlet.
     """
-    left = case.left_bc
-    if left.slope != 0.0:
-        raise ValueError("decomposition requires a Dirichlet left condition")
-    u1 = solver(IvpProblem(case.g, case.k, left.value / left.weight, 0.0))
+    u1 = solver(IvpProblem(case.g, case.k, left_value(case), 0.0))
     if case.k is None:
         return ShootingPair(u1, GridFunction(u1.nodes))
     return ShootingPair(u1, solver(IvpProblem(None, case.k, 0.0, 1.0)))
@@ -103,25 +109,34 @@ def _end_slope(values: np.ndarray, h: float) -> float:
     return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
 
 
+def solve_right_row(right_bc: BoundaryCondition, end_value: tuple,
+                    end_slope: tuple) -> float:
+    """The ``t`` at which an end value ``A + t B`` and an end slope
+    ``D + t E``, given as ``(A, B)`` and ``(D, E)``, meet the right
+    condition: ``(value - slope D - weight A) / (slope E + weight B)``.
+
+    :raises SingularShootingError: when ``|slope E + weight B|`` is at most
+        ``SINGULAR_TOL |(slope, weight)| |(B, E)|``, a zero direction
+        included: the free direction meets the homogeneous condition.
+    """
+    (a, b), (d, e) = end_value, end_slope
+    slope, weight = right_bc.slope, right_bc.weight
+    denom = slope * e + weight * b
+    tol = SINGULAR_TOL * math.hypot(slope, weight)  # first, lest it overflow
+    if abs(denom) <= tol * math.hypot(b, e):
+        raise SingularShootingError(
+            f"right-row coefficient {denom:.3e} is numerically zero")
+    return float((right_bc.value - slope * d - weight * a) / denom)
+
+
 def match_coefficient(pair: ShootingPair,
                       right_bc: BoundaryCondition) -> float:
-    """Coefficient that makes ``u1 + c*u2`` satisfy the right condition
-    ``slope * u'(1) + weight * u(1) = value``:
-    ``c = (value - slope d1 - weight u1(1)) / (slope d2 + weight u2(1))``,
-    with ``d_i`` the backward-difference end slopes at the pair's step
-    ``h = 1/n``.
-
-    :raises SingularShootingError: when the denominator magnitude falls
-        below ``1e-12``.
-    """
-    u1, u2 = pair.u1.values, pair.u2.values
-    h, slope, weight = pair.u1.h, right_bc.slope, right_bc.weight
-    numer = right_bc.value - slope * _end_slope(u1, h) - weight * u1[-1]
-    denom = slope * _end_slope(u2, h) + weight * u2[-1]
-    if abs(denom) < SINGULAR_TOL:
-        raise SingularShootingError(
-            f"combination denominator {denom:.3e} is numerically zero")
-    return float(numer / denom)
+    """Coefficient that makes ``u1 + c*u2`` meet the right condition, by
+    :func:`solve_right_row` on the pair's end values and backward-difference
+    end slopes; ``singular`` when ``u2`` meets the homogeneous condition."""
+    u1, u2, h = pair.u1.values, pair.u2.values, pair.u1.h
+    return solve_right_row(right_bc, (u1[-1], u2[-1]),
+                           (_end_slope(u1, h), _end_slope(u2, h)))
 
 
 def combine(pair: ShootingPair, c: float) -> GridFunction:

@@ -17,6 +17,14 @@ Two files, from one command run at the repository root::
 
 Regenerate them only for a change that is meant to alter these outputs,
 and log the change and its reason.
+
+To check that a change keeps every recorded solve bit for bit, without
+writing anything::
+
+    PYTHONPATH=src python tests/make_golden.py --digest
+
+prints one SHA-256 over the full solution bytes, the status, the sup error
+and the Picard count of every recorded solve; compare it before and after.
 """
 
 import contextlib
@@ -98,6 +106,21 @@ def solve_record(case: str, method: str, n) -> dict:
     }
 
 
+def solves_digest() -> str:
+    """SHA-256 over the full solution, status, sup error and Picard count
+    of every recorded solve, in the order of :func:`recorded_solves`."""
+    sha = hashlib.sha256()
+    for case, method, n in recorded_solves():
+        report = run_quiet(RunConfig(case, method=method, n=n))[0]
+        trace = report.extra.get("trace")
+        sha.update(repr((solve_key(case, method, n), report.status,
+                         report.sup_error, None if trace is None
+                         else trace.picard_iterations)).encode())
+        if report.solution is not None:
+            sha.update(report.solution.values.tobytes())
+    return sha.hexdigest()
+
+
 def acceptance_lines() -> dict[str, str]:
     """The ``ACCEPTANCE`` lines of a ``pytest -s`` run of
     ``tests/test_acceptance.py``, by criterion tag."""
@@ -119,6 +142,11 @@ def acceptance_lines() -> dict[str, str]:
 
 
 def main() -> None:
+    if sys.argv[1:] == ["--digest"]:
+        print(solves_digest())
+        return
+    if sys.argv[1:]:  # a mistyped flag must not rewrite the recorded files
+        raise SystemExit("usage: make_golden.py [--digest]")
     with tempfile.TemporaryDirectory() as tmp:
         digests = svg_digests(tmp)
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

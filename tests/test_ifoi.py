@@ -11,7 +11,6 @@ from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
                      make_ivp_solver, robin, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
-from fracbvp.grid import sup_distance
 from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, STAGED_TABLE_LENGTH,
                           TOTAL_ORDER, _composed_sequence, _stage_prefixes,
                           staged)
@@ -177,7 +176,7 @@ def test_trace_orders_and_final_snapshot():
                                 ComposedOperator("gl", partition, 100))
     stages = staged(GridFunction(trace.forcing), partition, "gl")
     assert len(stages) == partition.stage_count
-    gap = np.max(np.abs(-3.0 + stages[-1].values - sol.values))
+    gap = np.max(np.abs(-3.0 + stages[-1] - sol.values))
     assert gap <= 1e-12 * np.max(np.abs(sol.values))
 
 
@@ -188,7 +187,7 @@ def test_stage_snapshots_smooth_monotonically():
     sol, trace = ifoi_solve_ivp(problem, ComposedOperator("gl", partition,
                                                           100))
     forcing = GridFunction.sample(gauss_forcing, 100)
-    tvs = [total_variation(g.values) for g in staged(
+    tvs = [total_variation(row) for row in staged(
         GridFunction(trace.forcing), partition, "gl")]
     assert tvs[0] <= total_variation(forcing.values)
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tvs, tvs[1:]))
@@ -234,9 +233,11 @@ def test_stage_snapshots_match_direct_convolution(n, scheme, spacing, data):
     partition = make_alpha_partition(spacing, 10)
     snapshots = staged(GridFunction(values), partition, scheme)
     references = _direct_snapshots(values, partition, scheme)
-    assert len(snapshots) == len(references) == 10
+    # one read-only row per stage, whether read off a table or chained
+    assert snapshots.shape == (10, n + 1) and len(references) == 10
+    assert not snapshots.flags.writeable
     for snapshot, reference in zip(snapshots, references):
-        gap = np.max(np.abs(snapshot.values - reference))
+        gap = np.max(np.abs(snapshot - reference))
         assert gap <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -249,7 +250,7 @@ def test_stage_snapshots_do_not_depend_on_earlier_grids(scheme):
 
     def snapshots(n):
         f = GridFunction(np.cos(3.0 * np.arange(n + 1) / n) + 0.5)
-        return [g.values.tobytes() for g in staged(f, partition, scheme)]
+        return staged(f, partition, scheme).tobytes()
 
     _stage_prefixes.cache_clear()
     fresh = snapshots(200)
@@ -293,7 +294,8 @@ def compose_check(f, partition, scheme):
     well the discrete operators inherit the semigroup law; it vanishes
     identically for a single-stage partition."""
     direct = apply_scheme(scheme, f, -TOTAL_ORDER)
-    return sup_distance(staged(f, partition, scheme)[-1], direct)
+    last = staged(f, partition, scheme)[-1]
+    return float(np.max(np.abs(last - direct.values)))
 
 
 def test_compose_check_quadratic_abm():

@@ -156,10 +156,17 @@ def test_null_correction_when_particular_already_matches():
 
 
 def test_singular_combination_detected():
+    """``singular`` is relative to the direction ``u2``: a zero ``u2``
+    meets every homogeneous condition, while ``u2 = 1e-13 x`` only has a
+    small scale and solves, with ``c = 0.5 / 1e-13``."""
     pair = ShootingPair(affine_grid(50, 0.5, 0.0),
                         affine_grid(50, 0.0, 0.0))
     with pytest.raises(SingularShootingError):
         match_coefficient(pair, dirichlet(1.0))
+    small = ShootingPair(affine_grid(50, 0.5, 0.0),
+                         GridFunction(1e-13 * np.arange(51) / 50))
+    c = match_coefficient(small, dirichlet(1.0))
+    assert c == pytest.approx(0.5 / 1e-13, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +221,9 @@ def _scaled(bc, factor):
 def test_scaled_conditions_state_the_same_problem(case_id, n):
     """A condition is its line ``slope u' + weight u = value``, whatever the
     scale it is written at: scaling by 2 is exact in binary and keeps every
-    solve's bits, and scaling by 3 moves them by rounding only (measured at
-    most 8.5e-16 relative)."""
+    solve's bits, and scaling by 3 or by a factor near either end of the
+    float range moves them by rounding only (measured at most 8.5e-16
+    relative), with no solve reading ``singular``."""
     case = get_case(case_id)
     n = n or case.default_n
 
@@ -224,7 +232,8 @@ def test_scaled_conditions_state_the_same_problem(case_id, n):
         return fdm_linear(c, n).values, solve_bvp(c, ifoi)[0].values
 
     plain = solves(case)
-    for factor, rtol in [(2.0, 0.0), (3.0, 1e-14)]:
+    for factor, rtol in [(2.0, 0.0), (3.0, 1e-14), (1e-13, 1e-14),
+                         (1e13, 1e-14), (1e-300, 1e-14), (1e300, 1e-14)]:
         scaled = replace(case, left_bc=_scaled(case.left_bc, factor),
                          right_bc=_scaled(case.right_bc, factor))
         for got, want in zip(solves(scaled), plain):
