@@ -7,11 +7,13 @@ converge to the plain double integral as the grid refines.  A solve applies
 the whole schedule as one convolution, a :class:`ComposedOperator` of a
 scheme, a schedule and a grid, composed once per power-of-two length;
 :func:`staged` gives the partial integral after every stage instead, for
-the stage-evolution plot, by FFT: on short grids in one batch, with the
-compositions of stages ``1..j`` kept the same way.  Both keep full
-memory.  A problem is ``u'' = g(x) + k(x) u``; a coupling ``k`` is
-handled by an outer Picard iteration around the composed operator, and
-only its iterates are held to the divergence guard.
+the stage-evolution plot, by FFT: on short grids in one batch, over a
+table of the compositions of stages ``1..j`` kept the same way.  One
+chain of stages builds both, and the composition is the table's last
+row.  Both keep full memory.  A problem is ``u'' = g(x) + k(x) u``; a
+coupling ``k`` is handled by an outer Picard iteration around the
+composed operator, and only its iterates are held to the divergence
+guard.
 """
 
 from __future__ import annotations
@@ -154,11 +156,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _prefix_pairs(scheme: str, partition: AlphaPartition, length: int,
+                  table: bool) -> np.ndarray:
+    """The pairs of stages ``1..j`` of a staged integration at ``h = 1``,
+    on ``length`` terms, with full memory: a ``(2, r, length)`` array of
+    the kernels ``P_j = k_j * ... * k_1`` and the columns
+    ``V_j = k_j * ... * k_2 * v_1``, for every ``j`` (``r = m``) if
+    ``table``, else for ``j = m`` alone (``r = 1``).
+
+    GL weights are the coefficients of ``(1 - z)**-mu``, so ``P_j`` is the
+    GL kernel of order ``c_j``, the cumulative order, and, with
+    ``v_1 = -e_0``, ``V_j`` is minus that of order ``c_j - c_1``.
+    Otherwise each row is the previous one times the next stage kernel,
+    built one at a time, truncated to ``length`` terms before the next
+    product: the spectra of all stages multiplied at once would alias the
+    tail of the full-length product.  Only a table carries the columns,
+    and only nonzero ones: ``rect`` has ``v_1 = 0``.
+    """
+    c = partition.cumulative
+    if scheme == "gl":
+        c_j = np.array(c[1:] if table else c[-1:])
+        rows = gl_coefficients(np.stack((-c_j, c[1] - c_j)), length)
+        np.negative(rows[1], out=rows[1])
+        return rows
+    rows = np.zeros((2, partition.stage_count if table else 1, length))
+    size = 2 * length  # a product of two length-term series fits
+    for j, alpha in enumerate(partition.stage_orders):
+        pair = np.concatenate(stage_kernels(scheme, (alpha,), length - 1, 1.0))
+        if j == 0:
+            chain = pair[: 2 if table and pair[1].any() else 1]
+        else:
+            chain = np.fft.irfft(np.fft.rfft(chain, size) * np.fft.rfft(
+                pair[0], size), size)[:, :length]
+        rows[: len(chain), j if table else 0] = chain
+    return rows
+
+
 @functools.lru_cache(maxsize=COMPOSED_CACHE_SIZE)
 def _composed_sequence(scheme: str, partition: AlphaPartition, length: int,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(k, v)`` of a whole staged integration at ``h = 1``, on
-    ``length`` terms, with full memory, read-only.
+    ``length`` terms, with full memory, read-only: ``(P_m, V_m)`` of
+    :func:`_prefix_pairs`, the last row of :func:`_stage_prefixes`.
 
     Stage ``k`` at step ``h`` is ``h**mu_k`` times its pair at ``h = 1``,
     and the orders sum to 2, so the composition at ``h`` is ``h**2`` times
@@ -166,35 +205,12 @@ def _composed_sequence(scheme: str, partition: AlphaPartition, length: int,
     product do not depend on where it is truncated, so every grid with
     ``n + 1 <= length`` reads its operator off a prefix.
 
-    Each stage output is 0 at node 0, so the column-0 term of a later stage
-    never acts and the kernel is ``k = P * k_1`` with ``P = k_m * ... * k_2``
-    accumulated in schedule order, one :func:`~fracbvp.fracops.stage_kernels`
-    call and one stage kernel held at a time.  Every product is truncated
-    to ``length`` terms before the next: the spectra of all stages
-    multiplied at once would alias the tail of the full-length product.
-    GL weights are the coefficients of ``(1 - z)**-mu``, so GL stages
-    compose in closed form.
-
-    The column is read off ``k``.  A ``rect`` stage, and a lone ``gl`` one,
-    has none past node 0, so ``v = 0``.  For ``abm``,
-    ``v = j**2/2 - cumsum(k)`` makes ``K 1 = x**2/2``: the composed operator
-    is exact on constants and second order for every forcing, while
-    :func:`staged` converges at order ``1 + mu_1`` when ``f(0) != 0``.
+    ``abm``'s column is the one exception: ``v = j**2/2 - cumsum(k)``
+    makes ``K 1 = x**2/2``, so the composed operator is exact on constants
+    and second order for every forcing, while :func:`staged` converges at
+    order ``1 + mu_1`` when ``f(0) != 0``.
     """
-    orders = partition.stage_orders
-    if len(orders) > 1 and scheme == "gl":
-        # P is the GL kernel of order 2 - mu_1, and v_1 is -e_0
-        k, p = stage_kernels("gl", (-TOTAL_ORDER,
-                                    partition.cumulative[1] - TOTAL_ORDER),
-                             length - 1, 1.0)[0]
-        return _frozen(k), _frozen(-p)
-    size = 2 * length  # a product of two length-term series fits
-    k = None
-    for alpha in orders[1:] + orders[:1]:
-        (kernel,), _ = stage_kernels(scheme, (alpha,), length - 1, 1.0)
-        k = kernel if k is None else np.fft.irfft(
-            np.fft.rfft(k, size) * np.fft.rfft(kernel, size), size)[:length]
-    v = np.zeros(length)
+    (k,), (v,) = _prefix_pairs(scheme, partition, length, table=False)
     if scheme == "abm":
         # blocks of ~sqrt(length) terms: a plain cumsum rounds up to 200x worse
         width = 1 << (length.bit_length() // 2)
@@ -267,42 +283,15 @@ STAGED_TABLE_LENGTH = 256
 @functools.lru_cache(maxsize=COMPOSED_CACHE_SIZE)
 def _stage_prefixes(scheme: str, partition: AlphaPartition, length: int,
                     ) -> np.ndarray:
-    """The pairs of stages ``1..j`` of a staged integration, for each ``j``,
-    at ``h = 1``, on ``length`` terms, with full memory, read-only: a
-    ``(2, m, length)`` array of the kernels ``P_j = k_j * ... * k_1`` and
-    the columns ``V_j = k_j * ... * k_2 * v_1``.
-
-    Each stage output is 0 at node 0, so only stage 1's column term acts
-    and, at step ``h``, the partial integral after stage ``j`` is
-    ``h**c_j`` times ``conv(P_j, f) + V_j f[0]``, ``c_j`` the cumulative
-    order.  As for :func:`_composed_sequence`, every grid with
-    ``n + 1 <= length`` reads its rows off a prefix, and a grid's
-    snapshots never depend on which grids ran before it.  An entry holds
-    ``16 m length`` bytes, at most ``16 m STAGED_TABLE_LENGTH``: 41 kB for
-    ``m = 10``.
-
-    GL weights are the coefficients of ``(1 - z)**-mu``, so ``P_j`` is the
-    GL kernel of order ``c_j`` and, with ``v_1 = -e_0``, ``V_j`` is minus
-    that of order ``c_j - c_1``.  Otherwise each row is the previous one
-    times one stage kernel, truncated to ``length`` terms; ``rect`` has
-    ``v_1 = 0``, so its columns stay 0.
-    """
-    if scheme == "gl":
-        c = np.array(partition.cumulative[1:])
-        rows = gl_coefficients(np.stack((-c, c[0] - c)), length)
-        np.negative(rows[1], out=rows[1])
-    else:
-        kernels, col0s = stage_kernels(scheme, partition.stage_orders,
-                                       length - 1, 1.0)
-        rows = np.zeros((2,) + kernels.shape)
-        rows[:, 0] = kernels[0], col0s[0]
-        live = rows[:, 0].any(axis=1)
-        size = 2 * length  # a product of two length-term series fits
-        spectra = np.fft.rfft(kernels[1:], size)
-        for j in range(1, partition.stage_count):
-            rows[live, j] = np.fft.irfft(
-                np.fft.rfft(rows[live, j - 1], size) * spectra[j - 1],
-                size)[:, :length]
+    """The pairs ``(P_j, V_j)`` of :func:`_prefix_pairs` for every stage
+    ``j``, a read-only ``(2, m, length)`` array.  Each stage output is 0
+    at node 0, so only stage 1's column term acts and, at step ``h``, the
+    partial integral after stage ``j`` is ``h**c_j`` times
+    ``conv(P_j, f) + V_j f[0]``.  As for :func:`_composed_sequence`, a
+    grid's snapshots never depend on which grids ran before it.  An entry
+    holds ``16 m length`` bytes, at most ``16 m STAGED_TABLE_LENGTH``:
+    41 kB for ``m = 10``."""
+    rows = _prefix_pairs(scheme, partition, length, table=True)
     rows.setflags(write=False)
     return rows
 
@@ -313,17 +302,17 @@ def staged(f: GridFunction, partition: AlphaPartition,
     rows of one read-only ``(m, n + 1)`` array, with full memory, in
     ``O(m n log n)``: up to ``STAGED_TABLE_LENGTH`` nodes by one batched FFT
     convolution of ``f`` with the rows of :func:`_stage_prefixes`, on
-    longer grids by one FFT convolution per stage.  The last row is the
-    :class:`ComposedOperator` applied to ``f``, to rounding, unless the
-    scheme is ``abm`` and ``f(0) != 0`` (that operator is exact on
-    constants, these snapshots are not)."""
+    longer grids by one FFT convolution per stage, each stage's pair built
+    when it is applied.  The last row is the :class:`ComposedOperator`
+    applied to ``f``, to rounding, unless the scheme is ``abm`` and
+    ``f(0) != 0`` (that operator is exact on constants, these snapshots
+    are not)."""
     length = _length_class(f.n)
     if length > STAGED_TABLE_LENGTH:
-        kernels, col0s = stage_kernels(scheme, partition.stage_orders,
-                                       f.n, f.h)
         rows, row = np.empty((partition.stage_count, f.n + 1)), f.values
-        for kernel, col0, out in zip(kernels[:, None], col0s[:, None], rows):
-            out[...] = row = apply_pair(kernel, col0, row)[0]
+        for alpha, out in zip(partition.stage_orders, rows):
+            out[...] = row = apply_pair(
+                *stage_kernels(scheme, (alpha,), f.n, f.h), row)[0]
     else:
         kernels, col0s = _stage_prefixes(scheme, partition, length)
         powers = np.array([f.h**c for c in partition.cumulative[1:]])[:, None]

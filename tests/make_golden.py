@@ -24,7 +24,10 @@ writing anything::
     PYTHONPATH=src python tests/make_golden.py --digest
 
 prints one SHA-256 over the full solution bytes, the status, the sup error
-and the Picard count of every recorded solve; compare it before and after.
+and the Picard count of every recorded solve, then one line per solve, its
+``case-method-n`` label and the SHA-256 of the same fields; compare them
+before and after, the first line for the whole, the others for which
+solves moved.
 """
 
 import contextlib
@@ -106,19 +109,22 @@ def solve_record(case: str, method: str, n) -> dict:
     }
 
 
-def solves_digest() -> str:
+def solve_digests() -> tuple[str, dict[str, str]]:
     """SHA-256 over the full solution, status, sup error and Picard count
-    of every recorded solve, in the order of :func:`recorded_solves`."""
-    sha = hashlib.sha256()
+    of every recorded solve, in the order of :func:`recorded_solves`, and
+    one SHA-256 of the same fields per solve, by :func:`solve_key`."""
+    total, each = hashlib.sha256(), {}
     for case, method, n in recorded_solves():
         report = run_quiet(RunConfig(case, method=method, n=n))[0]
         trace = report.extra.get("trace")
-        sha.update(repr((solve_key(case, method, n), report.status,
-                         report.sup_error, None if trace is None
-                         else trace.picard_iterations)).encode())
+        key = solve_key(case, method, n)
+        data = repr((key, report.status, report.sup_error, None
+                     if trace is None else trace.picard_iterations)).encode()
         if report.solution is not None:
-            sha.update(report.solution.values.tobytes())
-    return sha.hexdigest()
+            data += report.solution.values.tobytes()
+        total.update(data)
+        each[key] = hashlib.sha256(data).hexdigest()
+    return total.hexdigest(), each
 
 
 def acceptance_lines() -> dict[str, str]:
@@ -143,7 +149,11 @@ def acceptance_lines() -> dict[str, str]:
 
 def main() -> None:
     if sys.argv[1:] == ["--digest"]:
-        print(solves_digest())
+        total, each = solve_digests()
+        print(total)
+        width = max(map(len, each))
+        for key, digest in each.items():
+            print(f"{key:<{width}}  {digest}")
         return
     if sys.argv[1:]:  # a mistyped flag must not rewrite the recorded files
         raise SystemExit("usage: make_golden.py [--digest]")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,42 @@ def test_only_short_grids_keep_a_table_of_stage_prefixes():
     for n in (STAGED_TABLE_LENGTH - 1, STAGED_TABLE_LENGTH):
         staged(GridFunction.sample(np.cos, n), partition, "abm")
     assert _stage_prefixes.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("length", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("spacing", ["regular", "quadratic"])
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+def test_composed_pair_is_the_last_row_of_the_stage_table(scheme, spacing,
+                                                          length):
+    """The composed operator and the snapshot table are one chain of
+    stages: the composed kernel is the table's last kernel row, bit for
+    bit, at every length class that keeps a table, and so is its column
+    except for ``abm``, whose composed column is exact on constants."""
+    partition = make_alpha_partition(spacing, 10)
+    k, v = _composed_sequence(scheme, partition, length)
+    kernels, col0s = _stage_prefixes(scheme, partition, length)
+    assert k.tobytes() == kernels[-1].tobytes()
+    if scheme != "abm":
+        assert v.tobytes() == col0s[-1].tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+def test_long_grid_snapshots_hold_one_stage_pair_at_a_time(scheme):
+    """Past ``STAGED_TABLE_LENGTH`` the stages chain with one stage's pair
+    built at a time: at n = 20,000 on ten stages the snapshots peak below
+    2.5 times the 1.6 MB of their own rows (measured 1.91 times, 3.06 MB;
+    building all ten pairs at once peaked at 5.94 MB, 8.48 MB for
+    ``abm``)."""
+    import tracemalloc
+    partition = make_alpha_partition("regular", 10)
+    f = GridFunction.sample(np.cos, 20_000)
+    tracemalloc.start()
+    try:
+        rows = staged(f, partition, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows.nbytes
 
 
 def test_staged_and_apply_scheme_convolve_by_fft_only(monkeypatch):
@@ -547,9 +585,12 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
     over n = 100 -> 800 at measured orders 1.975-1.998 (FDM), 1.896-1.930
     (``abm``) and 0.838-0.989 (``gl``).  ``gl`` is first order here though
     second order under Dirichlet ends: the Robin end slope carries its
-    first-order error.  At the located ``lam`` the denominator is below
-    ``SINGULAR_TOL`` (measured at most 2.6e-13), so the solve ends as
-    singular: ``solve_bvp`` for IFOI, ``fdm_linear`` for FDM.  A dense
+    first-order error.  At the located ``lam`` the denominator relative
+    to ``|(1, 2)| |(u2(1), u2'(1))|``, the number that
+    ``shooting.solve_right_row`` holds to ``SINGULAR_TOL``, is at most
+    ``SINGULAR_TOL`` (measured at most 1.8e-14 for FDM, 3.0e-13 for
+    ``abm`` and 1.4e-13 for ``gl``), so the solve ends as singular:
+    ``solve_bvp`` for IFOI, ``fdm_linear`` for FDM.  A dense
     determinant rounds ``-2 - h^2 lam`` and places ``lam`` only to about
     ``1e-16 / h^2``, too coarse for the singular check at n = 800."""
     partition = make_alpha_partition("regular", 10)
@@ -567,9 +608,13 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
         solver = make_ivp_solver(partition, n, method)
         return solver(IvpProblem(None, spec.k, 0.0, 1.0)).values
 
-    def denominator(lam, n):
+    def right_row(lam, n):
+        # the coefficient of c in u'(1) + 2 u(1) = 0, relative to the norms
+        # of the row (1, 2) and of (u2(1), u2'(1)), signed
         u2 = homogeneous(case(lam), n)
-        return _end_slope(u2, 1.0 / n) + 2.0 * u2[-1]
+        value, slope = u2[-1], _end_slope(u2, 1.0 / n)
+        return (slope + 2.0 * value) / (math.hypot(1.0, 2.0)
+                                        * math.hypot(value, slope))
 
     def solve(spec, n):
         if method == "fdm":
@@ -580,8 +625,8 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
         errors = []
         for n in (100, 200, 400, 800):
             lam, end = _bisect_eigenvalue(
-                *bracket, lambda lam: denominator(lam, n))
-            assert abs(end) < SINGULAR_TOL
+                *bracket, lambda lam: right_row(lam, n))
+            assert abs(end) <= SINGULAR_TOL
             spec = case(lam)
             with pytest.raises(SingularShootingError):
                 solve(spec, n)
@@ -599,8 +644,8 @@ def _staged(values, partition, scheme):
 
 
 # rect keeps its case's five stages: ten rect stages on n = 8 are refused
-# one and two stages leave P (the product of stages 2..m) empty or a single
-# kernel, in the closed gl form and in the stage-by-stage products alike;
+# one and two stages make the chain of stages a single kernel or a single
+# product, in the closed gl form and in the stage-by-stage products alike;
 # n = 1023 is the last grid served by a composition of 1024 terms and
 # n = 1024 the first served by one of 2048; the two "custom" stage orders
 # differ by a relative 4e-13, and composing both with the kernel of one of
@@ -686,23 +731,22 @@ def test_each_length_class_is_composed_once(case_id, monkeypatch):
     next class composes anew."""
     import fracbvp.ifoi as ifoi_mod
     calls = []
+    build = ifoi_mod._prefix_pairs
 
-    def counted(scheme, alphas, *args, **kwargs):
-        calls.append(len(alphas))
-        return stage_kernels(scheme, alphas, *args, **kwargs)
+    def counted(scheme, partition, length, table):
+        calls.append((scheme, partition, length, table))
+        return build(scheme, partition, length, table)
 
-    monkeypatch.setattr(ifoi_mod, "stage_kernels", counted)
+    monkeypatch.setattr(ifoi_mod, "_prefix_pairs", counted)
     _composed_sequence.cache_clear()
     case = get_case(case_id)
     partition, scheme = case.default_partition, case.default_scheme
-    # gl composes in closed form from one call of two kernels; the other
-    # schemes build one kernel per stage, one call each
-    per_build = [2] if scheme == "gl" else [1] * partition.stage_count
     for n in (50, 33, 63, 50):
         solve_bvp(case, make_ivp_solver(partition, n, scheme))
-    assert calls == per_build
+    assert calls == [(scheme, partition, 64, False)]
     solve_bvp(case, make_ivp_solver(partition, 64, scheme))
-    assert calls == per_build * 2
+    assert calls == [(scheme, partition, 64, False),
+                     (scheme, partition, 128, False)]
 
 
 @pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
