@@ -12,8 +12,8 @@ scheme name:
 
 All three are linear in the input and return 0 at the left node, the value
 the integral from 0 to 0 forces.  Each is one matrix of a common form,
-built by :func:`stage_kernels` for several orders at a step ``h`` in one
-vectorized call; :func:`apply_scheme` applies one stage to a
+built by :func:`stage_kernels` for one order at a step ``h``;
+:func:`apply_scheme` applies one stage to a
 :class:`~fracbvp.grid.GridFunction`, at its step ``1/n``, through
 :func:`apply_pair`, one FFT convolution in ``O(n log n)``.  Both take a
 ``window``, the history a ``gl`` stage keeps, in units of ``x``; the
@@ -58,19 +58,20 @@ def gl_coefficients(alpha, count: int) -> np.ndarray:
     return w
 
 
-# Each builder takes the orders ``mu`` as an (r, 1) column and returns the
-# (r, n + 1) kernels and column-0 corrections, one row per order.
+# Each builder takes the order ``mu`` and returns the kernel and the
+# column-0 correction on n + 1 terms.
 
-def _gl_kernels(mu, n: int, h: float):
+def _gl_kernels(mu: float, n: int, h: float):
     """Binomial-series weights: the value at ``x_k`` is
     ``h**(-alpha) * sum_j w_j f(x_k - j h)``, with ``w_j`` from
     :func:`gl_coefficients`.  First-order accurate in ``h`` for smooth
     ``f``."""
-    w = gl_coefficients(-mu[:, 0], n + 1)
-    return _scaled(w, [h**m for m in mu[:, 0]]), np.zeros_like(w)
+    w = gl_coefficients(-mu, n + 1)
+    w *= h**mu
+    return w, np.zeros_like(w)
 
 
-def _rect_kernels(mu, n: int, h: float):
+def _rect_kernels(mu: float, n: int, h: float):
     """Product rectangle weights.  On each cell ``[x_j, x_{j+1}]`` the
     integrand is frozen at ``f(x_j)`` while the kernel ``(x - t)**(mu-1)``
     is integrated exactly, giving the value
@@ -78,9 +79,9 @@ def _rect_kernels(mu, n: int, h: float):
     ``x_n``.  First-order accurate."""
     p = np.arange(n + 1, dtype=float) ** mu
     b = np.zeros_like(p)
-    np.subtract(p[:, 1:], p[:, :-1], out=b[:, 1:])
-    return _scaled(b, [h**m / math.gamma(m + 1.0) for m in mu[:, 0]]), \
-        np.zeros_like(b)
+    np.subtract(p[1:], p[:-1], out=b[1:])
+    b *= h**mu / math.gamma(mu + 1.0)
+    return b, np.zeros_like(b)
 
 
 #: First index at which the ``abm`` weights are summed as binomial series.
@@ -90,7 +91,7 @@ ABM_SERIES_FROM = 32
 _ABM_SERIES_TERMS = 10
 
 
-def _abm_kernels(mu, n: int, h: float):
+def _abm_kernels(mu: float, n: int, h: float):
     """Product trapezoid weights, the corrector quadrature of the fractional
     Adams predictor-corrector method (Diethelm, Ford & Freed 2002, Nonlinear
     Dyn. 29): the integrand is replaced by its piecewise linear interpolant
@@ -114,17 +115,16 @@ def _abm_kernels(mu, n: int, h: float):
     # the interior weight d_j = (j+1)**q + (j-1)**q - 2 j**q, q = mu + 1,
     # and the column-0 one e_j = (j-1)**q - j**mu (j - mu - 1); the kernel
     # is d and the correction e - d, since the convolution puts d_j there
-    d = np.empty((mu.shape[0], n + 1))
+    d = np.empty(n + 1)
     c = np.empty_like(d)
-    d[:, 0], c[:, 0] = 1.0, -1.0
+    d[0], c[0] = 1.0, -1.0
     # closed forms below the series' start, with j**mu and j**q read at
     # j - 1, j and j + 1 by slices
     top = min(n, ABM_SERIES_FROM - 1)
     j = np.arange(top + 2, dtype=float)
     p, q = j**mu, j ** (mu + 1.0)
-    d[:, 1:top + 1] = q[:, 2:] + q[:, :-2] - 2.0 * q[:, 1:-1]
-    c[:, 1:top + 1] = q[:, :-2] - p[:, 1:-1] * (j[1:-1] - mu - 1.0) \
-        - d[:, 1:top + 1]
+    d[1:top + 1] = q[2:] + q[:-2] - 2.0 * q[1:-1]
+    c[1:top + 1] = q[:-2] - p[1:-1] * (j[1:-1] - mu - 1.0) - d[1:top + 1]
     if n >= ABM_SERIES_FROM:
         # with x = 1/j and t = x*x, the even and odd terms of
         # sum_{k >= 2} C(q, k) x**k are t E(t) and x t O(t); then
@@ -136,22 +136,24 @@ def _abm_kernels(mu, n: int, h: float):
         k = np.arange(2, _ABM_SERIES_TERMS + 2)
         # C(q, k) = q mu (mu - 1) ... (mu - k + 2) / k!, from mu, not from
         # the rounded q
-        binom = (mu + 1.0) * np.cumprod((mu - (k - 2.0)) / k, axis=1)
-        even = horner(t, binom.T[0::2, :, None])
-        odd = horner(t, binom.T[1::2, :, None])
+        binom = (mu + 1.0) * np.cumprod((mu - (k - 2.0)) / k)
+        even = horner(t, binom[0::2])
+        odd = horner(t, binom[1::2])
         # j**q t as j**mu x: q = mu + 1 is rounded, and j**q would carry
         # that rounding times log(j)
         jqt = j**mu
         jqt *= x
-        series = d[:, ABM_SERIES_FROM:]
+        series = d[ABM_SERIES_FROM:]
         np.multiply(even, jqt, out=series)
         series *= 2.0
         odd *= x
         odd += even
         np.negative(jqt, out=jqt)
-        np.multiply(odd, jqt, out=c[:, ABM_SERIES_FROM:])
-    scale = [h**m / math.gamma(m + 2.0) for m in mu[:, 0]]
-    return _scaled(d, scale), _scaled(c, scale)
+        np.multiply(odd, jqt, out=c[ABM_SERIES_FROM:])
+    scale = h**mu / math.gamma(mu + 2.0)
+    d *= scale
+    c *= scale
+    return d, c
 
 
 def horner(t: np.ndarray, coeffs) -> np.ndarray:
@@ -165,20 +167,15 @@ def horner(t: np.ndarray, coeffs) -> np.ndarray:
     return out
 
 
-def _scaled(rows: np.ndarray, factors) -> np.ndarray:
-    rows *= np.array(factors)[:, None]
-    return rows
-
-
 _KERNELS = {"gl": _gl_kernels, "rect": _rect_kernels, "abm": _abm_kernels}
 
 
-def stage_kernels(scheme: str, alphas, n: int, h: float,
+def stage_kernels(scheme: str, alpha: float, n: int, h: float,
                   window: float = math.inf,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of one fractional integration per order in ``alphas`` on
-    ``n + 1`` nodes, built in one vectorized call, as two arrays with one
-    row per order.
+    """The matrix of one fractional integration of order ``alpha`` on
+    ``n + 1`` nodes, as a kernel and a column-0 correction of ``n + 1``
+    terms each.
 
     Every scheme here is a lower-triangular Toeplitz convolution plus a
     correction in column 0: the value at ``x_i`` is
@@ -211,11 +208,10 @@ def stage_kernels(scheme: str, alphas, n: int, h: float,
             raise ValueError(f"window {window} is below "
                              f"{MIN_WINDOW_STEPS} grid steps")
         steps = min(n, int(math.floor(window / h + 1e-12)))
-    mu = np.array([[_check_integration_order(a)] for a in alphas])
-    kernels, col0s = _KERNELS[scheme](mu, n, h)
-    kernels[:, steps + 1:] = 0.0
-    col0s[:, 0] = -kernels[:, 0]
-    return kernels, col0s
+    kernel, col0 = _KERNELS[scheme](_check_integration_order(alpha), n, h)
+    kernel[steps + 1:] = 0.0
+    col0[0] = -kernel[0]
+    return kernel, col0
 
 
 def apply_scheme(scheme: str, f: GridFunction, alpha: float,
@@ -223,24 +219,24 @@ def apply_scheme(scheme: str, f: GridFunction, alpha: float,
     """One fractional integration of ``f`` by scheme name, by
     :func:`apply_pair` with its pair of :func:`stage_kernels`, keeping
     ``window`` of history."""
-    kernels, col0s = stage_kernels(scheme, (alpha,), f.n, f.h, window)
-    return GridFunction(apply_pair(kernels, col0s, f.values)[0])
+    return GridFunction(apply_pair(
+        *stage_kernels(scheme, alpha, f.n, f.h, window), f.values))
 
 
 def apply_pair(kernels: np.ndarray, col0s: np.ndarray,
                f: np.ndarray) -> np.ndarray:
-    """The (kernel, col0) rows of the form of :func:`stage_kernels` applied
-    to the ``n + 1`` samples ``f``: one row of results per row, all by one
-    batched FFT convolution at ``_fft_size(2n + 1)`` terms, in
-    ``O(r n log n)`` for ``r`` rows."""
+    """A (kernel, col0) pair of the form of :func:`stage_kernels`, or a
+    batch of ``r`` such rows, applied to the ``n + 1`` samples ``f``: one
+    row of results per row, all by one batched FFT convolution at
+    ``_fft_size(2n + 1)`` terms, in ``O(r n log n)``."""
     size = _fft_size(2 * f.size - 1)
     conv = np.fft.irfft(np.fft.rfft(kernels, size)
                         * np.fft.rfft(f, size), size)
-    out = conv[:, : f.size] + col0s * f[0]
+    out = conv[..., : f.size] + col0s * f[0]
     # the matrices are lower triangular with a zero first row: keep exact
     # the zeros that node 0 and any leading zeros of f give, where the FFT
     # leaves its rounding
-    out[:, : max(1, int(np.argmax(f != 0.0)))] = 0.0
+    out[..., : max(1, int(np.argmax(f != 0.0)))] = 0.0
     return out
 
 

@@ -27,7 +27,11 @@ prints one SHA-256 over the full solution bytes, the status, the sup error
 and the Picard count of every recorded solve, then one line per solve, its
 ``case-method-n`` label and the SHA-256 of the same fields; compare them
 before and after, the first line for the whole, the others for which
-solves moved.
+solves moved.  Then come the snapshot lines: one SHA-256 per
+``ifoi.staged`` call, of each scheme on both ten-stage schedules at n = 40
+(read off a table of stage prefixes) and n = 4,000 (stages chained), on
+data with ``f(0) != 0``, labelled ``staged-scheme-spacing-n``; and one of
+a windowed ``gl`` ``apply_scheme``.  The first line does not cover them.
 """
 
 import contextlib
@@ -43,7 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from fracbvp import RunConfig, cli, run_quiet
+from fracbvp import (GridFunction, RunConfig, apply_scheme, cli,
+                     make_alpha_partition, run_quiet)
+from fracbvp.ifoi import staged
 
 GOLDEN = Path(__file__).with_name("golden_svg.json")
 NUMBERS = Path(__file__).with_name("golden_numbers.json")
@@ -52,6 +58,9 @@ CASES = ("1", "2", "3", "4")
 GRIDS = (None, 40, 80, 200, 4000)
 FDM_GRIDS = (20011,)
 NODES = 41
+#: grids of the snapshot lines: a table of stage prefixes serves n = 40,
+#: a chain of stages n = 4,000
+STAGED_GRIDS = (40, 4000)
 ACCEPTANCE_LINES = 10
 _ACCEPTANCE = re.compile(r"^ACCEPTANCE (.+?): (?:PASS|FAIL)  \(")
 
@@ -127,6 +136,25 @@ def solve_digests() -> tuple[str, dict[str, str]]:
     return total.hexdigest(), each
 
 
+def snapshot_digests() -> dict[str, str]:
+    """SHA-256 of the snapshot bytes of ``staged``, for every scheme and
+    ten-stage schedule at every grid of ``STAGED_GRIDS``, and of one
+    windowed ``gl`` ``apply_scheme``, by label.  The data lie in [1, 2),
+    so the column term of stage 1 acts."""
+    each = {}
+    for n in STAGED_GRIDS:
+        f = GridFunction(1.0 + np.random.default_rng(n).random(n + 1))
+        for scheme in ("gl", "rect", "abm"):
+            for spacing in ("regular", "quadratic"):
+                rows = staged(f, make_alpha_partition(spacing, 10), scheme)
+                each[f"staged-{scheme}-{spacing}-{n}"] = \
+                    hashlib.sha256(rows.tobytes()).hexdigest()
+    # on the last grid's data
+    each[f"apply_scheme-gl-window-{f.n}"] = hashlib.sha256(apply_scheme(
+        "gl", f, -0.5, window=0.1).values.tobytes()).hexdigest()
+    return each
+
+
 def acceptance_lines() -> dict[str, str]:
     """The ``ACCEPTANCE`` lines of a ``pytest -s`` run of
     ``tests/test_acceptance.py``, by criterion tag."""
@@ -151,9 +179,10 @@ def main() -> None:
     if sys.argv[1:] == ["--digest"]:
         total, each = solve_digests()
         print(total)
-        width = max(map(len, each))
-        for key, digest in each.items():
-            print(f"{key:<{width}}  {digest}")
+        for lines in (each, snapshot_digests()):
+            width = max(map(len, lines))
+            for key, digest in lines.items():
+                print(f"{key:<{width}}  {digest}")
         return
     if sys.argv[1:]:  # a mistyped flag must not rewrite the recorded files
         raise SystemExit("usage: make_golden.py [--digest]")

@@ -6,7 +6,7 @@ import pytest
 
 from fracbvp import GridFunction, apply_scheme, gl_coefficients
 from fracbvp.cases import gauss_forcing, oscillatory_forcing
-from fracbvp.fracops import ABM_SERIES_FROM, stage_kernels
+from fracbvp.fracops import ABM_SERIES_FROM, apply_pair, stage_kernels
 
 from oracles import (abm_weights_decimal, direct_gl_weight, direct_rect_sum,
                      simpson, simpson_double)
@@ -181,11 +181,11 @@ def test_shared_power_kernels_equal_the_pointwise_formulas(n, alpha):
     h = 1.0 / n
     rect, d, col0 = _pointwise_kernels(-alpha, n, h)
     col0[0] = -d[0]
-    assert np.array_equal(stage_kernels("rect", (alpha,), n, h)[0][0], rect)
-    kernels, col0s = stage_kernels("abm", (alpha,), n, h)
+    assert np.array_equal(stage_kernels("rect", alpha, n, h)[0], rect)
+    kernel, correction = stage_kernels("abm", alpha, n, h)
     head = slice(0, ABM_SERIES_FROM)
-    assert np.array_equal(kernels[0][head], d[head])
-    assert np.array_equal(col0s[0][head], col0[head])
+    assert np.array_equal(kernel[head], d[head])
+    assert np.array_equal(correction[head], col0[head])
 
 
 @pytest.mark.parametrize("mu", [0.04, 0.2, 0.36, 1.5])
@@ -200,7 +200,7 @@ def test_abm_weights_match_a_40_digit_reference(mu):
     6.0e-9 in l1."""
     n = 10_000
     h = 1.0 / n
-    (kernel,), (col0,) = stage_kernels("abm", (-mu,), n, h)
+    kernel, col0 = stage_kernels("abm", -mu, n, h)
     d, e = abm_weights_decimal(mu, n)
     with localcontext() as ctx:
         ctx.prec = 40
@@ -217,16 +217,17 @@ def test_abm_weights_match_a_40_digit_reference(mu):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("n", [8, 50, 4000])
-def test_batched_kernels_equal_one_order_calls(scheme, n):
-    """A row of one batched call does not depend on the other orders in
-    it."""
-    alphas = (-0.06, -0.2, -0.9, -1.5, -2.0)
-    kernels, col0s = stage_kernels(scheme, alphas, n, 1.0 / n)
-    for alpha, kernel, col0 in zip(alphas, kernels, col0s):
-        one = stage_kernels(scheme, (alpha,), n, 1.0 / n)
-        assert np.array_equal(kernel, one[0][0])
-        assert np.array_equal(col0, one[1][0])
+@pytest.mark.parametrize("n", [8, 4000])
+def test_apply_pair_takes_one_row_or_a_batch(scheme, n):
+    """A stage's pair is two arrays of ``n + 1`` terms, and one pair
+    applied alone gives the bits of its row of a batched apply."""
+    pairs = [stage_kernels(scheme, alpha, n, 1.0 / n)
+             for alpha in (-0.06, -0.9, -2.0)]
+    assert all(a.shape == (n + 1,) for pair in pairs for a in pair)
+    f = 1.0 + np.random.default_rng(n).random(n + 1)
+    batch = apply_pair(*map(np.stack, zip(*pairs)), f)
+    for pair, row in zip(pairs, batch):
+        assert apply_pair(*pair, f).tobytes() == row.tobytes()
 
 
 def test_abm_oscillatory_vs_quadrature():

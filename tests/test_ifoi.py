@@ -14,8 +14,7 @@ from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
 from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, STAGED_TABLE_LENGTH,
-                          TOTAL_ORDER, _composed_sequence, _stage_prefixes,
-                          staged)
+                          TOTAL_ORDER, _prefix_pairs, staged)
 from fracbvp.shooting import SINGULAR_TOL, _end_slope
 
 from oracles import (central_march, rk4_solve_ivp, simpson_double,
@@ -212,9 +211,9 @@ def _direct_snapshots(values, partition, scheme):
     """The partial integrals after each stage, one direct convolution with
     the stage's :func:`stage_kernels` pair per stage."""
     n = values.size - 1
-    kernels, col0s = stage_kernels(scheme, partition.stage_orders, n, 1.0 / n)
     out = []
-    for kernel, col0 in zip(kernels, col0s):
+    for alpha in partition.stage_orders:
+        kernel, col0 = stage_kernels(scheme, alpha, n, 1.0 / n)
         values = np.convolve(kernel, values)[: n + 1] + col0 * values[0]
         values[0] = 0.0
         out.append(values)
@@ -254,9 +253,9 @@ def test_stage_snapshots_do_not_depend_on_earlier_grids(scheme):
         f = GridFunction(np.cos(3.0 * np.arange(n + 1) / n) + 0.5)
         return staged(f, partition, scheme).tobytes()
 
-    _stage_prefixes.cache_clear()
+    _prefix_pairs.cache_clear()
     fresh = snapshots(200)
-    _stage_prefixes.cache_clear()
+    _prefix_pairs.cache_clear()
     for n in (150, 1000, 255, 40):
         snapshots(n)
     assert snapshots(200) == fresh
@@ -266,10 +265,10 @@ def test_only_short_grids_keep_a_table_of_stage_prefixes():
     """Grids of up to ``STAGED_TABLE_LENGTH`` nodes read their snapshots
     off a kept table; longer ones chain the stages and keep nothing."""
     partition = make_alpha_partition("regular", 10)
-    _stage_prefixes.cache_clear()
+    _prefix_pairs.cache_clear()
     for n in (STAGED_TABLE_LENGTH - 1, STAGED_TABLE_LENGTH):
         staged(GridFunction.sample(np.cos, n), partition, "abm")
-    assert _stage_prefixes.cache_info().currsize == 1
+    assert _prefix_pairs.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("length", [16, 32, 64, 128, 256])
@@ -282,8 +281,8 @@ def test_composed_pair_is_the_last_row_of_the_stage_table(scheme, spacing,
     bit, at every length class that keeps a table, and so is its column
     except for ``abm``, whose composed column is exact on constants."""
     partition = make_alpha_partition(spacing, 10)
-    k, v = _composed_sequence(scheme, partition, length)
-    kernels, col0s = _stage_prefixes(scheme, partition, length)
+    (k,), (v,) = _prefix_pairs(scheme, partition, length, False)
+    kernels, col0s = _prefix_pairs(scheme, partition, length, True)
     assert k.tobytes() == kernels[-1].tobytes()
     if scheme != "abm":
         assert v.tobytes() == col0s[-1].tobytes()
@@ -724,29 +723,32 @@ def test_case_solutions_match_staged_reference(case_id, n):
 
 
 @pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
-def test_each_length_class_is_composed_once(case_id, monkeypatch):
+def test_each_length_class_is_composed_once(case_id):
     """A process composes a schedule once per length class, the smallest
     power of two ``>= n + 1``: later solvers of the same grid, and of other
     grids in its class, read their operators off that composition, and the
     next class composes anew."""
-    import fracbvp.ifoi as ifoi_mod
-    calls = []
-    build = ifoi_mod._prefix_pairs
-
-    def counted(scheme, partition, length, table):
-        calls.append((scheme, partition, length, table))
-        return build(scheme, partition, length, table)
-
-    monkeypatch.setattr(ifoi_mod, "_prefix_pairs", counted)
-    _composed_sequence.cache_clear()
+    _prefix_pairs.cache_clear()
     case = get_case(case_id)
     partition, scheme = case.default_partition, case.default_scheme
     for n in (50, 33, 63, 50):
         solve_bvp(case, make_ivp_solver(partition, n, scheme))
-    assert calls == [(scheme, partition, 64, False)]
+    assert _prefix_pairs.cache_info().misses == 1
     solve_bvp(case, make_ivp_solver(partition, 64, scheme))
-    assert calls == [(scheme, partition, 64, False),
-                     (scheme, partition, 128, False)]
+    assert _prefix_pairs.cache_info().misses == 2
+
+
+def test_a_repeated_traced_run_builds_nothing(tmp_path):
+    """A traced run of both methods builds one composition and one table
+    of stage prefixes, each under its one key; the same run again reads
+    both off the cache."""
+    argv = ["run", "--case", "4", "--n", "200", "--method", "both",
+            "--trace", "--out", str(tmp_path)]
+    _prefix_pairs.cache_clear()
+    assert cli.main(argv) == 0
+    assert _prefix_pairs.cache_info().misses == 2
+    assert cli.main(argv) == 0
+    assert _prefix_pairs.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
@@ -760,24 +762,24 @@ def test_repeated_solve_is_bit_identical_whatever_ran_before(case_id):
         return solve_bvp(case, make_ivp_solver(
             case.default_partition, n, case.default_scheme))[0].values
 
-    _composed_sequence.cache_clear()
+    _prefix_pairs.cache_clear()
     first = solve(40)
     solve(200)
     solve(9_000)
     again = solve(40)
-    _composed_sequence.cache_clear()
+    _prefix_pairs.cache_clear()
     fresh = solve(40)
     assert np.array_equal(again, first) and np.array_equal(fresh, first)
 
 
 def test_composition_memo_stays_within_its_bound():
-    _composed_sequence.cache_clear()
+    _prefix_pairs.cache_clear()
     for scheme in ("gl", "rect", "abm"):
         for spacing in ("regular", "quadratic"):
             for n in (8, 16, 32, 64, 128, 256, 512):
                 ComposedOperator(scheme, make_alpha_partition(spacing, 3),
                                  n).apply(np.ones(n + 1))
-    info = _composed_sequence.cache_info()
+    info = _prefix_pairs.cache_info()
     assert info.misses == 42 > COMPOSED_CACHE_SIZE
     assert info.currsize == info.maxsize == COMPOSED_CACHE_SIZE
 
