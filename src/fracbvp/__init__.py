@@ -17,10 +17,8 @@ from .fdm import (NewtonConvergenceError, SingularSystemError,
 from .fracops import apply_scheme, gl_coefficients
 from .grid import GridFunction, sup_distance
 from .ifoi import (AlphaPartition, ComposedOperator, IfoiDivergenceError,
-                   IfoiTrace, IvpProblem, ifoi_solve_ivp, make_alpha_partition,
-                   make_ivp_solver)
-from .shooting import (BoundaryCondition, ShootingPair, SingularShootingError,
-                       combine, decompose, dirichlet, match_coefficient,
+                   IfoiTrace, IvpProblem, ifoi_solve_ivp, make_alpha_partition)
+from .shooting import (BoundaryCondition, SingularShootingError, dirichlet,
                        robin, solve_bvp)
 
 __version__ = "0.1.0"
@@ -28,12 +26,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaPartition", "BoundaryCondition", "CaseSpec", "ComposedOperator",
     "GridFunction", "IfoiDivergenceError", "IfoiTrace", "IvpProblem",
-    "NewtonConvergenceError", "RunConfig", "ShootingPair",
-    "SingularShootingError", "SingularSystemError", "SolveReport",
-    "TridiagonalSystem", "apply_scheme", "combine", "decompose", "dirichlet",
-    "fdm_linear", "fdm_newton", "get_case", "gl_coefficients",
-    "ifoi_solve_ivp", "make_alpha_partition", "make_case3", "make_ivp_solver",
-    "match_coefficient", "oracle_solution", "robin", "run", "run_quiet",
-    "solve_bvp", "solve_tridiagonal", "sup_distance", "sup_error", "sweep",
-    "table1",
+    "NewtonConvergenceError", "RunConfig", "SingularShootingError",
+    "SingularSystemError", "SolveReport", "TridiagonalSystem", "apply_scheme",
+    "dirichlet", "fdm_linear", "fdm_newton", "get_case", "gl_coefficients",
+    "ifoi_solve_ivp", "make_alpha_partition", "make_case3", "oracle_solution",
+    "robin", "run", "run_quiet", "solve_bvp", "solve_tridiagonal",
+    "sup_distance", "sup_error", "sweep", "table1",
 ]

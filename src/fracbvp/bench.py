@@ -19,9 +19,9 @@ import numpy as np
 from . import fdm, shooting
 from .cases import CaseSpec, SolveReport, get_case, make_case3, sup_error
 from .grid import GridFunction
-from .ifoi import (TOTAL_ORDER, AlphaPartition, IfoiDivergenceError,
-                   IfoiTrace, IvpProblem, make_alpha_partition,
-                   make_ivp_solver, staged)
+from .ifoi import (TOTAL_ORDER, AlphaPartition, ComposedOperator,
+                   IfoiDivergenceError, IvpProblem, make_alpha_partition,
+                   staged)
 from .svgplot import Series, ramp_color, render_line_plot
 
 RESULTS_CSV_HEADER = ["case", "method", "scheme", "n", "m", "spacing",
@@ -111,11 +111,9 @@ def run_quiet(config: RunConfig) -> list[SolveReport]:
         return fdm.fdm_linear(case, n), {}
 
     def solve_ifoi():
-        traces: list[IfoiTrace] = []
-        solver = make_ivp_solver(partition, n, scheme, trace_sink=traces)
-        solution, _ = shooting.solve_bvp(case, solver)
-        # traces arrive in solve order: the particular solution first
-        return solution, {"trace": traces[0]}
+        solution, traces = shooting.solve_bvp(
+            case, ComposedOperator(scheme, partition, n))
+        return solution, {"traces": traces}
 
     return [_run(method, case, params, config.repeats, solve)
             for method, solve in (("fdm", solve_fdm), ("ifoi", solve_ifoi))
@@ -184,7 +182,7 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
     from its converged IFOI report; without one, return ``[]`` and write
     nothing.  The stages drawn are those of the particular IVP (left value,
     zero slope), by :func:`~fracbvp.ifoi.staged` over the final forcing of
-    the report's trace."""
+    the first of the report's traces."""
     converged = [r for r in reports if r.status == "converged"]
     ifoi = next((r for r in converged if r.method == "ifoi"), None)
     if ifoi is None:
@@ -199,8 +197,8 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
     forcing = IvpProblem(case.g, case.k, u_ref[0], 0.0).rhs(x, u_ref)
     params = ifoi.params
     partition = make_alpha_partition(params["spacing"], params["m"])
-    stages = staged(GridFunction(ifoi.extra["trace"].forcing), partition,
-                    params["scheme"])
+    stages = staged(GridFunction(ifoi.extra["traces"][0].forcing),
+                    partition, params["scheme"])
     lift = shooting.left_value(case)
     stage_series = [
         Series(f"order {order:.2f}", x, lift + row,

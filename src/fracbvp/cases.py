@@ -227,7 +227,7 @@ def _closed_form(left_bc: BoundaryCondition, right_bc: BoundaryCondition,
     """The slope ``s`` and oracle ``a + s x + second(x)`` of ``u'' = g``,
     ``u(0) = a``; ``first`` and ``second`` integrate ``g`` once and twice
     from 0, and ``s`` meets the right condition as the coefficient of
-    ``u2 = x`` in :func:`~fracbvp.shooting.match_coefficient` does."""
+    ``u2 = x`` in :func:`~fracbvp.shooting.solve_bvp` does."""
     a = left_bc.value / left_bc.weight
     p, q, b = right_bc.slope, right_bc.weight, right_bc.value
     s1, s2 = float(first(1.0)), float(second(1.0))

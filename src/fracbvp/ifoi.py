@@ -220,10 +220,10 @@ class ComposedOperator:
     ``k`` and ``v`` are ``h**2`` times the first ``n + 1`` terms of the
     grid-free composed pair of :func:`_prefix_pairs`, composed once per
     scheme, schedule and :func:`_length_class` and kept in its cache:
-    later solves of a class, in any solver, only slice it and take one
-    FFT.  For ``abm`` it is exact on constants and the stage snapshots of
-    :func:`staged` are not; the two agree when ``f(0) = 0``, as in cases 3
-    and 4.
+    later operators of a class, on any of its grids, only slice it and
+    take one FFT.  For ``abm`` it is exact on constants and the stage
+    snapshots of :func:`staged` are not; the two agree when ``f(0) = 0``,
+    as in cases 3 and 4.
 
     :raises ValueError: if ``n < 8``, or if ``scheme`` is ``rect`` and
         ``n`` is below the stage count ``m``: every ``rect`` stage is
@@ -359,27 +359,3 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
             PICARD_MAX_ITER, update)
 
     return GridFunction(u), IfoiTrace(iterations, forcing)
-
-
-def make_ivp_solver(partition: AlphaPartition, n: int, scheme: str,
-                    trace_sink: Optional[list] = None) -> Callable[[IvpProblem], GridFunction]:
-    """Freeze solver parameters into a plain ``IvpProblem -> GridFunction``.
-
-    Shooting-style callers only care about the solution; when ``trace_sink``
-    is given, each solve appends its :class:`IfoiTrace` there in call order.
-    All solves of one solver share one :class:`ComposedOperator`, built by
-    the first of them, with full memory.
-
-    :raises ValueError: if ``n < 8``, or for ``rect`` if ``n`` is below
-        the stage count.
-    """
-    operator = ComposedOperator(scheme, partition, n)
-
-    def solver(problem: IvpProblem) -> GridFunction:
-        solution, trace = ifoi_solve_ivp(problem, operator)
-        if trace_sink is not None:
-            trace_sink.append(trace)
-        return solution
-
-    return solver
-

@@ -1,11 +1,13 @@
-"""Two-point BVPs reduced to a pair of IVPs plus one matching coefficient.
+"""Two-point BVPs solved by IFOI: two IVPs plus one matching coefficient.
 
 A case is ``u'' = g(x) + k(x) u``, linear in ``u``, which is what makes
-``u = u1 + c * u2`` exact: ``u1`` solves the full equation with the left
+``u = u1 + t * u2`` exact: ``u1`` solves the full equation with the left
 value and zero slope, ``u2`` solves the homogeneous equation ``u'' = k u``
-with zero value and unit slope, and ``c`` is fixed by the right boundary
+with zero value and unit slope, and ``t`` is fixed by the right boundary
 condition.  The combination itself is exact linear algebra; all
-discretization error lives in the two IVP solves.
+discretization error lives in the two IVP solves.  :func:`solve_bvp` does
+all of it in one call; :func:`left_value` and :func:`solve_right_row` are
+the end readers that FDM shares.
 
 An end condition is the line ``slope * u' + weight * u = value``: Dirichlet
 is ``(0, 1, value)`` and Robin ``(1, weight, value)``, and each reader takes
@@ -16,20 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridFunction
-from .ifoi import IvpProblem
+from . import ifoi
+from .grid import GridFunction, nodes
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
 
 # relative to both norms in the right row: see solve_right_row
 SINGULAR_TOL = 1e-12
-
-IvpSolver = Callable[[IvpProblem], GridFunction]
 
 
 class SingularShootingError(RuntimeError):
@@ -66,19 +66,6 @@ def robin(weight: float, value: float) -> BoundaryCondition:
     return BoundaryCondition(1.0, weight, value)
 
 
-@dataclass(frozen=True)
-class ShootingPair:
-    """The two IVP solutions the combination is built from."""
-
-    u1: GridFunction
-    u2: GridFunction
-
-    def __post_init__(self):
-        # three samples at least: the match reads a backward-difference slope
-        if not self.u1.values.size == self.u2.values.size >= 3:
-            raise ValueError("shooting pair must share one grid of 3+ samples")
-
-
 def left_value(case: "CaseSpec") -> float:
     """``u(0)`` of a Dirichlet left condition, read by both methods; a left
     condition with a ``u'`` term is a ``ValueError``."""
@@ -86,22 +73,6 @@ def left_value(case: "CaseSpec") -> float:
     if left.slope != 0.0:
         raise ValueError("each method requires a Dirichlet left condition")
     return left.value / left.weight
-
-
-def decompose(case: "CaseSpec", solver: IvpSolver) -> ShootingPair:
-    """Solve the particular and homogeneous halves of a case.
-
-    ``u1`` solves ``u'' = g + k u`` from the left value and zero slope;
-    ``u2`` solves ``u'' = k u`` from zero value and unit slope.  Without
-    coupling ``u2`` is the line ``x`` itself and the solver is not called
-    for it.
-
-    :raises ValueError: for a left condition that is not Dirichlet.
-    """
-    u1 = solver(IvpProblem(case.g, case.k, left_value(case), 0.0))
-    if case.k is None:
-        return ShootingPair(u1, GridFunction(u1.nodes))
-    return ShootingPair(u1, solver(IvpProblem(None, case.k, 0.0, 1.0)))
 
 
 def _end_slope(values: np.ndarray, h: float) -> float:
@@ -129,23 +100,32 @@ def solve_right_row(right_bc: BoundaryCondition, end_value: tuple,
     return float((right_bc.value - slope * d - weight * a) / denom)
 
 
-def match_coefficient(pair: ShootingPair,
-                      right_bc: BoundaryCondition) -> float:
-    """Coefficient that makes ``u1 + c*u2`` meet the right condition, by
-    :func:`solve_right_row` on the pair's end values and backward-difference
-    end slopes; ``singular`` when ``u2`` meets the homogeneous condition."""
-    u1, u2, h = pair.u1.values, pair.u2.values, pair.u1.h
-    return solve_right_row(right_bc, (u1[-1], u2[-1]),
-                           (_end_slope(u1, h), _end_slope(u2, h)))
+def solve_bvp(case: "CaseSpec", operator: ifoi.ComposedOperator,
+              ) -> tuple[GridFunction, tuple[ifoi.IfoiTrace, ...]]:
+    """Solve a case by IFOI on the grid, scheme and schedule of ``operator``.
 
+    ``u1`` solves ``u'' = g + k u`` from the left value and zero slope and,
+    with a coupling, ``u2`` solves ``u'' = k u`` from zero value and unit
+    slope; without one ``u2`` is the line ``x`` and no second IVP is
+    solved.  :func:`solve_right_row` on their end values and
+    backward-difference end slopes gives ``t``.  Returns ``u1 + t u2`` and
+    the :class:`~fracbvp.ifoi.IfoiTrace` of each IVP solved, ``u1``'s first.
 
-def combine(pair: ShootingPair, c: float) -> GridFunction:
-    """Pointwise ``u1 + c * u2``."""
-    return GridFunction(pair.u1.values + c * pair.u2.values)
-
-
-def solve_bvp(case: "CaseSpec", solver: IvpSolver) -> tuple[GridFunction, float]:
-    """Full shooting pipeline; returns the solution and the coefficient."""
-    pair = decompose(case, solver)
-    c = match_coefficient(pair, case.right_bc)
-    return combine(pair, c), c
+    :raises ValueError: for a left condition that is not Dirichlet.
+    :raises IfoiDivergenceError: if an IVP diverges.
+    :raises SingularShootingError: if ``u2`` meets the homogeneous right
+        condition.
+    """
+    u1, trace = ifoi.ifoi_solve_ivp(
+        ifoi.IvpProblem(case.g, case.k, left_value(case), 0.0), operator)
+    u1, traces = u1.values, (trace,)
+    if case.k is None:
+        u2 = nodes(operator.n)
+    else:
+        u2, trace = ifoi.ifoi_solve_ivp(
+            ifoi.IvpProblem(None, case.k, 0.0, 1.0), operator)
+        u2, traces = u2.values, traces + (trace,)
+    h = 1.0 / operator.n
+    t = solve_right_row(case.right_bc, (u1[-1], u2[-1]),
+                        (_end_slope(u1, h), _end_slope(u2, h)))
+    return GridFunction(u1 + t * u2), traces

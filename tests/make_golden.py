@@ -105,7 +105,7 @@ def solve_record(case: str, method: str, n) -> dict:
     report = run_quiet(RunConfig(case, method=method, n=n))[0]
     grid = report.params["n"]
     nodes = np.unique(np.linspace(0, grid, NODES).round().astype(int))
-    trace = report.extra.get("trace")
+    trace = report.extra.get("traces", (None,))[0]
     return {
         "n": grid,
         "status": report.status,
@@ -125,7 +125,7 @@ def solve_digests() -> tuple[str, dict[str, str]]:
     total, each = hashlib.sha256(), {}
     for case, method, n in recorded_solves():
         report = run_quiet(RunConfig(case, method=method, n=n))[0]
-        trace = report.extra.get("trace")
+        trace = report.extra.get("traces", (None,))[0]
         key = solve_key(case, method, n)
         data = repr((key, report.status, report.sup_error, None
                      if trace is None else trace.picard_iterations)).encode()

@@ -23,10 +23,10 @@ import time
 import numpy as np
 import pytest
 
-from fracbvp import (GridFunction, RunConfig, apply_scheme, fdm_linear,
-                     fdm_newton, get_case, gl_coefficients,
-                     make_alpha_partition, make_ivp_solver, run, run_quiet,
-                     solve_bvp, sup_error)
+from fracbvp import (ComposedOperator, GridFunction, RunConfig, apply_scheme,
+                     fdm_linear, fdm_newton, get_case, gl_coefficients,
+                     make_alpha_partition, run, run_quiet, solve_bvp,
+                     sup_error)
 from fracbvp.cases import (gauss_forcing, gauss_second_integral,
                            oscillatory_second_integral)
 from fracbvp.fdm import _newton_iterate
@@ -98,8 +98,8 @@ def case4_reports():
 @pytest.fixture(scope="module")
 def case1_ifoi_error():
     case = get_case(1)
-    solver = make_ivp_solver(make_alpha_partition("regular", 10), 100, "gl")
-    solution, _ = solve_bvp(case, solver)
+    solution, _ = solve_bvp(case, ComposedOperator(
+        "gl", make_alpha_partition("regular", 10), 100))
     return sup_error(solution, case)
 
 
@@ -143,8 +143,8 @@ def test_criterion_3_case1(case1_ifoi_error):
 def test_criterion_4_case2(case1_ifoi_error):
     case = get_case(2)
     e_fdm = sup_error(fdm_linear(case, 100), case)
-    solver = make_ivp_solver(case.default_partition, 100, "rect")
-    solution, _ = solve_bvp(case, solver)
+    solution, _ = solve_bvp(case, ComposedOperator(
+        "rect", case.default_partition, 100))
     e_ifoi = sup_error(solution, case)
     same_decade = _decade(e_ifoi) == _decade(case1_ifoi_error)
     ok = _line(
@@ -329,9 +329,8 @@ def test_criterion_7_structural_suite(tmp_path):
     # shooting boundary residuals on every case
     for case_id in (1, 2, 3, 4):
         case = get_case(case_id)
-        solver = make_ivp_solver(case.default_partition, case.default_n,
-                                 case.default_scheme)
-        solution, _ = solve_bvp(case, solver)
+        solution, _ = solve_bvp(case, ComposedOperator(
+            case.default_scheme, case.default_partition, case.default_n))
         left = abs(solution.values[0] - case.left_bc.value)
         v, bc = solution.values, case.right_bc
         end_slope = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * solution.h)

@@ -174,11 +174,10 @@ def test_sweep_collects_all_grids(tmp_path):
 
 
 def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
-    def blow_up(problem):
+    def blow_up(case, operator):
         raise IfoiDivergenceError("synthetic", 200, 1.0)
 
-    monkeypatch.setattr(bench_mod, "make_ivp_solver",
-                        lambda *a, **k: blow_up)
+    monkeypatch.setattr(bench_mod.shooting, "solve_bvp", blow_up)
     reports = run(RunConfig("4", method="ifoi", n=50, output_dir=tmp_path))
     assert reports[0].status == "diverged"
     assert reports[0].sup_error is None
@@ -192,12 +191,11 @@ def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
                          ids=["fdm-only", "ifoi-diverged"])
 def test_traced_run_without_a_converged_ifoi_report_writes_no_plot(
         tmp_path, monkeypatch, method, diverge):
-    def blow_up(problem):
+    def blow_up(case, operator):
         raise IfoiDivergenceError("synthetic", 200, 1.0)
 
     if diverge:
-        monkeypatch.setattr(bench_mod, "make_ivp_solver",
-                            lambda *a, **k: blow_up)
+        monkeypatch.setattr(bench_mod.shooting, "solve_bvp", blow_up)
     run(RunConfig("1", method=method, n=50, emit_trace=True,
                   output_dir=tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
@@ -230,10 +228,10 @@ def test_cli_run_exit_zero(tmp_path, capsys):
 
 
 def test_cli_diverged_run_still_exits_zero(tmp_path, monkeypatch):
-    def blow_up(problem):
+    def blow_up(case, operator):
         raise IfoiDivergenceError("synthetic", 200, 1.0)
 
-    monkeypatch.setattr(bench_mod, "make_ivp_solver", lambda *a, **k: blow_up)
+    monkeypatch.setattr(bench_mod.shooting, "solve_bvp", blow_up)
     rc = cli.main(["run", "--case", "4", "--method", "ifoi",
                    "--out", str(tmp_path)])
     assert rc == 0
@@ -520,8 +518,8 @@ def test_benchmark_tracer_reads_every_ivp_solve():
     case = fracbvp.get_case(4)
     tracer = tracing.Tracer()
     with tracer.installed():
-        fracbvp.solve_bvp(case, fracbvp.make_ivp_solver(
-            case.default_partition, 50, case.default_scheme))
+        fracbvp.solve_bvp(case, fracbvp.ComposedOperator(
+            case.default_scheme, case.default_partition, 50))
         fracbvp.ifoi.ifoi_solve_ivp(
             fracbvp.IvpProblem(None, None, 0.0, 1.0),
             fracbvp.ComposedOperator(case.default_scheme,
@@ -530,6 +528,22 @@ def test_benchmark_tracer_reads_every_ivp_solve():
     assert [s.info for s in tracer.spans if s.name == "ifoi.solve_ivp"] == [
         {"picard": 7, "useful": True}, {"picard": 7, "useful": True},
         {"picard": 0, "useful": False}]
+
+
+def test_readme_library_example_prints_the_figures_it_shows(capsys):
+    """The ``## Library example`` block of README runs as written, and each
+    figure it prints rounds to the ``# ~`` figure beside it, to the digits
+    shown (today 3.0986e-2 and 1.1955e-4)."""
+    section = (REPO / "README.md").read_text(encoding="utf-8").split(
+        "\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    shown = re.findall(r"# ~(\S+)", code)
+    assert len(printed) == len(shown) == 2
+    for got, want in zip(printed, shown):
+        digits = len(want.split("e")[0].replace(".", ""))
+        assert float(f"{float(got):.{digits - 1}e}") == float(want), got
 
 
 def test_package_imports_only_numpy_and_the_standard_library():

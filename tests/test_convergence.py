@@ -14,8 +14,7 @@ from numpy.polynomial import polynomial as P
 
 from fracbvp import (CaseSpec, ComposedOperator, IvpProblem, dirichlet,
                      fdm_linear, get_case, ifoi_solve_ivp,
-                     make_alpha_partition, make_ivp_solver, robin, solve_bvp,
-                     sup_error)
+                     make_alpha_partition, robin, solve_bvp, sup_error)
 
 from oracles import case4_series, chebyshev_bvp, fdm_dense
 
@@ -40,8 +39,8 @@ def _case4_fdm(n):
 
 def _case4_ifoi(n):
     case = get_case(4)
-    solver = make_ivp_solver(make_alpha_partition("regular", 10), n, "abm")
-    return solve_bvp(case, solver)[0]
+    return solve_bvp(case, ComposedOperator(
+        "abm", make_alpha_partition("regular", 10), n))[0]
 
 
 @pytest.mark.parametrize("solve,grids,low,high", [
@@ -72,9 +71,8 @@ def _closed_form_errors(case_id, method, grids) -> list[float]:
     def solve(n):
         if method == "fdm":
             return fdm_linear(case, n)
-        solver = make_ivp_solver(case.default_partition, n,
-                                 case.default_scheme)
-        return solve_bvp(case, solver)[0]
+        return solve_bvp(case, ComposedOperator(
+            case.default_scheme, case.default_partition, n))[0]
 
     return [sup_error(solve(n), case) for n in grids]
 
@@ -203,7 +201,7 @@ def test_family_ifoi_first_order_schemes(seed, right_end, scheme, stages):
     case = _family_case(seed, right_end)
     partition = make_alpha_partition("regular", stages)
     orders = _observed_orders([
-        sup_error(solve_bvp(case, make_ivp_solver(partition, n, scheme))[0],
+        sup_error(solve_bvp(case, ComposedOperator(scheme, partition, n))[0],
                   case) for n in FAMILY_GRIDS])
     assert all(0.9 <= p <= 1.15 for p in orders), orders
 
@@ -218,7 +216,7 @@ def test_family_ifoi_abm_second_order(seed, right_end, spacing):
     case = _family_case(seed, right_end)
     partition = make_alpha_partition(spacing, 10)
     orders = _observed_orders([
-        sup_error(solve_bvp(case, make_ivp_solver(partition, n, "abm"))[0],
+        sup_error(solve_bvp(case, ComposedOperator("abm", partition, n))[0],
                   case) for n in FAMILY_GRIDS])
     assert all(1.8 <= p <= 2.05 for p in orders), orders
 

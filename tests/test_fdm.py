@@ -9,10 +9,10 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      sup_error)
 from fracbvp.cases import CaseSpec
 from fracbvp.fdm import _newton_iterate
-from fracbvp.grid import GridFunction
-from fracbvp.ifoi import IfoiDivergenceError, IvpProblem, make_ivp_solver
-from fracbvp.shooting import (SingularShootingError, dirichlet, robin,
-                              solve_bvp)
+from fracbvp.ifoi import (ComposedOperator, IfoiDivergenceError, IvpProblem,
+                          ifoi_solve_ivp)
+from fracbvp.shooting import (SingularShootingError, _end_slope, dirichlet,
+                              left_value, robin, solve_bvp, solve_right_row)
 
 from oracles import central_march, fdm_dense, rk4_solve_ivp
 
@@ -101,12 +101,17 @@ def test_linear_solver_rejects_tiny_grid():
         fdm_linear(get_case(1), 3)
 
 
-def _plain_march(problem, n):
-    # the rows that fdm_linear marches by blocks, one step at a time
+def plain_march_shot(case, n):
+    """The rows that fdm_linear marches by blocks, marched one step at a
+    time from the left value and from the free direction, and joined on the
+    right row by ``solve_right_row``."""
     x = np.arange(n + 1) * (1.0 / n)
-    g = problem.rhs(x, np.zeros(n + 1))
-    k = problem.rhs(x, np.ones(n + 1)) - g
-    return GridFunction(central_march(g, k, problem.u0, problem.s0, n))
+    g, k = case.g(x), case.k(x)
+    u1 = central_march(g, k, left_value(case), 0.0, n)
+    u2 = central_march(0.0, k, 0.0, 1.0, n)
+    t = solve_right_row(case.right_bc, (u1[-1], u2[-1]),
+                        (_end_slope(u1, 1.0 / n), _end_slope(u2, 1.0 / n)))
+    return u1 + t * u2
 
 
 def dense_rows(case, n):
@@ -138,8 +143,8 @@ def test_blocked_march_equals_plain_march(case, n):
     if n <= 1026:
         want, rtol = dense_rows(case, n), 1e-13
     else:
-        shot = solve_bvp(case, lambda problem: _plain_march(problem, n))[0]
-        want, rtol = shot.values, 1e-13 * (1.0 + case.right_bc.slope * n)
+        want = plain_march_shot(case, n)
+        rtol = 1e-13 * (1.0 + case.right_bc.slope * n)
     got = fdm_linear(case, n).values
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
@@ -222,8 +227,8 @@ def test_unforced_march_is_the_initial_line():
     # the staged solver solves an IVP without forcing or coupling as
     # u0 + s0 x, bit for bit
     line = IvpProblem(None, None, 0.0, 1.0)
-    staged = make_ivp_solver(make_alpha_partition("regular", 10), 40,
-                             "gl")(line)
+    staged, _ = ifoi_solve_ivp(line, ComposedOperator(
+        "gl", make_alpha_partition("regular", 10), 40))
     assert staged.values.tobytes() == staged.nodes.tobytes()
 
 
@@ -283,8 +288,8 @@ def test_newton_equals_linear_solve(case_id, n):
 def _shoot(case, route, n):
     if route == "fdm":
         return fdm_linear(case, n)
-    solver = make_ivp_solver(case.default_partition, n, case.default_scheme)
-    return solve_bvp(case, solver)[0]
+    return solve_bvp(case, ComposedOperator(
+        case.default_scheme, case.default_partition, n))[0]
 
 
 def test_shooting_accepts_affine_rhs_in_u():

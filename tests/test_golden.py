@@ -35,7 +35,7 @@ def test_every_recorded_solve_is_run():
 def test_solve_matches_its_recorded_numbers(case, method, n):
     want = recorded_numbers()["solves"][solve_key(case, method, n)]
     report = run_quiet(RunConfig(case, method=method, n=n))[0]
-    trace = report.extra.get("trace")
+    trace = report.extra.get("traces", (None,))[0]
     assert report.params["n"] == want["n"]
     assert report.status == want["status"]
     assert (None if trace is None else trace.picard_iterations) \

@@ -10,12 +10,13 @@ from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
                      SingularShootingError, apply_scheme,
                      dirichlet, fdm_linear,
                      get_case, ifoi_solve_ivp, make_alpha_partition,
-                     make_ivp_solver, robin, run_quiet, solve_bvp)
+                     robin, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
 from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, STAGED_TABLE_LENGTH,
                           TOTAL_ORDER, _prefix_pairs, staged)
-from fracbvp.shooting import SINGULAR_TOL, _end_slope
+from fracbvp.shooting import (SINGULAR_TOL, _end_slope, left_value,
+                              solve_right_row)
 
 from oracles import (central_march, rk4_solve_ivp, simpson_double,
                      total_variation)
@@ -104,7 +105,7 @@ def test_rejects_coarse_grid():
     with pytest.raises(ValueError, match="too coarse"):
         ComposedOperator("gl", make_alpha_partition("regular", 2), 4)
     with pytest.raises(ValueError, match="too coarse"):
-        make_ivp_solver(make_alpha_partition("regular", 2), 7, "gl")
+        ComposedOperator("gl", make_alpha_partition("regular", 2), 7)
 
 
 def _rect_case3_argv(n, out):
@@ -119,10 +120,9 @@ def test_rect_stages_that_compose_to_zero_are_refused(n, tmp_path, capsys):
     ``n + 1 <= 10`` nodes compose to the zero matrix: the operator is
     refused, and the command line exits 2 naming ``n`` and ``m``."""
     partition = make_alpha_partition("quadratic", 10)
-    with pytest.raises(ValueError, match=rf"m = 10 stages on n = {n} "):
+    with pytest.raises(ValueError, match=rf"m = 10 stages on n = {n} "
+                                         "composes to the zero operator"):
         ComposedOperator("rect", partition, n)
-    with pytest.raises(ValueError, match="zero operator"):
-        make_ivp_solver(partition, n, "rect")
     assert cli.main(_rect_case3_argv(n, tmp_path)) == 2
     assert f"m = 10 stages on n = {n} " in capsys.readouterr().err
 
@@ -197,12 +197,12 @@ def test_stage_snapshots_smooth_monotonically():
 @pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
 def test_doubling_stage_count_does_not_blow_up(scheme):
     """Refining the order schedule stays within the scheme's own error scale."""
-    from fracbvp import get_case, sup_error, make_ivp_solver, solve_bvp
+    from fracbvp import sup_error
     case = get_case(1)
     errs = {}
     for m in (10, 20):
-        solver = make_ivp_solver(make_alpha_partition("regular", m), 100, scheme)
-        solution, _ = solve_bvp(case, solver)
+        solution, _ = solve_bvp(case, ComposedOperator(
+            scheme, make_alpha_partition("regular", m), 100))
         errs[m] = sup_error(solution, case)
     assert errs[20] <= 3.0 * errs[10] + 1e-12
 
@@ -286,6 +286,21 @@ def test_composed_pair_is_the_last_row_of_the_stage_table(scheme, spacing,
     assert k.tobytes() == kernels[-1].tobytes()
     if scheme != "abm":
         assert v.tobytes() == col0s[-1].tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
+@pytest.mark.parametrize("n", [40, 200, 4000])
+def test_leading_zeros_of_the_data_stay_exact_zeros(n, scheme):
+    """Every stage matrix is lower triangular with a zero first row, so
+    data with seven leading zeros gives seven exact zeros in every
+    snapshot, on a table of stage prefixes (n = 40, 200) and on chained
+    stages (n = 4,000) alike.  Keeping only node 0 exact leaves the FFT's
+    rounding at nodes 1-6, up to 2.4e-16 on these data (measured)."""
+    values = np.random.default_rng(n).random(n + 1)
+    values[:7] = 0.0
+    rows = staged(GridFunction(values), make_alpha_partition("regular", 10),
+                  scheme)
+    assert not rows[:, :7].any()
 
 
 @pytest.mark.parametrize("scheme", ["gl", "rect", "abm"])
@@ -402,8 +417,8 @@ def _cosh_error(lam):
     """Sup error of the ``abm`` solve of :func:`_cosh_case` at n = 400; the
     solve returns only once Picard has settled on both IVPs."""
     case = _cosh_case(lam)
-    u, _ = solve_bvp(case, make_ivp_solver(case.default_partition, 400,
-                                           "abm"))
+    u, _ = solve_bvp(case, ComposedOperator("abm", case.default_partition,
+                                            400))
     return np.max(np.abs(u.values - case.oracle(u.nodes)))
 
 
@@ -431,7 +446,21 @@ def test_picard_still_diverges_past_the_relative_stop():
     ``1e-10`` of its size, so Picard does not settle."""
     case = _cosh_case(350.0)
     with pytest.raises(IfoiDivergenceError, match="did not settle"):
-        solve_bvp(case, make_ivp_solver(case.default_partition, 400, "abm"))
+        solve_bvp(case, ComposedOperator("abm", case.default_partition, 400))
+
+
+@pytest.mark.parametrize("n", [400, 4000])
+def test_growing_iterate_ends_at_the_divergence_guard(n):
+    """At ``lam = 400`` the particular IVP ``u1`` grows like
+    ``cosh(20 x)``, about 2.4e8 at ``x = 1``: Picard iteration 9 passes the
+    ``1e8`` guard (measured peaks 1.038e8 at n = 400 and 1.032e8 at
+    n = 4,000).  Under a ``1e12`` guard the same solve runs on to end
+    "did not settle", which the status ``diverged`` cannot tell apart, so
+    the message is what fixes the guard."""
+    case = _cosh_case(400.0)
+    with pytest.raises(IfoiDivergenceError,
+                       match="solution exceeded the divergence guard"):
+        solve_bvp(case, ComposedOperator("abm", case.default_partition, n))
 
 
 def _constant(value):
@@ -563,7 +592,7 @@ def test_dirichlet_eigenvalues_converge_and_read_singular(scheme, band):
                             default_scheme=scheme, default_partition=partition,
                             oracle=np.zeros_like)
             with pytest.raises(SingularShootingError):
-                solve_bvp(case, make_ivp_solver(partition, n, scheme))
+                solve_bvp(case, operator)
             errors.append(abs(lam - (k * np.pi) ** 2))
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
         assert all(band[0] <= p <= band[1] for p in orders), (k, orders)
@@ -604,8 +633,9 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
         if method == "fdm":
             return central_march(0.0, spec.k(np.arange(n + 1) / n), 0.0,
                                  1.0, n)
-        solver = make_ivp_solver(partition, n, method)
-        return solver(IvpProblem(None, spec.k, 0.0, 1.0)).values
+        operator = ComposedOperator(method, partition, n)
+        return ifoi_solve_ivp(IvpProblem(None, spec.k, 0.0, 1.0),
+                              operator)[0].values
 
     def right_row(lam, n):
         # the coefficient of c in u'(1) + 2 u(1) = 0, relative to the norms
@@ -618,7 +648,7 @@ def test_robin_eigenvalues_converge_and_read_singular(method, band):
     def solve(spec, n):
         if method == "fdm":
             return fdm_linear(spec, n)
-        return solve_bvp(spec, make_ivp_solver(partition, n, method))
+        return solve_bvp(spec, ComposedOperator(method, partition, n))
 
     for exact, bracket in zip(ROBIN_EIGENVALUES, [(1.0, 15.0), (15.0, 40.0)]):
         errors = []
@@ -684,8 +714,9 @@ def test_composed_operator_matches_staged_composition(n, scheme, partition):
     assert gap <= 1e-12 * np.max(np.abs(reference))
 
 
-def _staged_reference_solver(partition, n, scheme):
-    """The IVP solver as one direct convolution per stage and pass."""
+def _staged_reference(case, partition, n, scheme):
+    """The shooting solve of ``case`` with each IVP solved by one direct
+    convolution per stage and pass, and ``t`` from ``solve_right_row``."""
     x = np.arange(n + 1) / n
 
     def solve(problem):
@@ -697,17 +728,21 @@ def _staged_reference_solver(partition, n, scheme):
             return ic + _staged(rhs, partition, scheme)
 
         if problem.k is None:
-            return GridFunction(one_pass(np.zeros(n + 1)))
+            return one_pass(np.zeros(n + 1))
         u = np.full(n + 1, float(problem.u0))
         for _ in range(200):
             unew = one_pass(u)
             update = np.max(np.abs(unew - u))
             u = unew
             if update < 1e-10:
-                return GridFunction(u)
+                return u
         raise AssertionError("reference Picard did not settle")
 
-    return solve
+    u1 = solve(IvpProblem(case.g, case.k, left_value(case), 0.0))
+    u2 = x if case.k is None else solve(IvpProblem(None, case.k, 0.0, 1.0))
+    t = solve_right_row(case.right_bc, (u1[-1], u2[-1]),
+                        (_end_slope(u1, 1.0 / n), _end_slope(u2, 1.0 / n)))
+    return u1 + t * u2
 
 
 @pytest.mark.parametrize("n", [50, 400, 3000])
@@ -715,26 +750,25 @@ def _staged_reference_solver(partition, n, scheme):
 def test_case_solutions_match_staged_reference(case_id, n):
     case = get_case(case_id)
     partition, scheme = case.default_partition, case.default_scheme
-    solution, _ = solve_bvp(case, make_ivp_solver(partition, n, scheme))
-    reference, _ = solve_bvp(case, _staged_reference_solver(partition, n,
-                                                            scheme))
-    gap = np.max(np.abs(solution.values - reference.values))
-    assert gap <= 1e-12 * np.max(np.abs(reference.values))
+    solution, _ = solve_bvp(case, ComposedOperator(scheme, partition, n))
+    reference = _staged_reference(case, partition, n, scheme)
+    gap = np.max(np.abs(solution.values - reference))
+    assert gap <= 1e-12 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
 def test_each_length_class_is_composed_once(case_id):
     """A process composes a schedule once per length class, the smallest
-    power of two ``>= n + 1``: later solvers of the same grid, and of other
+    power of two ``>= n + 1``: later solves of the same grid, and of other
     grids in its class, read their operators off that composition, and the
     next class composes anew."""
     _prefix_pairs.cache_clear()
     case = get_case(case_id)
     partition, scheme = case.default_partition, case.default_scheme
     for n in (50, 33, 63, 50):
-        solve_bvp(case, make_ivp_solver(partition, n, scheme))
+        solve_bvp(case, ComposedOperator(scheme, partition, n))
     assert _prefix_pairs.cache_info().misses == 1
-    solve_bvp(case, make_ivp_solver(partition, 64, scheme))
+    solve_bvp(case, ComposedOperator(scheme, partition, 64))
     assert _prefix_pairs.cache_info().misses == 2
 
 
@@ -759,8 +793,8 @@ def test_repeated_solve_is_bit_identical_whatever_ran_before(case_id):
     case = get_case(case_id)
 
     def solve(n):
-        return solve_bvp(case, make_ivp_solver(
-            case.default_partition, n, case.default_scheme))[0].values
+        return solve_bvp(case, ComposedOperator(
+            case.default_scheme, case.default_partition, n))[0].values
 
     _prefix_pairs.cache_clear()
     first = solve(40)

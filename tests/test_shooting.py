@@ -3,29 +3,59 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracbvp import (GridFunction, SingularShootingError, combine, decompose,
-                     fdm_linear, get_case, make_alpha_partition,
-                     make_ivp_solver, match_coefficient, solve_bvp, sup_error)
+import fracbvp.ifoi as ifoi_mod
+from fracbvp import (ComposedOperator, GridFunction, SingularShootingError,
+                     fdm_linear, get_case, ifoi_solve_ivp,
+                     make_alpha_partition, solve_bvp, sup_error)
 from fracbvp.cases import CaseSpec, gauss_second_integral
-from fracbvp.ifoi import IvpProblem
-from fracbvp.shooting import BoundaryCondition, ShootingPair, dirichlet, robin
+from fracbvp.ifoi import IfoiTrace, IvpProblem
+from fracbvp.shooting import (BoundaryCondition, _end_slope, dirichlet, robin,
+                              solve_right_row)
 
 from oracles import rk4_dense, rk4_solve_ivp
 
 
-def classical_solver(n=50, substeps=200):
-    """RK4-based IVP handle, the reference alternative to the staged solver."""
-    def solve(problem):
-        return GridFunction(rk4_solve_ivp(
-            lambda x, u: float(problem.rhs(x, u)), problem.u0, problem.s0,
-            n, substeps))
-    return solve
+def default_operator(case, n=None):
+    return ComposedOperator(case.default_scheme, case.default_partition,
+                            n or case.default_n)
+
+
+def record_ivps(monkeypatch, solve=ifoi_solve_ivp):
+    """Route every IVP of a shooting solve through ``solve``, which has the
+    call form of ``ifoi_solve_ivp``, and return the list that each
+    ``(problem, solution)`` is appended to, in solve order."""
+    solved = []
+
+    def recorded(problem, operator):
+        solution, trace = solve(problem, operator)
+        solved.append((problem, solution))
+        return solution, trace
+
+    monkeypatch.setattr(ifoi_mod, "ifoi_solve_ivp", recorded)
+    return solved
+
+
+def classical_ivp(problem, operator, substeps=200):
+    """RK4 on the operator's grid, the reference alternative to the staged
+    IVP solver, in its call form."""
+    n = operator.n
+    values = rk4_solve_ivp(lambda x, u: float(problem.rhs(x, u)),
+                           problem.u0, problem.s0, n, substeps)
+    return GridFunction(values), IfoiTrace(0, np.zeros(n + 1))
+
+
+def right_row_coefficient(u1, u2, right_bc):
+    """``t`` of ``u1 + t u2`` on the right row, from end values and
+    backward-difference end slopes, as :func:`solve_bvp` reads them."""
+    h = 1.0 / (u1.size - 1)
+    return solve_right_row(right_bc, (u1[-1], u2[-1]),
+                           (_end_slope(u1, h), _end_slope(u2, h)))
 
 
 def affine_grid(n, end_value, end_slope):
     """u(x) = end_value + end_slope * (x - 1) on n+1 nodes."""
     x = np.arange(n + 1) / n
-    return GridFunction(end_value + end_slope * (x - 1.0))
+    return end_value + end_slope * (x - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -58,137 +88,120 @@ def test_condition_rejects_non_finite_value(value):
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# the two IVPs of a shooting solve
 # ---------------------------------------------------------------------------
 
-def test_case1_homogeneous_solution_is_the_identity_ramp():
-    pair = decompose(get_case(1), classical_solver())
-    assert np.max(np.abs(pair.u2.values - pair.u2.nodes)) <= 1e-12
-    assert pair.u1.values[0] == get_case(1).left_bc.value
-    assert pair.u2.values[0] == 0.0
+def test_case1_homogeneous_solution_is_the_identity_ramp(monkeypatch):
+    """Through RK4 IVPs, case 1 solves its particular IVP only, from the
+    left value, and adds a multiple of the ramp ``x``."""
+    solved = record_ivps(monkeypatch, classical_ivp)
+    case = get_case(1)
+    solution, _ = solve_bvp(case, default_operator(case, 50))
+    [(problem, u1)] = solved
+    assert (problem.u0, problem.s0) == (case.left_bc.value, 0.0)
+    assert u1.values[0] == case.left_bc.value
+    u2 = u1.nodes
+    t = right_row_coefficient(u1.values, u2, case.right_bc)
+    assert np.max(np.abs(solution.values - u1.values - t * u2)) <= 1e-12
+    assert solution.values[0] == case.left_bc.value
 
 
 @pytest.mark.parametrize("case_id", ["1", "2", "3"])
-def test_forcing_only_cases_solve_one_ivp(case_id):
+def test_forcing_only_cases_solve_one_ivp(case_id, monkeypatch):
     """The homogeneous half of a forcing-only case is the line ``x``,
     bit for bit what the staged solver returns for its zero right-hand
     side, so only the particular half is solved."""
     case = get_case(case_id)
-    staged = make_ivp_solver(case.default_partition, 50, case.default_scheme)
-    problems = []
-
-    def counted(problem):
-        problems.append(problem)
-        return staged(problem)
-
-    pair = decompose(case, counted)
-    assert len(problems) == 1 and problems[0].s0 == 0.0
+    operator = default_operator(case, 50)
     zero = IvpProblem(lambda x: np.zeros_like(x), None, u0=0.0, s0=1.0)
-    assert np.array_equal(pair.u2.values, staged(zero).values)
+    u2 = ifoi_solve_ivp(zero, operator)[0].values
+    solved = record_ivps(monkeypatch)
+    solution, traces = solve_bvp(case, operator)
+    [(problem, u1)] = solved
+    assert problem.s0 == 0.0 and len(traces) == 1
+    t = right_row_coefficient(u1.values, u2, case.right_bc)
+    assert np.array_equal(solution.values, u1.values + t * u2)
 
 
-def test_case4_homogeneous_endpoint_matches_brute_force_integration():
-    pair = decompose(get_case(4), classical_solver())
+def test_case4_homogeneous_endpoint_matches_brute_force_integration(
+        monkeypatch):
+    solved = record_ivps(monkeypatch, classical_ivp)
+    case = get_case(4)
+    solve_bvp(case, default_operator(case, 50))
+    [_, (problem, u2)] = solved
+    assert (problem.g, problem.u0, problem.s0) == (None, 0.0, 1.0)
     reference = rk4_dense(lambda x, u: -2.0 * x * u, 0.0, 1.0, 1_000_000)
-    assert abs(pair.u2.values[-1] - reference[-1]) <= 1e-10
+    assert abs(u2.values[-1] - reference[-1]) <= 1e-10
 
 
-def test_case4_homogeneous_endpoint_via_staged_solver():
-    solver = make_ivp_solver(make_alpha_partition("regular", 10), 50, "abm")
-    pair = decompose(get_case(4), solver)
+def test_case4_homogeneous_endpoint_via_staged_solver(monkeypatch):
+    solved = record_ivps(monkeypatch)
+    case = get_case(4)
+    _, traces = solve_bvp(case, ComposedOperator(
+        "abm", make_alpha_partition("regular", 10), 50))
+    [_, (_, u2)] = solved
+    assert len(traces) == 2
     reference = rk4_dense(lambda x, u: -2.0 * x * u, 0.0, 1.0, 1_000_000)
-    assert abs(pair.u2.values[-1] - reference[-1]) <= 1e-3
+    assert abs(u2.values[-1] - reference[-1]) <= 1e-3
 
 
-def test_zero_forcing_zero_left_value_gives_zero_particular():
+def test_zero_forcing_zero_left_value_gives_zero_particular(monkeypatch):
+    solved = record_ivps(monkeypatch, classical_ivp)
     case = CaseSpec(id="null", g=lambda x: 0.0 * x, k=None,
                     left_bc=dirichlet(0.0),
                     right_bc=dirichlet(1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x)
-    pair = decompose(case, classical_solver())
-    assert np.max(np.abs(pair.u1.values)) <= 1e-14
+    solve_bvp(case, default_operator(case, 50))
+    [(_, u1)] = solved
+    assert np.max(np.abs(u1.values)) <= 1e-14
 
 
-def test_decompose_needs_dirichlet_left():
+def test_solve_needs_dirichlet_left():
     case = CaseSpec(id="bad", g=lambda x: 0.0 * x, k=None,
                     left_bc=robin(1.0, 0.0),
                     right_bc=dirichlet(1.0), default_scheme="gl",
                     default_partition=make_alpha_partition("regular", 10),
                     oracle=lambda x: x)
-    with pytest.raises(ValueError):
-        decompose(case, classical_solver())
+    with pytest.raises(ValueError, match="requires a Dirichlet left"):
+        solve_bvp(case, default_operator(case, 50))
 
 
 # ---------------------------------------------------------------------------
 # coefficient matching
 # ---------------------------------------------------------------------------
 
-def test_pair_shares_one_grid_of_three_samples_or_more():
-    # the match reads a three-point end slope, whatever the condition
-    with pytest.raises(ValueError, match="share one grid"):
-        ShootingPair(affine_grid(20, 0.3, 1.1), affine_grid(21, 1.0, 1.0))
-    with pytest.raises(ValueError, match="3\\+ samples"):
-        ShootingPair(affine_grid(1, 0.3, 1.1), affine_grid(1, 1.0, 1.0))
-    pair = ShootingPair(affine_grid(2, 0.0, 1.0), affine_grid(2, 1.0, 1.0))
-    assert match_coefficient(pair, dirichlet(1.0)) == 1.0
-
-
 def test_dirichlet_coefficient_arithmetic():
-    pair = ShootingPair(affine_grid(50, 0.3, 0.0),
-                        affine_grid(50, 1.0, 1.0))
-    c = match_coefficient(pair, dirichlet(-2.0))
-    assert c == pytest.approx(-2.3, abs=1e-12)
+    t = right_row_coefficient(affine_grid(50, 0.3, 0.0),
+                              affine_grid(50, 1.0, 1.0),
+                              dirichlet(-2.0))
+    assert t == pytest.approx(-2.3, abs=1e-12)
 
 
 def test_robin_coefficient_formula_instantiation():
     p, q = 0.37, -1.8
-    pair = ShootingPair(affine_grid(64, p, q),
-                        GridFunction(np.arange(65) / 64))
-    c = match_coefficient(pair, robin(200.0, 0.1))
-    assert c == pytest.approx((0.1 - q - 200.0 * p) / 201.0, abs=1e-12)
+    t = right_row_coefficient(affine_grid(64, p, q),
+                              np.arange(65) / 64, robin(200.0, 0.1))
+    assert t == pytest.approx((0.1 - q - 200.0 * p) / 201.0, abs=1e-12)
 
 
 def test_null_correction_when_particular_already_matches():
-    pair = ShootingPair(affine_grid(50, -2.0, 0.0),
-                        affine_grid(50, 1.0, 1.0))
-    assert match_coefficient(pair, dirichlet(-2.0)) == 0.0
+    assert right_row_coefficient(affine_grid(50, -2.0, 0.0),
+                                 affine_grid(50, 1.0, 1.0),
+                                 dirichlet(-2.0)) == 0.0
 
 
 def test_singular_combination_detected():
     """``singular`` is relative to the direction ``u2``: a zero ``u2``
     meets every homogeneous condition, while ``u2 = 1e-13 x`` only has a
-    small scale and solves, with ``c = 0.5 / 1e-13``."""
-    pair = ShootingPair(affine_grid(50, 0.5, 0.0),
-                        affine_grid(50, 0.0, 0.0))
+    small scale and solves, with ``t = 0.5 / 1e-13``."""
+    u1 = affine_grid(50, 0.5, 0.0)
     with pytest.raises(SingularShootingError):
-        match_coefficient(pair, dirichlet(1.0))
-    small = ShootingPair(affine_grid(50, 0.5, 0.0),
-                         GridFunction(1e-13 * np.arange(51) / 50))
-    c = match_coefficient(small, dirichlet(1.0))
-    assert c == pytest.approx(0.5 / 1e-13, rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# combination
-# ---------------------------------------------------------------------------
-
-def test_combine_zero_coefficient_returns_particular():
-    pair = ShootingPair(affine_grid(20, 0.3, 1.1), affine_grid(20, 1.0, 1.0))
-    assert np.array_equal(combine(pair, 0.0).values, pair.u1.values)
-
-
-def test_combine_recovers_homogeneous():
-    zeros = GridFunction(np.zeros(21))
-    pair = ShootingPair(zeros, affine_grid(20, 1.0, 1.0))
-    assert np.allclose(combine(pair, 1.0).values, pair.u2.values, atol=0)
-
-
-def test_combine_is_linear_in_the_coefficient():
-    pair = ShootingPair(affine_grid(20, 0.3, 1.1), affine_grid(20, 1.0, 2.0))
-    lhs = combine(pair, 0.7 + 1.3)
-    rhs = combine(pair, 0.7).values + 1.3 * pair.u2.values
-    assert np.allclose(lhs.values, rhs, atol=1e-14)
+        right_row_coefficient(u1, affine_grid(50, 0.0, 0.0),
+                              dirichlet(1.0))
+    t = right_row_coefficient(u1, 1e-13 * np.arange(51) / 50,
+                              dirichlet(1.0))
+    assert t == pytest.approx(0.5 / 1e-13, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +213,7 @@ def test_boundary_residuals_of_combined_solution(case_id):
     """The matching step is exact linear algebra: residuals at both ends
     are rounding-level regardless of the IVP error."""
     case = get_case(case_id)
-    solver = make_ivp_solver(case.default_partition, case.default_n,
-                             case.default_scheme)
-    solution, _ = solve_bvp(case, solver)
+    solution, _ = solve_bvp(case, default_operator(case))
     assert solution.values[0] == case.left_bc.value
     right = case.right_bc
     v = solution.values
@@ -228,8 +239,8 @@ def test_scaled_conditions_state_the_same_problem(case_id, n):
     n = n or case.default_n
 
     def solves(c):
-        ifoi = make_ivp_solver(c.default_partition, n, c.default_scheme)
-        return fdm_linear(c, n).values, solve_bvp(c, ifoi)[0].values
+        return fdm_linear(c, n).values, \
+            solve_bvp(c, default_operator(c, n))[0].values
 
     plain = solves(case)
     for factor, rtol in [(2.0, 0.0), (3.0, 1e-14), (1e-13, 1e-14),
@@ -242,16 +253,16 @@ def test_scaled_conditions_state_the_same_problem(case_id, n):
 
 
 def test_combined_error_bounded_by_amplified_ivp_error():
-    """sup-error of the combination stays within (1+|c|) times the worst
+    """sup-error of the combination stays within (1+|t|) times the worst
     IVP error, case 1 with its closed-form IVP references."""
     case = get_case(1)
-    solver = make_ivp_solver(make_alpha_partition("regular", 10), 100, "gl")
-    pair = decompose(case, solver)
-    c = match_coefficient(pair, case.right_bc)
-    u = combine(pair, c)
-
-    x = pair.u1.nodes
-    e1 = np.max(np.abs(pair.u1.values
+    operator = ComposedOperator("gl", make_alpha_partition("regular", 10), 100)
+    u, _ = solve_bvp(case, operator)
+    u1 = ifoi_solve_ivp(IvpProblem(case.g, None, case.left_bc.value, 0.0),
+                        operator)[0]
+    x = u1.nodes
+    t = right_row_coefficient(u1.values, x, case.right_bc)
+    e1 = np.max(np.abs(u1.values
                        - (case.left_bc.value + gauss_second_integral(x))))
-    e2 = np.max(np.abs(pair.u2.values - x))
-    assert sup_error(u, case) <= (1.0 + abs(c)) * max(e1, e2)
+    # u2 is the line x itself, with no error
+    assert sup_error(u, case) <= (1.0 + abs(t)) * e1
