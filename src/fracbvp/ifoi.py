@@ -8,12 +8,13 @@ the whole schedule as one convolution, a :class:`ComposedOperator` of a
 scheme, a schedule and a grid, composed once per power-of-two length;
 :func:`staged` gives the partial integral after every stage instead, for
 the stage-evolution plot, by FFT: on short grids in one batch, over a
-table of the compositions of stages ``1..j`` kept the same way.  One
-cached chain of stages builds both, and the composition is the table's
-last row.  Both keep full memory.  A problem is ``u'' = g(x) + k(x) u``; a
-coupling ``k`` is handled by an outer Picard iteration around the
-composed operator, and only its iterates are held to the divergence
-guard.
+table of the compositions of stages ``1..j`` kept the same way, whose
+last row is the composition.  Every ``abm`` row is exact on constants, so
+snapshot ``j`` converges at order ``min(2, 1 + c_j)`` or more, ``c_j``
+the cumulative order.  Both keep full memory.  A problem is
+``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer Picard
+iteration around the composed operator, and only its iterates are held
+to the divergence guard.
 """
 
 from __future__ import annotations
@@ -136,13 +137,21 @@ class IfoiTrace:
     forcing: np.ndarray = field(repr=False, compare=False)
 
 
-#: Entries kept by :func:`_prefix_pairs`, compositions and tables alike,
-#: one per scheme, schedule, length class and kind.  The benchmark's
-#: ``ifoi-large`` workload uses 16, all compositions (about 2 MB at
-#: ``n <= 10^4``); ``paper``, which traces every case at the default grid
-#: and at n = 40, 80 and 200 and runs ``table1``, 24: 12 compositions and
-#: 12 tables (under 0.5 MB).
+#: Entries kept by :func:`_prefix_pairs`, one per scheme, schedule and
+#: length class.  The benchmark's ``ifoi-large`` workload uses 16, all
+#: single composed pairs (about 2 MB at ``n <= 10^4``); ``paper``, which
+#: traces every case at the default grid and at n = 40, 80 and 200 and
+#: runs ``table1``, 12, all tables (under 0.5 MB).
 COMPOSED_CACHE_SIZE = 32
+
+
+#: Longest length class whose stage snapshots are read off a table of
+#: :func:`_prefix_pairs`; longer grids chain the stages one by one.  Up
+#: to here the first call of a class, which builds the table, costs about
+#: what the chain costs and later calls a third of it.  Beyond, the build
+#: costs more than the chain (71-164 ms against 29-67 ms at ``n = 10^5``,
+#: 2-CPU x86_64 host), and a traced run stages its grid once.
+STAGED_TABLE_LENGTH = 256
 
 
 def _length_class(n: int) -> int:
@@ -152,60 +161,59 @@ def _length_class(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=COMPOSED_CACHE_SIZE)
-def _prefix_pairs(scheme: str, partition: AlphaPartition, length: int,
-                  table: bool) -> np.ndarray:
+def _prefix_pairs(scheme: str, partition: AlphaPartition,
+                  length: int) -> np.ndarray:
     """The pairs of stages ``1..j`` of a staged integration at ``h = 1``,
     on ``length`` terms, with full memory: a read-only ``(2, r, length)``
-    array of the kernels ``P_j = k_j * ... * k_1`` and the columns
-    ``V_j = k_j * ... * k_2 * v_1``, for every ``j`` (``r = m``) if
-    ``table``, else for ``j = m`` alone (``r = 1``), the composed pair.
-    The process keeps up to ``COMPOSED_CACHE_SIZE`` of them, keyed by the
-    length class, a function of the grid alone, so a grid's values never
-    depend on which grids ran before it.
+    array of the kernels ``P_j = k_j * ... * k_1`` and columns ``V_j``,
+    for every ``j`` up to ``STAGED_TABLE_LENGTH`` terms (the table of
+    :func:`staged`), else for ``j = m`` alone: either way the last row is
+    the pair of :class:`ComposedOperator`.  The process keeps up to
+    ``COMPOSED_CACHE_SIZE``, keyed by the length class, a function of the
+    grid alone, so a grid's values never depend on the grids before it.
 
     GL weights are the coefficients of ``(1 - z)**-mu``, so ``P_j`` is the
     GL kernel of order ``c_j``, the cumulative order, and, with
-    ``v_1 = -e_0``, ``V_j`` is minus that of order ``c_j - c_1``.
-    Otherwise each row is the previous one times the next stage kernel,
-    built one at a time, truncated to ``length`` terms before the next
-    product: the spectra of all stages multiplied at once would alias the
-    tail of the full-length product.  Only a table carries the columns,
-    and only nonzero ones: ``rect`` has ``v_1 = 0``.
+    ``v_1 = -e_0``, ``V_j = k_j * ... * k_2 * v_1`` is minus that of order
+    ``c_j - c_1``.  Otherwise each kernel is the previous one times the
+    next stage kernel, built one at a time, truncated to ``length`` terms
+    before the next product: the spectra of all stages multiplied at once
+    would alias the tail of the full-length product.  ``rect`` has no
+    columns (``v_1 = 0``); ``abm``'s, ``V_j = i**c_j / Gamma(c_j + 1) -
+    cumsum(P_j)``, make every row exact on constants, as the product
+    trapezoid rule is (Diethelm, Ford & Freed 2002), so snapshot ``j``
+    converges at order ``min(2, 1 + c_j)`` or more (measured 1.40 and up
+    on the regular ten-stage schedule, 1.09 and up on the quadratic one)
+    and the composed operator at order 2.
 
     Stage ``k`` at step ``h`` is ``h**mu_k`` times its pair at ``h = 1``,
     so row ``j`` at ``h`` is ``h**c_j`` times this one, and the composed
     pair ``h**2`` times.  The first ``n + 1`` terms of a truncated
     power-series product do not depend on where it is truncated, so every
     grid with ``n + 1 <= length`` reads its pairs off a prefix.
-
-    ``abm``'s composed column is the one exception: ``v = j**2/2 -
-    cumsum(k)`` makes ``K 1 = x**2/2``, so the composed operator is exact
-    on constants and second order for every forcing, while the table's
-    ``V_m``, and so :func:`staged`, converges at order ``1 + mu_1`` when
-    ``f(0) != 0``.
     """
-    c = partition.cumulative
+    r = 1 if length > STAGED_TABLE_LENGTH else partition.stage_count
+    c_j = np.array(partition.cumulative[-r:])
     if scheme == "gl":
-        c_j = np.array(c[1:] if table else c[-1:])
-        rows = gl_coefficients(np.stack((-c_j, c[1] - c_j)), length)
+        rows = gl_coefficients(
+            np.stack((-c_j, partition.cumulative[1] - c_j)), length)
         np.negative(rows[1], out=rows[1])
     else:
-        rows = np.zeros((2, partition.stage_count if table else 1, length))
+        rows = np.zeros((2, r, length))
         size = 2 * length  # a product of two length-term series fits
         for j, alpha in enumerate(partition.stage_orders):
-            pair = np.stack(stage_kernels(scheme, alpha, length - 1, 1.0))
-            if j == 0:
-                chain = pair[: 2 if table and pair[1].any() else 1]
-            else:
-                chain = np.fft.irfft(np.fft.rfft(chain, size) * np.fft.rfft(
-                    pair[0], size), size)[:, :length]
-            rows[: len(chain), j if table else 0] = chain
-    if scheme == "abm" and not table:
+            kernel = stage_kernels(scheme, alpha, length - 1, 1.0)[0]
+            chain = kernel if j == 0 else np.fft.irfft(np.fft.rfft(
+                chain, size) * np.fft.rfft(kernel, size), size)[:length]
+            rows[0, min(j, r - 1)] = chain  # the last stage's, if one row
+    if scheme == "abm":
         # blocks of ~sqrt(length) terms: a plain cumsum rounds up to 200x worse
         width = 1 << (length.bit_length() // 2)
-        sums = np.cumsum(rows[0, 0].reshape(-1, width), axis=1)
-        sums[1:] += np.cumsum(sums[:-1, -1])[:, None]
-        rows[1, 0] = np.arange(length, dtype=float) ** 2 / 2.0 - sums.ravel()
+        sums = np.cumsum(rows[0].reshape(r, -1, width), axis=2)
+        sums[:, 1:] += np.cumsum(sums[:, :-1, -1], axis=1)[..., None]
+        gammas = np.array([math.gamma(c + 1.0) for c in c_j])[:, None]
+        rows[1] = (np.arange(length, dtype=float) ** c_j[:, None] / gammas
+                   - sums.reshape(r, length))
     rows.setflags(write=False)
     return rows
 
@@ -218,12 +226,10 @@ class ComposedOperator:
     schedule and the grid of ``n + 1`` nodes on [0, 1].  It always keeps
     full memory, since its FFT apply costs the same whatever the window.
     ``k`` and ``v`` are ``h**2`` times the first ``n + 1`` terms of the
-    grid-free composed pair of :func:`_prefix_pairs`, composed once per
-    scheme, schedule and :func:`_length_class` and kept in its cache:
-    later operators of a class, on any of its grids, only slice it and
-    take one FFT.  For ``abm`` it is exact on constants and the stage
-    snapshots of :func:`staged` are not; the two agree when ``f(0) = 0``,
-    as in cases 3 and 4.
+    last row of :func:`_prefix_pairs`, composed once per scheme, schedule
+    and :func:`_length_class` and kept in its cache: later operators of a
+    class, on any of its grids, only slice it and take one FFT.  On short
+    grids that row is the last row of the table that :func:`staged` reads.
 
     :raises ValueError: if ``n < 8``, or if ``scheme`` is ``rect`` and
         ``n`` is below the stage count ``m``: every ``rect`` stage is
@@ -246,8 +252,8 @@ class ComposedOperator:
     @functools.cached_property
     def _built(self) -> tuple[np.ndarray, np.ndarray, int]:
         n, h = self.n, 1.0 / self.n
-        (k,), (v,) = _prefix_pairs(self.scheme, self.partition,
-                                   _length_class(n), False)
+        k, v = _prefix_pairs(self.scheme, self.partition,
+                             _length_class(n))[:, -1]
         size = _fft_size(2 * n + 1)
         return np.fft.rfft(k[: n + 1] * h**2, size), v[: n + 1] * h**2, size
 
@@ -260,37 +266,31 @@ class ComposedOperator:
         return out
 
 
-#: Longest length class whose stage snapshots are read off a table of
-#: :func:`_prefix_pairs`; longer grids chain the stages one by one.  Up
-#: to here the first call of a class, which builds the table, costs about
-#: what the chain costs and later calls a third of it.  Beyond, the build
-#: costs more than the chain (71-164 ms against 29-67 ms at ``n = 10^5``,
-#: 2-CPU x86_64 host), and a traced run stages its grid once.
-STAGED_TABLE_LENGTH = 256
-
-
 def staged(f: GridFunction, partition: AlphaPartition,
            scheme: str) -> np.ndarray:
     """The partial integrals of ``f`` after each stage of ``partition``,
     rows of one read-only ``(m, n + 1)`` array, with full memory, in
-    ``O(m n log n)``.  Each stage output is 0 at node 0, so only stage 1's
-    column term acts and the partial integral after stage ``j`` is
-    ``h**c_j`` times ``conv(P_j, f) + V_j f[0]``.  Up to
-    ``STAGED_TABLE_LENGTH`` nodes that is one batched FFT convolution of
-    ``f`` with the rows of the table of :func:`_prefix_pairs`, which holds
-    ``16 m length`` bytes, 41 kB at most for ``m = 10``; on longer grids
-    one FFT convolution per stage, each stage's pair built when it is
-    applied.  The last row is the :class:`ComposedOperator` applied to
-    ``f``, to rounding, unless the scheme is ``abm`` and ``f(0) != 0``
-    (that operator is exact on constants, these snapshots are not)."""
+    ``O(m n log n)``: row ``j`` is ``h**c_j`` times ``conv(P_j, f) +
+    V_j f[0]`` with the pairs of :func:`_prefix_pairs`, the last row the
+    :class:`ComposedOperator` applied to ``f``, to rounding.  Up to
+    ``STAGED_TABLE_LENGTH`` nodes that is one batched FFT convolution with
+    that table (``16 m length`` bytes, 41 kB at most for ``m = 10``).
+    Longer grids chain the stages, one FFT each, building each pair as it
+    is applied; only stage 1's column acts, as every stage output is 0 at
+    node 0.  ``abm`` stages ``f - f(0)`` there and adds the exact
+    ``f(0) x**c_j / Gamma(c_j + 1)`` one row at a time."""
     length = _length_class(f.n)
     if length > STAGED_TABLE_LENGTH:
-        rows, row = np.empty((partition.stage_count, f.n + 1)), f.values
-        for alpha, out in zip(partition.stage_orders, rows):
+        f0 = f.values[0] if scheme == "abm" else 0.0
+        rows, row = np.empty((partition.stage_count, f.n + 1)), f.values - f0
+        for c, alpha, out in zip(partition.cumulative[1:],
+                                 partition.stage_orders, rows):
             out[...] = row = apply_pair(
                 *stage_kernels(scheme, alpha, f.n, f.h), row)
+            if f0:
+                out += f0 / math.gamma(c + 1.0) * f.nodes ** c
     else:
-        kernels, col0s = _prefix_pairs(scheme, partition, length, True)
+        kernels, col0s = _prefix_pairs(scheme, partition, length)
         powers = np.array([f.h**c for c in partition.cumulative[1:]])[:, None]
         rows = apply_pair(kernels[:, : f.n + 1] * powers,
                           col0s[:, : f.n + 1] * powers, f.values)

@@ -69,10 +69,25 @@ MUTANTS = {
         "ABM_SERIES_FROM = 16"),
     "abm-plain-cumsum": (
         "ifoi.py",
-        "        rows[1, 0] = np.arange(length, dtype=float) ** 2 / 2.0 "
-        "- sums.ravel()",
-        "        rows[1, 0] = np.arange(length, dtype=float) ** 2 / 2.0 "
-        "- np.cumsum(rows[0, 0])"),
+        "                   - sums.reshape(r, length))",
+        "                   - np.cumsum(rows[0], axis=1))"),
+    "abm-column-gamma": (
+        "ifoi.py",
+        "        gammas = np.array([math.gamma(c + 1.0) for c in c_j])"
+        "[:, None]",
+        "        gammas = np.array([math.gamma(c) for c in c_j])[:, None]"),
+    "table-row-count": (
+        "ifoi.py",
+        "    r = 1 if length > STAGED_TABLE_LENGTH else partition.stage_count",
+        "    r = partition.stage_count"),
+    "chain-f0-split": (
+        "ifoi.py",
+        '        f0 = f.values[0] if scheme == "abm" else 0.0',
+        "        f0 = 0.0"),
+    "chain-gamma": (
+        "ifoi.py",
+        "                out += f0 / math.gamma(c + 1.0) * f.nodes ** c",
+        "                out += f0 / math.gamma(c) * f.nodes ** c"),
     "erf-term": (
         "cases.py",
         "    r = horner(xn * xn, _ERF_R)",
