@@ -9,14 +9,13 @@ plots.
 """
 
 from .bench import RunConfig, run, run_quiet, sweep, table1
-from .cases import (CaseSpec, SolveReport, get_case, make_case3,
-                    oracle_solution, sup_error)
+from .cases import CaseSpec, SolveReport, get_case, make_case3, sup_error
 from .fdm import (NewtonConvergenceError, SingularSystemError,
                   TridiagonalSystem, fdm_linear, fdm_newton,
                   solve_tridiagonal)
 from .fracops import apply_scheme, gl_coefficients
-from .grid import GridFunction, sup_distance
-from .ifoi import (AlphaPartition, ComposedOperator, IfoiDivergenceError,
+from .grid import GridFunction
+from .ifoi import (AlphaPartition, ComposedOperator, DivergenceError,
                    IfoiTrace, IvpProblem, ifoi_solve_ivp, make_alpha_partition)
 from .shooting import (BoundaryCondition, SingularShootingError, dirichlet,
                        robin, solve_bvp)
@@ -25,11 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaPartition", "BoundaryCondition", "CaseSpec", "ComposedOperator",
-    "GridFunction", "IfoiDivergenceError", "IfoiTrace", "IvpProblem",
+    "DivergenceError", "GridFunction", "IfoiTrace", "IvpProblem",
     "NewtonConvergenceError", "RunConfig", "SingularShootingError",
     "SingularSystemError", "SolveReport", "TridiagonalSystem", "apply_scheme",
     "dirichlet", "fdm_linear", "fdm_newton", "get_case", "gl_coefficients",
-    "ifoi_solve_ivp", "make_alpha_partition", "make_case3", "oracle_solution",
-    "robin", "run", "run_quiet", "solve_bvp", "solve_tridiagonal",
-    "sup_distance", "sup_error", "sweep", "table1",
+    "ifoi_solve_ivp", "make_alpha_partition", "make_case3", "robin", "run",
+    "run_quiet", "solve_bvp", "solve_tridiagonal", "sup_error", "sweep",
+    "table1",
 ]

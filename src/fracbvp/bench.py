@@ -20,7 +20,7 @@ from . import fdm, shooting
 from .cases import CaseSpec, SolveReport, get_case, make_case3, sup_error
 from .grid import GridFunction
 from .ifoi import (TOTAL_ORDER, AlphaPartition, ComposedOperator,
-                   IfoiDivergenceError, IvpProblem, make_alpha_partition,
+                   DivergenceError, IvpProblem, make_alpha_partition,
                    staged)
 from .svgplot import Series, ramp_color, render_line_plot
 
@@ -89,7 +89,7 @@ def _run(method: str, case: CaseSpec, params: dict, repeats: int,
                 solution, extra = solve()
             finally:
                 times.append(time.perf_counter() - t0)
-    except IfoiDivergenceError:
+    except DivergenceError:
         status = "diverged"
     except shooting.SingularShootingError:
         status = "singular"
@@ -180,9 +180,9 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
          output_dir: Union[str, Path]) -> list[Path]:
     """Write the stage-evolution and method-comparison SVGs for one case,
     from its converged IFOI report; without one, return ``[]`` and write
-    nothing.  The stages drawn are those of the particular IVP (left value,
-    zero slope), by :func:`~fracbvp.ifoi.staged` over the final forcing of
-    the first of the report's traces."""
+    nothing.  The stages drawn are :func:`~fracbvp.ifoi.staged` over the
+    curve drawn as the forcing, ``g + k u`` at the exact solution, each
+    lifted by the left value."""
     converged = [r for r in reports if r.status == "converged"]
     ifoi = next((r for r in converged if r.method == "ifoi"), None)
     if ifoi is None:
@@ -191,14 +191,13 @@ def plot(reports: Sequence[SolveReport], case: CaseSpec,
     out_dir.mkdir(parents=True, exist_ok=True)
     x = ifoi.solution.nodes
 
-    # the plotted forcing is g + k u at the exact solution, which the
-    # comparison plot reuses as its exact series
+    # the exact solution is the comparison plot's exact series; the forcing
+    # g + k u there is both drawn and staged
     u_ref = np.asarray(case.oracle(x), dtype=float)
     forcing = IvpProblem(case.g, case.k, u_ref[0], 0.0).rhs(x, u_ref)
     params = ifoi.params
     partition = make_alpha_partition(params["spacing"], params["m"])
-    stages = staged(GridFunction(ifoi.extra["traces"][0].forcing),
-                    partition, params["scheme"])
+    stages = staged(GridFunction(forcing), partition, params["scheme"])
     lift = shooting.left_value(case)
     stage_series = [
         Series(f"order {order:.2f}", x, lift + row,

@@ -348,17 +348,7 @@ def get_case(case_id: Union[str, int]) -> CaseSpec:
                          f"{', '.join(CASE_IDS)}") from None
 
 
-def oracle_solution(case: Union[str, int, CaseSpec], x) -> np.ndarray:
-    """Reference solution of a case at points in [0, 1]."""
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("oracle is only defined on [0, 1]")
-    return spec.oracle(arr)
-
-
-def sup_error(approx: GridFunction, case: Union[str, int, CaseSpec]) -> float:
+def sup_error(approx: GridFunction, case: CaseSpec) -> float:
     """Max nodewise deviation from the reference, on the solver's own grid."""
-    spec = case if isinstance(case, CaseSpec) else get_case(case)
-    gap = np.subtract(approx.values, spec.oracle(approx.nodes))
+    gap = np.subtract(approx.values, case.oracle(approx.nodes))
     return float(np.max(np.abs(gap, out=gap)))

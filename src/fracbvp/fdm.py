@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import GridFunction, nodes
-from .ifoi import IfoiDivergenceError, IvpProblem
+from .ifoi import DivergenceError, IvpProblem
 from .shooting import _end_slope, left_value, solve_right_row
 
 if TYPE_CHECKING:
@@ -144,7 +144,7 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
     :raises SingularShootingError: when the homogeneous rows meet the
         homogeneous right condition.
-    :raises IfoiDivergenceError: when the solution overflows.
+    :raises DivergenceError: when the solution overflows.
     """
     if n < 4:
         raise ValueError("need at least 4 intervals")
@@ -159,7 +159,7 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
         out += u0
         # a cumulative sum that overflows anywhere ends non-finite
         if not math.isfinite(out[-1]):
-            raise IfoiDivergenceError("the sum overflowed", 0, math.inf)
+            raise DivergenceError("the sum overflowed", 0, math.inf)
         out += solve_right_row(case.right_bc, (out[n], x[n]),
                                (_end_slope(out, h), _end_slope(x, h))) * x
         return GridFunction(out)
@@ -198,7 +198,7 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     out = out[lead:]
     out[0], out[1] = u0, u0 + h * beta[0]
     if not np.isfinite(out).all():
-        raise IfoiDivergenceError("the march overflowed", 0, math.inf)
+        raise DivergenceError("the march overflowed", 0, math.inf)
     return GridFunction(out)
 
 

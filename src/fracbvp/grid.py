@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 
@@ -74,18 +72,3 @@ class GridFunction:
     @property
     def nodes(self) -> np.ndarray:
         return nodes(self.n)
-
-    @classmethod
-    def sample(cls, fn: Callable[[np.ndarray], np.ndarray],
-               n: int) -> "GridFunction":
-        """Sample ``fn`` at ``n + 1`` uniform nodes covering ``[0, 1]``."""
-        if n < 1:
-            raise ValueError("need at least one interval")
-        return cls(np.asarray(fn(nodes(n)), dtype=float) + np.zeros(n + 1))
-
-
-def sup_distance(a: GridFunction, b: GridFunction) -> float:
-    """Max nodewise deviation between two functions on the same grid."""
-    if a.values.size != b.values.size:
-        raise ValueError("grids are not compatible")
-    return float(np.max(np.abs(a.values - b.values)))

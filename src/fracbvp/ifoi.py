@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,9 +38,10 @@ DIVERGENCE_GUARD = 1e8
 MIN_GRID = 8
 
 
-class IfoiDivergenceError(RuntimeError):
+class DivergenceError(RuntimeError):
     """A solve diverged: a Picard iterate passed the ``1e8`` guard, Picard
-    failed to settle, or a solve overflowed to non-finite values."""
+    failed to settle, or a solve, IFOI or FDM, overflowed to non-finite
+    values."""
 
     def __init__(self, message: str, iterations: int, last_update: float):
         super().__init__(message)
@@ -126,15 +127,10 @@ class IvpProblem:
 
 @dataclass(frozen=True)
 class IfoiTrace:
-    """What one solve leaves behind: its Picard iteration count (0 without
-    coupling) and the ``forcing`` ``g + k u`` its final pass integrated.
-
-    :func:`staged` over that forcing gives the partial integrals of the
-    final pass, stage by stage; ``bench.plot`` draws them.
-    """
+    """What one solve leaves behind: its Picard iteration count, 0 without
+    coupling."""
 
     picard_iterations: int
-    forcing: np.ndarray = field(repr=False, compare=False)
 
 
 #: Entries kept by :func:`_prefix_pairs`, one per scheme, schedule and
@@ -319,9 +315,10 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
     IVPs of a shooting solve, that start is the constant ``u0`` or its
     first iterate, so the passes are those from ``u0``, one fewer in the
     second case.  Only an iteration can diverge, so only Picard iterates
-    are held to the ``1e8`` guard.
+    are held to the ``1e8`` guard.  The solution comes back with an
+    :class:`IfoiTrace` of the Picard count.
 
-    :raises IfoiDivergenceError: if the right-hand side or the solution
+    :raises DivergenceError: if the right-hand side or the solution
         overflows, or a Picard iterate passes ``1e8`` or fails to settle
         within 200 iterations.
     """
@@ -334,28 +331,28 @@ def ifoi_solve_ivp(problem: IvpProblem, operator: ComposedOperator,
     for iterations in range(1, PICARD_MAX_ITER + 1):
         forcing = g if k is None else g + k * u
         if not np.all(np.isfinite(forcing)):
-            raise IfoiDivergenceError(
+            raise DivergenceError(
                 "right-hand side overflowed", iterations=0,
                 last_update=math.inf)
         unew = ic + operator.apply(forcing)
         if k is None:
             if not np.all(np.isfinite(unew)):
-                raise IfoiDivergenceError(
+                raise DivergenceError(
                     "solution overflowed", iterations=0,
                     last_update=math.inf)
             u, iterations = unew, 0
             break
         peak = float(np.max(np.abs(unew)))
         if not peak < DIVERGENCE_GUARD:
-            raise IfoiDivergenceError(
+            raise DivergenceError(
                 "solution exceeded the divergence guard", iterations, peak)
         update = float(np.max(np.abs(unew - u)))
         u = unew
         if update < PICARD_TOL * max(1.0, peak):
             break
     else:
-        raise IfoiDivergenceError(
+        raise DivergenceError(
             f"Picard did not settle in {PICARD_MAX_ITER} iterations",
             PICARD_MAX_ITER, update)
 
-    return GridFunction(u), IfoiTrace(iterations, forcing)
+    return GridFunction(u), IfoiTrace(iterations)

@@ -112,7 +112,7 @@ def solve_bvp(case: "CaseSpec", operator: ifoi.ComposedOperator,
     the :class:`~fracbvp.ifoi.IfoiTrace` of each IVP solved, ``u1``'s first.
 
     :raises ValueError: for a left condition that is not Dirichlet.
-    :raises IfoiDivergenceError: if an IVP diverges.
+    :raises DivergenceError: if an IVP diverges.
     :raises SingularShootingError: if ``u2`` meets the homogeneous right
         condition.
     """

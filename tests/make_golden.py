@@ -31,7 +31,9 @@ solves moved.  Then come the snapshot lines: one SHA-256 per
 ``ifoi.staged`` call, of each scheme on both ten-stage schedules at n = 40
 (read off a table of stage prefixes) and n = 4,000 (stages chained), on
 data with ``f(0) != 0``, labelled ``staged-scheme-spacing-n``; and one of
-a windowed ``gl`` ``apply_scheme``.  The first line does not cover them.
+a windowed ``gl`` ``apply_scheme``.  Last come the eight SVG lines, the
+digests that ``golden_svg.json`` records, labelled by file name and
+written to a temporary directory only.  The first line covers neither.
 """
 
 import contextlib
@@ -179,7 +181,9 @@ def main() -> None:
     if sys.argv[1:] == ["--digest"]:
         total, each = solve_digests()
         print(total)
-        for lines in (each, snapshot_digests()):
+        with tempfile.TemporaryDirectory() as tmp:
+            svgs = svg_digests(tmp)
+        for lines in (each, snapshot_digests(), svgs):
             width = max(map(len, lines))
             for key, digest in lines.items():
                 print(f"{key:<{width}}  {digest}")

@@ -130,6 +130,12 @@ MUTANTS = {
         "ifoi.py",
         "            if not np.all(np.isfinite(unew)):",
         "            if False:"),
+    "plot-stages-g": (
+        "bench.py",
+        '    stages = staged(GridFunction(forcing), partition, '
+        'params["scheme"])',
+        '    stages = staged(GridFunction(case.g(x)), partition, '
+        'params["scheme"])'),
     "length-class": (
         "ifoi.py",
         "    return 1 << n.bit_length()",

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import fracbvp
-from fracbvp import RunConfig, run, run_quiet, sweep, table1
+from fracbvp import (GridFunction, RunConfig, get_case, make_alpha_partition,
+                     run, run_quiet, sweep, table1)
 from fracbvp import bench as bench_mod
 from fracbvp import cli
-from fracbvp.ifoi import IfoiDivergenceError
-from fracbvp.shooting import SingularShootingError
+from fracbvp.ifoi import DivergenceError, staged
+from fracbvp.shooting import SingularShootingError, left_value
 from fracbvp.svgplot import ramp_color
 
 from oracles import read_results_csv
@@ -126,6 +127,34 @@ def test_evolution_plot_polyline_count(tmp_path):
     assert 'version="1.1"' in text
 
 
+@pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
+def test_evolution_plot_stages_the_forcing_it_draws(case_id, tmp_path,
+                                                    monkeypatch):
+    """Every stage curve is the snapshot of the curve drawn as the forcing,
+    lifted by the left value, bit for bit; in case 4 that forcing is
+    ``2x(5 - u)`` at the exact solution."""
+    plotted = {}
+
+    def capture(series, title):
+        plotted[title] = series
+        return ""
+
+    monkeypatch.setattr(bench_mod, "render_line_plot", capture)
+    (report,) = run(RunConfig(case_id, method="ifoi", n=40, emit_trace=True,
+                              output_dir=tmp_path))
+    case = get_case(case_id)
+    forcing, *stages, solution = plotted[f"{case.id}: stage evolution"]
+    assert (forcing.label, solution.label) == ("forcing", "solution")
+    params = report.params
+    rows = staged(GridFunction(forcing.y),
+                  make_alpha_partition(params["spacing"], params["m"]),
+                  params["scheme"])
+    assert len(stages) == len(rows) == params["m"]
+    lift = left_value(case)
+    for series, row in zip(stages, rows):
+        assert np.array_equal(series.y, lift + row)
+
+
 def test_comparison_plot_series(tmp_path):
     run(RunConfig("1", method="both", n=50, emit_trace=True,
                   output_dir=tmp_path))
@@ -175,7 +204,7 @@ def test_sweep_collects_all_grids(tmp_path):
 
 def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
     def blow_up(case, operator):
-        raise IfoiDivergenceError("synthetic", 200, 1.0)
+        raise DivergenceError("synthetic", 200, 1.0)
 
     monkeypatch.setattr(bench_mod.shooting, "solve_bvp", blow_up)
     reports = run(RunConfig("4", method="ifoi", n=50, output_dir=tmp_path))
@@ -192,7 +221,7 @@ def test_divergence_is_a_reported_status_not_an_error(tmp_path, monkeypatch):
 def test_traced_run_without_a_converged_ifoi_report_writes_no_plot(
         tmp_path, monkeypatch, method, diverge):
     def blow_up(case, operator):
-        raise IfoiDivergenceError("synthetic", 200, 1.0)
+        raise DivergenceError("synthetic", 200, 1.0)
 
     if diverge:
         monkeypatch.setattr(bench_mod.shooting, "solve_bvp", blow_up)
@@ -203,10 +232,10 @@ def test_traced_run_without_a_converged_ifoi_report_writes_no_plot(
 
 def test_case4_fdm_divergence_guard_is_a_reported_status(monkeypatch):
     # FDM keeps no guard of its own; an overflowing solve raises
-    # IfoiDivergenceError, which the report carries as a status with no
+    # DivergenceError, which the report carries as a status with no
     # error, as it does for a singular one
     def overflowed(case, n):
-        raise IfoiDivergenceError("synthetic", 0, np.inf)
+        raise DivergenceError("synthetic", 0, np.inf)
 
     monkeypatch.setattr(bench_mod.fdm, "fdm_linear", overflowed)
     reports = run_quiet(RunConfig("4", method="fdm", n=50))
@@ -229,7 +258,7 @@ def test_cli_run_exit_zero(tmp_path, capsys):
 
 def test_cli_diverged_run_still_exits_zero(tmp_path, monkeypatch):
     def blow_up(case, operator):
-        raise IfoiDivergenceError("synthetic", 200, 1.0)
+        raise DivergenceError("synthetic", 200, 1.0)
 
     monkeypatch.setattr(bench_mod.shooting, "solve_bvp", blow_up)
     rc = cli.main(["run", "--case", "4", "--method", "ifoi",
@@ -452,6 +481,16 @@ def test_cli_config_keys_leave_out_config_and_trace(tmp_path):
         cfg.write_text(f"{key}=1\n", encoding="utf-8")
         with pytest.raises(SystemExit):
             cli.main(["run", "--case", "1", "--config", str(cfg)])
+
+
+def test_cli_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("n=50\nturbo\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["run", "--case", "1", "--config", str(cfg)])
+    assert done.value.code == 2
+    assert f"{cfg}:2: expected key=value, got 'turbo'" \
+        in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):

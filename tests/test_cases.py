@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from fracbvp import GridFunction, get_case, make_case3, oracle_solution, sup_error
+from fracbvp import GridFunction, get_case, make_case3, sup_error
 from fracbvp.cases import (_erf, gauss_first_integral, gauss_forcing,
                            gauss_second_integral, oscillatory_first_integral,
                            oscillatory_forcing, oscillatory_second_integral)
-from fracbvp.grid import sup_distance
+from fracbvp.grid import nodes
 from fracbvp.ifoi import IvpProblem
 from fracbvp.shooting import dirichlet, robin
 
@@ -130,8 +130,8 @@ def test_erf_is_math_erf_at_every_element(x):
 @pytest.mark.parametrize("case_id,a_res,b_res", [
     (1, -3.0, -2.0), (4, 3.0, -2.0)])
 def test_dirichlet_oracle_boundary_values(case_id, a_res, b_res):
-    assert abs(oracle_solution(case_id, 0.0) - a_res) <= 1e-10
-    assert abs(oracle_solution(case_id, 1.0) - b_res) <= 1e-10
+    assert abs(get_case(case_id).oracle(0.0) - a_res) <= 1e-10
+    assert abs(get_case(case_id).oracle(1.0) - b_res) <= 1e-10
 
 
 @pytest.mark.parametrize("case_id,first,second", [
@@ -143,8 +143,8 @@ def test_robin_oracle_boundary_residual(case_id, first, second):
     antiderivatives."""
     case = get_case(case_id)
     a = case.left_bc.value
-    assert abs(oracle_solution(case_id, 0.0) - a) <= 1e-10
-    u1 = float(oracle_solution(case_id, 1.0))
+    assert abs(case.oracle(0.0) - a) <= 1e-10
+    u1 = float(case.oracle(1.0))
     affine_slope = u1 - a - float(second(1.0))
     slope_1 = affine_slope + float(first(1.0))
     right = case.right_bc
@@ -158,7 +158,7 @@ def test_robin_oracle_slope_numerically(case_id, tol):
     case = get_case(case_id)
     d = 1e-3
     pts = 1.0 - d * np.arange(5)
-    u = oracle_solution(case_id, pts)
+    u = case.oracle(pts)
     slope_1 = (25 * u[0] - 48 * u[1] + 36 * u[2] - 16 * u[3] + 3 * u[4]) / (12 * d)
     right = case.right_bc
     residual = right.slope * slope_1 + right.weight * u[0] - right.value
@@ -172,9 +172,9 @@ def test_oracle_satisfies_its_equation(case_id, d, tol):
     case = get_case(case_id)
     rng = np.random.default_rng(42)
     x = rng.uniform(2 * d, 1.0 - 2 * d, 1000)
-    up = oracle_solution(case, x + d)
-    u0 = oracle_solution(case, x)
-    um = oracle_solution(case, x - d)
+    up = case.oracle(x + d)
+    u0 = case.oracle(x)
+    um = case.oracle(x - d)
     second = (up - 2.0 * u0 + um) / d**2
     target = case_rhs(case, x, u0)
     assert np.max(np.abs(second - target)) <= tol
@@ -188,7 +188,7 @@ def test_case4_oracle_matches_rk4_shooting():
     w = rk4_dense(lambda x, u: -2.0 * x * u, 0.0, 1.0, steps)
     shot = v + (-2.0 - v[-1]) / w[-1] * w
     x = np.linspace(0.0, 1.0, steps + 1)
-    assert np.max(np.abs(oracle_solution(4, x) - shot)) <= 1e-10
+    assert np.max(np.abs(get_case(4).oracle(x) - shot)) <= 1e-10
 
 
 def test_case4_series_solves_its_boundary_value_problems():
@@ -211,7 +211,7 @@ def test_case4_oracle_matches_power_series():
     """The series oracle that scores case 4 against the independent
     Taylor series in ``x`` of ``tests/oracles.py``."""
     x = np.linspace(0.0, 1.0, 100_001)
-    assert np.max(np.abs(oracle_solution(4, x) - case4_series(x))) <= 1e-12
+    assert np.max(np.abs(get_case(4).oracle(x) - case4_series(x))) <= 1e-12
 
 
 def _gauss_integrals(x):
@@ -265,15 +265,8 @@ def test_oracle_matches_scalar_reference(case_id):
     4's sums pass through values near 5 on their way to |u| <= 3)."""
     x = np.linspace(0.0, 1.0, 100_001)
     ref = np.array([_scalar_oracle(case_id)(v) for v in x.tolist()])
-    gap = np.max(np.abs(oracle_solution(case_id, x) - ref))
+    gap = np.max(np.abs(get_case(case_id).oracle(x) - ref))
     assert gap <= 8.0 * np.spacing(np.max(np.abs(ref)))
-
-
-def test_oracle_domain_guard():
-    with pytest.raises(ValueError):
-        oracle_solution(1, -0.1)
-    with pytest.raises(ValueError):
-        oracle_solution(1, 1.1)
 
 
 def test_oracles_import_nothing_from_the_package():
@@ -328,13 +321,13 @@ def test_case3_defaults_recorded():
 
 def test_sup_error_zero_for_sampled_oracle():
     case = get_case(1)
-    g = GridFunction.sample(case.oracle, 100)
+    g = GridFunction(case.oracle(nodes(100)))
     assert sup_error(g, case) == 0.0
 
 
 def test_sup_error_sees_constant_offset():
     case = get_case(1)
-    g = GridFunction.sample(case.oracle, 100)
+    g = GridFunction(case.oracle(nodes(100)))
     shifted = GridFunction(g.values + 1e-3)
     assert sup_error(shifted, case) == pytest.approx(1e-3, rel=1e-9)
 
@@ -344,11 +337,12 @@ def test_sup_error_triangle_inequality():
     rng = np.random.default_rng(5)
     f = GridFunction(rng.normal(size=101))
     g = GridFunction(rng.normal(size=101))
-    assert sup_error(f, case) <= sup_distance(f, g) + sup_error(g, case) + 1e-15
+    distance = np.max(np.abs(f.values - g.values))
+    assert sup_error(f, case) <= distance + sup_error(g, case) + 1e-15
 
 
 def test_sup_error_nonnegative_and_uses_own_grid():
     case = get_case(3)
     for n in (17, 40, 233):
-        g = GridFunction.sample(case.oracle, n)
+        g = GridFunction(case.oracle(nodes(n)))
         assert sup_error(g, case) == 0.0

@@ -9,7 +9,7 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      sup_error)
 from fracbvp.cases import CaseSpec
 from fracbvp.fdm import _newton_iterate
-from fracbvp.ifoi import (ComposedOperator, IfoiDivergenceError, IvpProblem,
+from fracbvp.ifoi import (ComposedOperator, DivergenceError, IvpProblem,
                           ifoi_solve_ivp)
 from fracbvp.shooting import (SingularShootingError, _end_slope, dirichlet,
                               left_value, robin, solve_bvp, solve_right_row)
@@ -178,7 +178,7 @@ def test_overflowing_march_reads_as_divergence():
                           dirichlet(1.0), dirichlet(0.0),
                           k=lambda x: 1e200 + 0.0 * x)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(IfoiDivergenceError):
+            pytest.raises(DivergenceError):
         fdm_linear(case, 50)
 
 

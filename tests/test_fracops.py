@@ -7,6 +7,7 @@ import pytest
 from fracbvp import GridFunction, apply_scheme, gl_coefficients
 from fracbvp.cases import gauss_forcing, oscillatory_forcing
 from fracbvp.fracops import ABM_SERIES_FROM, apply_pair, stage_kernels
+from fracbvp.grid import nodes
 
 from oracles import (abm_weights_decimal, direct_gl_weight, direct_rect_sum,
                      simpson, simpson_double)
@@ -62,7 +63,7 @@ def test_gl_ramp_full_order(ramp_grid):
 def test_gl_double_order_vs_brute_force_quadrature():
     # First-order rule: the h * int(f) term dominates and is ~0.1 here, so
     # the honest bound sits at 0.12, not tighter.
-    f = GridFunction.sample(gauss_forcing, 100)
+    f = GridFunction(gauss_forcing(nodes(100)))
     out = apply_scheme("gl", f, -2.0)
     reference = simpson_double(gauss_forcing, 1.0)
     assert abs(out.values[-1] - reference) <= 0.12
@@ -111,13 +112,13 @@ def test_rect_matches_direct_summation_on_arbitrary_data():
 # ---------------------------------------------------------------------------
 
 def test_abm_constant_half_order():
-    f = GridFunction.sample(lambda x: np.ones_like(x), 100)
+    f = GridFunction(np.ones_like(nodes(100)))
     out = apply_scheme("abm", f, -0.5)
     assert abs(out.values[-1] - 1.0 / math.gamma(1.5)) <= 1e-4
 
 
 def test_abm_ramp_full_order():
-    f = GridFunction.sample(lambda x: x, 100)
+    f = GridFunction(nodes(100))
     out = apply_scheme("abm", f, -1.0)
     assert abs(out.values[-1] - 0.5) <= 1e-6
 
@@ -233,7 +234,7 @@ def test_apply_pair_takes_one_row_or_a_batch(scheme, n):
 def test_abm_oscillatory_vs_quadrature():
     # The aliased tail of the oscillation costs ~1.8e-4 at this resolution;
     # 3e-4 is the honest bound for the rule as defined.
-    f = GridFunction.sample(oscillatory_forcing, 200)
+    f = GridFunction(oscillatory_forcing(nodes(200)))
     out = apply_scheme("abm", f, -1.0)
     reference = simpson(oscillatory_forcing, 1.0)
     assert abs(out.values[-1] - reference) <= 3e-4
@@ -276,7 +277,7 @@ def test_monomial_law(scheme, p, alpha):
     expect = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
     errs = []
     for n in (64, 128):
-        f = GridFunction.sample(lambda x: x**p, n)
+        f = GridFunction(nodes(n)**p)
         out = apply_scheme(scheme, f, alpha)
         errs.append(abs(out.values[-1] - expect))
     assert errs[1] <= errs[0] * 1.05 + 1e-12
@@ -286,7 +287,7 @@ def test_monomial_law(scheme, p, alpha):
 def test_semigroup_two_half_orders_match_one_full_order():
     gaps = []
     for n in (100, 200):
-        f = GridFunction.sample(lambda x: x**2, n)
+        f = GridFunction(nodes(n)**2)
         twice = apply_scheme("abm", apply_scheme("abm", f, -0.5), -0.5)
         once = apply_scheme("abm", f, -1.0)
         gaps.append(abs(twice.values[-1] - once.values[-1]))
@@ -297,7 +298,7 @@ def test_semigroup_two_half_orders_match_one_full_order():
 def test_gl_composition_is_exact():
     # binomial weight sequences convolve exactly across orders, so the
     # series operator inherits the semigroup law to rounding
-    f = GridFunction.sample(lambda x: x**2, 100)
+    f = GridFunction(nodes(100)**2)
     twice = apply_scheme("gl", apply_scheme("gl", f, -0.5), -0.5)
     once = apply_scheme("gl", f, -1.0)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-12
@@ -307,7 +308,7 @@ def test_gl_first_order_error_decay():
     expect = math.gamma(3.0) / math.gamma(3.5)
     errs = []
     for n in (100, 200):
-        f = GridFunction.sample(lambda x: x**2, n)
+        f = GridFunction(nodes(n)**2)
         errs.append(abs(apply_scheme("gl", f, -0.5).values[-1] - expect))
     assert 1.6 <= errs[0] / errs[1] <= 2.4
 
@@ -337,7 +338,7 @@ def test_truncated_memory_is_refused_off_the_series(scheme):
     """The short-memory principle is stated for the binomial series: a
     truncated policy with another scheme is an error, not a full-memory
     result."""
-    f = GridFunction.sample(np.cos, 200)
+    f = GridFunction(np.cos(nodes(200)))
     with pytest.raises(ValueError, match="'gl' series only"):
         apply_scheme(scheme, f, -0.5, window=0.1)
 

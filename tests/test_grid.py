@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import fracbvp
-from fracbvp import GridFunction, sup_distance
+from fracbvp import GridFunction
 from fracbvp.grid import _keep_freed_blocks, nodes
 
 
 def test_sample_covers_unit_interval():
-    g = GridFunction.sample(lambda x: x**2, 10)
+    g = GridFunction(nodes(10)**2)
     assert g.n == 10
     assert g.h == pytest.approx(0.1)
     assert g.nodes[-1] == pytest.approx(1.0, rel=1e-12)
@@ -23,7 +23,7 @@ def test_sample_covers_unit_interval():
 
 
 def test_nodes_are_uniform():
-    g = GridFunction.sample(lambda x: x, 8)
+    g = GridFunction(nodes(8))
     assert np.allclose(g.nodes, np.arange(9) / 8)
 
 
@@ -63,24 +63,9 @@ def test_rejects_nan_and_inf():
 
 
 def test_values_are_read_only():
-    g = GridFunction.sample(lambda x: x, 4)
+    g = GridFunction(nodes(4))
     with pytest.raises(ValueError):
         g.values[0] = 3.0
-
-
-def test_sup_distance_requires_matching_grids():
-    a = GridFunction.sample(lambda x: x, 10)
-    b = GridFunction.sample(lambda x: x, 20)
-    with pytest.raises(ValueError):
-        sup_distance(a, b)
-    with pytest.raises(ValueError):
-        sup_distance(GridFunction(np.zeros(11)), GridFunction(np.zeros(12)))
-
-
-def test_sup_distance_value():
-    a = GridFunction.sample(lambda x: x, 10)
-    b = GridFunction(a.values + 0.25)
-    assert sup_distance(a, b) == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import pytest
 import fracbvp.bench as bench_mod
 from fracbvp import cli
 from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
-                     IfoiDivergenceError, IvpProblem, RunConfig,
+                     DivergenceError, IvpProblem, RunConfig,
                      SingularShootingError, apply_scheme,
                      dirichlet, fdm_linear,
                      get_case, ifoi_solve_ivp, make_alpha_partition,
                      robin, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
+from fracbvp.grid import nodes
 from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, STAGED_TABLE_LENGTH,
                           TOTAL_ORDER, _prefix_pairs, staged)
 from fracbvp.shooting import (SINGULAR_TOL, _end_slope, left_value,
@@ -52,6 +53,20 @@ def test_partition_rejects_zero_stages():
 def test_partition_rejects_unknown_spacing():
     with pytest.raises(ValueError):
         make_alpha_partition("cubic", 4)
+
+
+@pytest.mark.parametrize("cumulative, message", [
+    ((0.0, 1.0, 1.5), "run from 0 to 2"),
+    ((0.5, 1.0, 2.0), "run from 0 to 2"),
+    ((0.0, 1.5, 1.0, 2.0), "increase strictly"),
+    ((0.0, 1.0, 1.0, 2.0), "increase strictly"),
+    ((0.0, math.nan, 2.0), r"lie in \[-2, 0\)"),
+], ids=["short-end", "late-start", "decreasing", "repeated", "nan"])
+def test_partition_refuses_a_malformed_schedule(cumulative, message):
+    """A NaN passes the ends and the ordering check, since every comparison
+    with it is false, and only the stage-order range refuses it."""
+    with pytest.raises(ValueError, match=message):
+        AlphaPartition("custom", cumulative)
 
 
 @pytest.mark.parametrize("spacing", ["regular", "quadratic"])
@@ -169,13 +184,12 @@ def test_initial_slope_anchors_second_order_scheme():
 
 
 def test_trace_orders_and_final_snapshot():
-    """One snapshot per stage of the schedule over the trace's forcing; the
+    """One snapshot per stage of the schedule over the sampled forcing; the
     last, lifted by ``u0``, is the returned solution to rounding."""
     problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     partition = make_alpha_partition("regular", 10)
-    sol, trace = ifoi_solve_ivp(problem,
-                                ComposedOperator("gl", partition, 100))
-    stages = staged(GridFunction(trace.forcing), partition, "gl")
+    sol, _ = ifoi_solve_ivp(problem, ComposedOperator("gl", partition, 100))
+    stages = staged(GridFunction(gauss_forcing(nodes(100))), partition, "gl")
     assert len(stages) == partition.stage_count
     gap = np.max(np.abs(-3.0 + stages[-1] - sol.values))
     assert gap <= 1e-12 * np.max(np.abs(sol.values))
@@ -183,13 +197,9 @@ def test_trace_orders_and_final_snapshot():
 
 def test_stage_snapshots_smooth_monotonically():
     """Integration smooths: total variation never grows along the stages."""
-    problem = IvpProblem(gauss_forcing, None, u0=-3.0, s0=0.0)
     partition = make_alpha_partition("regular", 10)
-    sol, trace = ifoi_solve_ivp(problem, ComposedOperator("gl", partition,
-                                                          100))
-    forcing = GridFunction.sample(gauss_forcing, 100)
-    tvs = [total_variation(row) for row in staged(
-        GridFunction(trace.forcing), partition, "gl")]
+    forcing = GridFunction(gauss_forcing(nodes(100)))
+    tvs = [total_variation(row) for row in staged(forcing, partition, "gl")]
     assert tvs[0] <= total_variation(forcing.values)
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(tvs, tvs[1:]))
 
@@ -309,7 +319,7 @@ def test_only_short_grids_keep_a_table_of_stage_prefixes():
     partition = make_alpha_partition("regular", 10)
     _prefix_pairs.cache_clear()
     for n in (STAGED_TABLE_LENGTH - 1, STAGED_TABLE_LENGTH):
-        staged(GridFunction.sample(np.cos, n), partition, "abm")
+        staged(GridFunction(np.cos(nodes(n))), partition, "abm")
     assert _prefix_pairs.cache_info().currsize == 1
 
 
@@ -362,7 +372,7 @@ def test_long_grid_snapshots_hold_one_stage_pair_at_a_time(scheme):
     ``abm``)."""
     import tracemalloc
     partition = make_alpha_partition("regular", 10)
-    f = GridFunction.sample(np.cos, 20_000)
+    f = GridFunction(np.cos(nodes(20_000)))
     tracemalloc.start()
     try:
         rows = staged(f, partition, scheme)
@@ -381,7 +391,7 @@ def test_staged_and_apply_scheme_convolve_by_fft_only(monkeypatch):
     monkeypatch.setattr(np, "convolve", refuse)
     # n = 100 reads a table of stage prefixes, n = 300 chains the stages
     for n in (100, 300):
-        f = GridFunction.sample(np.cos, n)
+        f = GridFunction(np.cos(nodes(n)))
         for scheme in ("gl", "rect", "abm"):
             staged(f, make_alpha_partition("regular", 10), scheme)
             apply_scheme(scheme, f, -0.5)
@@ -401,7 +411,7 @@ def compose_check(f, partition, scheme):
 
 
 def test_compose_check_quadratic_abm():
-    f = GridFunction.sample(lambda x: x**2, 100)
+    f = GridFunction(nodes(100)**2)
     gap = compose_check(f, make_alpha_partition("regular", 2), "abm")
     assert gap <= 1e-3
 
@@ -412,7 +422,7 @@ def test_compose_check_zero_function():
 
 
 def test_compose_check_single_stage_is_identity():
-    f = GridFunction.sample(lambda x: np.ones_like(x), 100)
+    f = GridFunction(np.ones_like(nodes(100)))
     assert compose_check(f, make_alpha_partition("regular", 1), "gl") == 0.0
 
 
@@ -422,7 +432,7 @@ def test_compose_check_single_stage_is_identity():
 
 def test_divergence_guard_trips_on_explosive_feedback():
     problem = IvpProblem(None, lambda x: 1e7 + 0.0 * x, u0=1.0, s0=0.0)
-    with pytest.raises(IfoiDivergenceError):
+    with pytest.raises(DivergenceError):
         ifoi_solve_ivp(problem, ComposedOperator(
             "abm", make_alpha_partition("regular", 10), 50))
 
@@ -431,7 +441,7 @@ def test_divergence_guard_trips_on_explosive_feedback():
 def test_overflowing_rhs_reports_divergence_not_a_type_error():
     # 1e306 * 1000 overflows on the first pass
     problem = IvpProblem(None, lambda x: 1e306 + 0.0 * x, u0=1000.0, s0=0.0)
-    with pytest.raises(IfoiDivergenceError,
+    with pytest.raises(DivergenceError,
                        match="right-hand side overflowed"):
         ifoi_solve_ivp(problem, ComposedOperator(
             "abm", make_alpha_partition("regular", 10), 50))
@@ -443,7 +453,7 @@ def test_picard_cap_trips_on_non_settling_feedback(monkeypatch):
     monkeypatch.setattr(ifoi_mod, "PICARD_MAX_ITER", 3)
     case = get_case(4)
     problem = IvpProblem(case.g, case.k, u0=3.0, s0=0.0)
-    with pytest.raises(IfoiDivergenceError) as err:
+    with pytest.raises(DivergenceError) as err:
         ifoi_solve_ivp(problem, ComposedOperator(
             "abm", make_alpha_partition("regular", 10), 50))
     assert err.value.iterations == 3
@@ -495,7 +505,7 @@ def test_picard_still_diverges_past_the_relative_stop():
     """At ``lam = 350`` the update of ``u1`` stalls at about 9e-2, above
     ``1e-10`` of its size, so Picard does not settle."""
     case = _cosh_case(350.0)
-    with pytest.raises(IfoiDivergenceError, match="did not settle"):
+    with pytest.raises(DivergenceError, match="did not settle"):
         solve_bvp(case, ComposedOperator("abm", case.default_partition, 400))
 
 
@@ -508,7 +518,7 @@ def test_growing_iterate_ends_at_the_divergence_guard(n):
     "did not settle", which the status ``diverged`` cannot tell apart, so
     the message is what fixes the guard."""
     case = _cosh_case(400.0)
-    with pytest.raises(IfoiDivergenceError,
+    with pytest.raises(DivergenceError,
                        match="solution exceeded the divergence guard"):
         solve_bvp(case, ComposedOperator("abm", case.default_partition, n))
 
@@ -573,10 +583,10 @@ def test_overflowing_forcing_only_solve_is_divergence(monkeypatch, scheme):
     divergence, not a ``ValueError`` from a non-finite grid function."""
     case = _constant_forcing_case(1.7e308)
     assert _statuses(monkeypatch, case, scheme) == ["diverged", "diverged"]
-    with pytest.raises(IfoiDivergenceError, match="overflowed"):
+    with pytest.raises(DivergenceError, match="overflowed"):
         ifoi_solve_ivp(IvpProblem(case.g, None, 0.0, 0.0), ComposedOperator(
             scheme, case.default_partition, 50))
-    with pytest.raises(IfoiDivergenceError, match="overflowed"):
+    with pytest.raises(DivergenceError, match="overflowed"):
         fdm_linear(case, 50)
 
 

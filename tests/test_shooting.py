@@ -41,7 +41,7 @@ def classical_ivp(problem, operator, substeps=200):
     n = operator.n
     values = rk4_solve_ivp(lambda x, u: float(problem.rhs(x, u)),
                            problem.u0, problem.s0, n, substeps)
-    return GridFunction(values), IfoiTrace(0, np.zeros(n + 1))
+    return GridFunction(values), IfoiTrace(0)
 
 
 def right_row_coefficient(u1, u2, right_bc):
