@@ -132,7 +132,20 @@ def run(config: RunConfig) -> list[SolveReport]:
 
 def sweep(n_list: Sequence[int], config: RunConfig) -> list[SolveReport]:
     """Run ``config``'s case at each grid size of ``n_list``, one after
-    another, in place of ``config.n``; one ``results.csv`` for all."""
+    another, in place of ``config.n``; one ``results.csv`` for all.
+
+    :raises ValueError: naming the first entry of ``n_list`` that a solver
+        refuses, before any grid is solved.
+    """
+    _, partition, scheme = _resolve_params(config, _resolve_case(config))
+    for n in n_list:
+        try:
+            if config.method != "ifoi":
+                fdm.check_grid(n)
+            if config.method != "fdm":
+                ComposedOperator(scheme, partition, n)  # checks, builds nothing
+        except ValueError as exc:
+            raise ValueError(f"n-list entry {n}: {exc}") from None
     reports = [r for n in n_list for r in run_quiet(replace(config, n=n))]
     write_results_csv(Path(config.output_dir) / "results.csv", reports)
     return reports

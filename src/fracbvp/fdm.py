@@ -29,6 +29,13 @@ if TYPE_CHECKING:
 PIVOT_GUARD = 1e-14
 
 
+def check_grid(n: int) -> None:
+    """:raises ValueError: for ``n < 4``, fewer intervals than the rows
+    take."""
+    if n < 4:
+        raise ValueError("need at least 4 intervals")
+
+
 class SingularSystemError(RuntimeError):
     """Forward elimination hit a vanishing pivot."""
 
@@ -146,8 +153,7 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
         homogeneous right condition.
     :raises DivergenceError: when the solution overflows.
     """
-    if n < 4:
-        raise ValueError("need at least 4 intervals")
+    check_grid(n)
     u0, h = left_value(case), 1.0 / n
     if case.k is None:
         x = nodes(n)
@@ -254,7 +260,6 @@ def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,
     :raises NewtonConvergenceError: carrying the last residual norm when
         ``max_iter`` steps do not settle.
     """
-    if n < 4:
-        raise ValueError("need at least 4 intervals")
+    check_grid(n)
     U, _ = _newton_iterate(case, n, tol, max_iter)
     return GridFunction(U)

@@ -140,6 +140,22 @@ MUTANTS = {
         "ifoi.py",
         "    return 1 << n.bit_length()",
         "    return 2 << n.bit_length()"),
+    "score-degree": (
+        "cases.py",
+        "_DEGREE = 14",
+        "_DEGREE = 6"),
+    "score-end-weights": (
+        "cases.py",
+        "_BARY[[0, -1]] *= 0.5",
+        "_BARY[[0, -1]] *= 1.0"),
+    "score-blocks": (
+        "cases.py",
+        "_BLOCKS = 128",
+        "_BLOCKS = 16"),
+    "score-switch": (
+        "cases.py",
+        "    if n + 1 < 4 * _BLOCKS * (_DEGREE + 1):",
+        "    if False:"),
 }
 
 

@@ -282,6 +282,30 @@ def test_cli_sweep_refuses_empty_n_list(tmp_path, n_list):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("options, n_list, message", [
+    (["--case", "3", "--scheme", "rect", "--alpha-spacing", "quadratic",
+      "--m", "10"], "40,8", "n-list entry 8: rect with m = 10 stages on "
+                            "n = 8 composes to the zero operator"),
+    (["--case", "3", "--scheme", "rect", "--alpha-spacing", "quadratic",
+      "--m", "10"], "8,40", "n-list entry 8: rect with m = 10 stages"),
+    (["--case", "1"], "40,3", "n-list entry 3: need at least 4 intervals"),
+    (["--case", "1"], "3,40", "n-list entry 3: need at least 4 intervals"),
+], ids=["rect-last", "rect-first", "fdm-last", "fdm-first"])
+def test_cli_sweep_refuses_a_bad_grid_before_solving_any(
+        tmp_path, monkeypatch, capsys, options, n_list, message):
+    def solved(*args):
+        pytest.fail("sweep solved a grid before refusing another")
+
+    monkeypatch.setattr(bench_mod.fdm, "fdm_linear", solved)
+    monkeypatch.setattr(bench_mod.shooting, "solve_bvp", solved)
+    rc = cli.main(["sweep", *options, "--n-list", n_list,
+                   "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_cli_missing_case_is_usage_error(capsys):
     assert cli.main(["run", "--method", "fdm"]) == 2
 

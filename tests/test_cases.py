@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from fracbvp import GridFunction, get_case, make_case3, sup_error
+from fracbvp import (GridFunction, fdm_linear, get_case, make_case3,
+                     sup_error)
 from fracbvp.cases import (_erf, gauss_first_integral, gauss_forcing,
                            gauss_second_integral, oscillatory_first_integral,
                            oscillatory_forcing, oscillatory_second_integral)
@@ -269,6 +270,17 @@ def test_oracle_matches_scalar_reference(case_id):
     assert gap <= 8.0 * np.spacing(np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_interpolated_score_matches_scalar_reference(case_id):
+    """The reference that scores a grid of 10^5 intervals, a blockwise
+    Chebyshev interpolant of the oracle, within 16 ulp of the largest value
+    of the solution (measured: 6.5, 5, 7 and 7 ulp for cases 1-4)."""
+    x = nodes(100_000)
+    ref = np.array([_scalar_oracle(case_id)(v) for v in x.tolist()])
+    gap = sup_error(GridFunction(ref), get_case(case_id))
+    assert gap <= 16.0 * np.spacing(np.max(np.abs(ref)))
+
+
 def test_oracles_import_nothing_from_the_package():
     """The references in ``tests/oracles.py`` stand apart from fracbvp: no
     import statement in the module, at any depth, names the package."""
@@ -346,3 +358,64 @@ def test_sup_error_nonnegative_and_uses_own_grid():
     for n in (17, 40, 233):
         g = GridFunction(case.oracle(nodes(n)))
         assert sup_error(g, case) == 0.0
+
+
+# the switch to the interpolated reference: 4 nodes per sample, 128 * 15
+SWITCH = 4 * 128 * 15
+SCORED_CASES = [get_case(i) for i in (1, 2, 3, 4)] + [
+    make_case3(a=1e147), make_case3(b=-1.0000001),
+    make_case3(a=0.5, b=0.0, c=-1.0)]
+
+
+@pytest.mark.parametrize("n", [SWITCH - 1, 20_011, 65_536, 99_991])
+@pytest.mark.parametrize("case", SCORED_CASES,
+                         ids=["1", "2", "3", "4", "3-a1e147", "3-b-near-resonant",
+                              "3-a0.5-b0-c-1"])
+def test_interpolated_score_matches_the_oracle_at_every_node(case, n):
+    """From ``SWITCH`` nodes up, the reference is within ``4e-15 max|u|`` of
+    the oracle at every node (2.0e-15 measured), and a spike at node ``n``,
+    in the padded last block when the block width does not divide
+    ``n + 1`` (here 20,011 and 99,991), is scored at its size."""
+    u = case.oracle(nodes(n))
+    scale = np.max(np.abs(u))
+    assert sup_error(GridFunction(u), case) <= 4e-15 * scale
+    spike = u.copy()
+    spike[-1] += 1e-6 * scale
+    assert sup_error(GridFunction(spike), case) \
+        == pytest.approx(1e-6 * scale, abs=4e-15 * scale)
+
+
+@pytest.mark.parametrize("n", [4, 40, 4_000, SWITCH - 2])
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_score_below_the_switch_is_pointwise_to_the_bit(case_id, n):
+    case = get_case(case_id)
+    solution = fdm_linear(case, n)
+    pointwise = np.max(np.abs(solution.values - case.oracle(nodes(n))))
+    assert sup_error(solution, case) == float(pointwise)
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_interpolated_score_is_bit_identical_whatever_ran_before(case_id):
+    case = get_case(case_id)
+
+    def score(n):
+        solution = fdm_linear(case, n)
+        return solution.values, sup_error(solution, case)
+
+    first_values, first = score(20_011)
+    assert sup_error(GridFunction(first_values), case) == first
+    for n in (99_991, 40, SWITCH, 65_536):
+        score(n)
+    again_values, again = score(20_011)
+    assert np.array_equal(again_values, first_values) and again == first
+
+
+@pytest.mark.parametrize("n", [SWITCH - 1, 20_011, 20_095])
+def test_nodes_on_sample_points_divide_by_nothing(n):
+    """The first and last node of every block are sample points, and so is
+    the middle node of an odd block width (157 at n = 20,011); each takes
+    its sample's value with no division by zero."""
+    case = get_case(3)
+    with np.errstate(divide="raise", invalid="raise"):
+        assert sup_error(GridFunction(case.oracle(nodes(n))), case) \
+            <= 4e-15 * np.max(np.abs(case.oracle(nodes(n))))
