@@ -100,10 +100,25 @@ def _run(method: str, case: CaseSpec, params: dict, repeats: int,
     return SolveReport(method, status, params, statistics.median(times))
 
 
+def _check_grid(method: str, scheme: str, partition: AlphaPartition,
+                n: int) -> None:
+    """:raises ValueError: when a solver that ``method`` runs refuses the
+    grid ``n``."""
+    if method != "ifoi":
+        fdm.check_grid(n)
+    if method != "fdm":
+        ComposedOperator(scheme, partition, n)  # checks, builds nothing
+
+
 def run_quiet(config: RunConfig) -> list[SolveReport]:
-    """Execute one configuration without touching the filesystem."""
+    """Execute one configuration without touching the filesystem.
+
+    :raises ValueError: when a solver that ``config.method`` runs refuses
+        the grid, before any solve.
+    """
     case = _resolve_case(config)
     n, partition, scheme = _resolve_params(config, case)
+    _check_grid(config.method, scheme, partition, n)
     params = {"case": case.id, "n": n, "m": partition.stage_count,
               "spacing": partition.spacing, "scheme": scheme}
 
@@ -140,10 +155,7 @@ def sweep(n_list: Sequence[int], config: RunConfig) -> list[SolveReport]:
     _, partition, scheme = _resolve_params(config, _resolve_case(config))
     for n in n_list:
         try:
-            if config.method != "ifoi":
-                fdm.check_grid(n)
-            if config.method != "fdm":
-                ComposedOperator(scheme, partition, n)  # checks, builds nothing
+            _check_grid(config.method, scheme, partition, n)
         except ValueError as exc:
             raise ValueError(f"n-list entry {n}: {exc}") from None
     reports = [r for n in n_list for r in run_quiet(replace(config, n=n))]

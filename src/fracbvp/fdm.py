@@ -98,14 +98,16 @@ def _march(case: "CaseSpec", n: int) -> tuple[np.ndarray, list, tuple]:
     The first block leads with zero steps, so the last exits at
     ``(U[n], S[n-1])``.
 
-    Returns the table by step, row and block, each block's exits
-    ``(U_phi, U_psi, U_p, S_phi, S_psi, S_p)``, and ``h^2 k`` and ``h^2 g``
-    at node ``n - 1``; the coefficient arrays are freed before the sweep.
+    ``k`` and ``g`` are each evaluated once, on a ``(width, blocks)`` array
+    of the nodes ``j * (1/n)`` that the steps read, bit-equal to
+    ``nodes(n)[j]``; the lead steps read node 1 and their rows are zeroed,
+    so no coefficient is sampled outside ``[0, 1]``.
+
+    Returns the table by step, row and block, the six columns of block
+    exits ``U_phi, U_psi, U_p, S_phi, S_psi, S_p`` as float lists, and
+    ``h^2 k`` and ``h^2 g`` at node ``n - 1``.
     """
     h = 1.0 / n
-    x = nodes(n)
-    g = IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)  # None reads as 0
-    k = np.broadcast_to(np.asarray(case.k(x), dtype=float), x.shape)
     steps = n - 1
     # steps per block, about sqrt(steps / 8): a step costs four numpy calls
     # across all blocks and a block one pass of the scalar sweep.  Timed on
@@ -114,25 +116,28 @@ def _march(case: "CaseSpec", n: int) -> tuple[np.ndarray, list, tuple]:
     width = max(1, math.isqrt(steps // 8))
     blocks = -(-steps // width)
     lead = blocks * width - steps
-    # h^2 k and h^2 g by step within a block, coefficient and block
-    coef = np.zeros((width, 2, blocks))
-    for by_block, f in zip(coef.transpose(1, 2, 0), (k, g)):
-        by_block[0, lead:] = f[1:1 + width - lead]
-        by_block[1:] = f[1 + width - lead:n].reshape(blocks - 1, width)
-    coef *= h * h
+    # the node j read by each step within a block, by block
+    x = np.add.outer(np.arange(width, dtype=float),
+                     np.arange(1 - lead, n, width, dtype=float))
+    x[:lead, 0] = 1.0
+    x *= 1.0 / n
+    coef = np.empty((2, width, blocks))  # h^2 k and h^2 g
+    for row, f in zip(coef, (case.k, case.g)):
+        np.multiply(0.0 if f is None else f(x), h * h, out=row, dtype=float)
+    coef[:, :lead, 0] = 0.0
     table = np.empty((width, 3, blocks))
     u = np.zeros((3, blocks))
     u[0] = 1.0
     d = np.zeros((3, blocks))
     d[1] = h
     dk = np.empty((3, blocks))
-    for (kh, gh), row in zip(coef, table):
+    for kh, gh, row in zip(coef[0], coef[1], table):
         np.multiply(u, kh, out=dk)
         d += dk
         d[2] += gh
         u = np.add(u, d, out=row)
-    exits = np.vstack((u, d / h)).T.tolist()
-    return table, exits, tuple(coef[-1, :, -1].tolist())
+    exits = np.vstack((u, d / h)).tolist()
+    return table, exits, tuple(coef[:, -1, -1].tolist())
 
 
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
@@ -146,7 +151,10 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     that the left value allows, in ``(U, S = D/h)``; each block exit
     normalises ``direction`` and projects it out of ``offset``, so the
     line never grows with the coupling.  The right row fixes ``t`` and one
-    backward pass gives every block's entry.
+    backward pass gives every block's entry.  ``k`` and ``g`` are sampled
+    once, at nodes ``1 .. n-1`` (and ``g`` at every node without
+    coupling); a solve holds numpy arrays and flat lists of floats, no
+    tuple or list per block, so the garbage collector does not run in it.
 
     :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
     :raises SingularShootingError: when the homogeneous rows meet the
@@ -158,8 +166,8 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     if case.k is None:
         x = nodes(n)
         out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
-        np.cumsum(IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)[1:n],
-                  out=out[2:])
+        g = 0.0 if case.g is None else case.g(x)
+        np.cumsum(np.broadcast_to(g, x.shape)[1:n], out=out[2:])
         np.cumsum(out[2:], out=out[2:])
         out *= h * h
         out += u0
@@ -173,28 +181,37 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     table, exits, (kh, gh) = _march(case, n)
     width, _, blocks = table.shape
     lead = blocks * width - (n - 1)
-    # block 0 is entered at (u0, 0) + s ((1 - lead) h, 1), s the slope u'(0)
-    line, sweep = ((u0, 0.0), ((1 - lead) * h, 1.0)), []
-    for u_phi, u_psi, u_p, s_phi, s_psi, s_p in exits:
-        (a, s), (b, r) = line
+    # block 0 is entered at (u0, 0) + s ((1 - lead) h, 1), s the slope u'(0);
+    # each block's entry line (a, s) + t (b, r) and its scale and shift are
+    # kept as flat float lists
+    a, s, b, r = u0, 0.0, (1 - lead) * h, 1.0
+    entry_a, entry_s, entry_b, entry_r, scales, shifts = \
+        [], [], [], [], [], []
+    for u_phi, u_psi, u_p, s_phi, s_psi, s_p in zip(*exits):
+        entry_a.append(a)
+        entry_s.append(s)
+        entry_b.append(b)
+        entry_r.append(r)
         b, r = b * u_phi + r * u_psi, b * s_phi + r * s_psi
         scale = math.hypot(b, r)
         b, r = b / scale, r / scale
         a, s = a * u_phi + s * u_psi + u_p, a * s_phi + s * s_psi + s_p
         shift = a * b + s * r
-        sweep.append((line, scale, shift))
-        line = (a - shift * b, s - shift * r), (b, r)
+        scales.append(scale)
+        shifts.append(shift)
+        a, s = a - shift * b, s - shift * r
     # the end slope S[n-1] + h f[n-1] / 2, with U[n-1] = U[n] - h S[n-1],
     # is S[n-1] (1 - kh/2) + (kh U[n] + gh) / 2h, affine in t on the line
-    (a, s), (b, r) = line
     t = solve_right_row(case.right_bc, (a, b),
                         (s * (1.0 - kh / 2.0) + (kh * a + gh) / (2.0 * h),
                          r * (1.0 - kh / 2.0) + kh * b / (2.0 * h)))
-    entries = []
-    for ((a, s), (b, r)), scale, shift in reversed(sweep):
-        t = (t - shift) / scale
-        entries.append((a + t * b, s + t * r))
-    alpha, beta = np.array(entries[::-1]).T
+    ts = [t] * blocks
+    for i in range(blocks - 1, -1, -1):
+        t = (t - shifts[i]) / scales[i]
+        ts[i] = t
+    t = np.array(ts)
+    alpha = np.array(entry_a) + t * np.array(entry_b)
+    beta = np.array(entry_s) + t * np.array(entry_r)
     phi, psi, p = table.transpose(1, 0, 2)
     rows = phi * alpha
     rows += psi * beta

@@ -55,6 +55,18 @@ MUTANTS = {
         "                        (s * (1.0 - kh / 2.0) + (kh * a + gh) "
         "/ (2.0 * h),",
         "                        (s + (kh * a + gh) / (2.0 * h),"),
+    "march-lead-rows": (
+        "fdm.py",
+        "    coef[:, :lead, 0] = 0.0",
+        "    pass"),
+    "sweep-offset-after-update": (
+        "fdm.py",
+        "        entry_a.append(a)",
+        "        entry_a.append(a * u_phi + s * u_psi + u_p)"),
+    "sweep-scale-index": (
+        "fdm.py",
+        "        t = (t - shifts[i]) / scales[i]",
+        "        t = (t - shifts[i]) / scales[i - 1]"),
     "fdm-node-1": (
         "fdm.py",
         "    out[0], out[1] = u0, u0 + h * beta[0]",

@@ -306,6 +306,28 @@ def test_cli_sweep_refuses_a_bad_grid_before_solving_any(
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--case", "1", "--n", "6"], "grid too coarse, need n >= 8"),
+    (["--case", "2", "--scheme", "rect", "--m", "10", "--n", "8"],
+     "rect with m = 10 stages on n = 8 composes to the zero operator"),
+], ids=["ifoi-min-grid", "rect"])
+def test_cli_run_both_refuses_a_grid_before_solving_either(
+        tmp_path, monkeypatch, capsys, options, message):
+    # FDM takes these grids and IFOI refuses them: the run must refuse
+    # before the FDM solve, not after it
+    def solved(*args):
+        pytest.fail("run solved a grid that another method refuses")
+
+    monkeypatch.setattr(bench_mod.fdm, "fdm_linear", solved)
+    monkeypatch.setattr(bench_mod.shooting, "solve_bvp", solved)
+    rc = cli.main(["run", *options, "--method", "both",
+                   "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_cli_missing_case_is_usage_error(capsys):
     assert cli.main(["run", "--method", "fdm"]) == 2
 

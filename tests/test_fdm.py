@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      get_case, make_alpha_partition, solve_tridiagonal,
                      sup_error)
 from fracbvp.cases import CaseSpec
-from fracbvp.fdm import _newton_iterate
+from fracbvp.fdm import _march, _newton_iterate
 from fracbvp.ifoi import (ComposedOperator, DivergenceError, IvpProblem,
                           ifoi_solve_ivp)
 from fracbvp.shooting import (SingularShootingError, _end_slope, dirichlet,
@@ -169,6 +170,60 @@ def test_coupled_solve_marches_once(case):
         solution = fdm_linear(counted_case, 50)
         assert sorted(calls) == ["g"] * solves + ["k"] * solves
     np.testing.assert_array_equal(solution.values, fdm_linear(case, 50).values)
+
+
+def test_coupled_solve_runs_no_garbage_collection():
+    """A coupled solve at n = 99,991 (901 blocks) allocates numpy arrays
+    and plain floats, not a tuple or list per block, so it never reaches
+    the collector's first threshold (700 tracked allocations)."""
+    case = get_case(4)
+    fdm_linear(case, 40)  # any first-call set-up happens outside the count
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        fdm_linear(case, 99_991)
+    finally:
+        gc.callbacks.remove(record)
+    assert generations == []
+
+
+@pytest.mark.parametrize("n", [40, 20_011])
+@pytest.mark.parametrize("coupled", [True, False],
+                         ids=["coupled", "uncoupled"])
+def test_scalar_valued_coefficients_solve_as_arrays(n, coupled):
+    # g and k may return one Python float for the whole grid
+    def case(as_array):
+        def sampled(value):
+            if as_array:
+                return lambda x: np.full_like(x, value)
+            return lambda x: value
+        return synthetic_case(sampled(3.0), dirichlet(1.0), robin(2.0, -1.0),
+                              k=sampled(-2.0) if coupled else None)
+
+    want = fdm_linear(case(True), n).values
+    assert fdm_linear(case(False), n).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 1000, 1026, 20_011])
+def test_coupling_is_never_sampled_outside_the_interval(n):
+    # -sqrt(x) warns below x = 0, and warnings are errors in this suite;
+    # the first block of each of these grids leads with zero steps
+    table, _, _ = _march(get_case(4), n)
+    width, _, blocks = table.shape
+    assert blocks * width > n - 1
+    case = synthetic_case(np.ones_like, dirichlet(1.0), dirichlet(0.0),
+                          k=lambda x: -np.sqrt(x))
+    got = fdm_linear(case, n).values
+    if n <= 1026:
+        want = dense_rows(case, n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_overflowing_march_reads_as_divergence():
