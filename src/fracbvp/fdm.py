@@ -6,9 +6,11 @@ backward slope.  ``fdm_linear`` solves every package case: it sums the
 forcing without coupling, and with it marches the rows in blocks joined by
 one stabilized sweep (Ascher, Mattheij & Russell 1995, *Numerical Solution
 of Boundary Value Problems for ODEs*, ch. 4), so a growing coupling never
-enters through a growing IVP; IFOI's ``shooting.solve_right_row`` fixes
-its free direction.  ``fdm_newton``, a guarded Thomas sweep per step, is an
-independent reference.  Both read ``u(0)`` by ``shooting.left_value``.
+enters through a growing IVP.  The march and the sweep live in
+``shooting``: a coupled IFOI BVP is the same rows plus the remainder of
+its composed kernel, solved on the same sweep and corrected pass by pass.
+``fdm_newton``, a guarded Thomas sweep per step, is an independent
+reference.  Both read ``u(0)`` by ``shooting.left_value``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .grid import GridFunction, nodes
 from .ifoi import DivergenceError, IvpProblem
-from .shooting import _end_slope, left_value, solve_right_row
+from .shooting import (_end_slope, _layout, _march, _Sweep, left_value,
+                       solve_right_row)
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -90,32 +93,14 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _march(case: "CaseSpec", n: int) -> tuple[np.ndarray, list, tuple]:
-    """The interior rows ``D[i] = D[i-1] + h^2 (g[i] + k[i] U[i])``,
-    ``U[i+1] = U[i] + D[i]`` for ``i = 1 .. n-1``, cut into blocks that
-    march at once from the entry states ``(U, S) = (1, 0)``, ``(0, 1)`` and
-    ``(0, 0)`` plus forcing, ``S = D/h``: rows ``phi``, ``psi`` and ``p``.
-    The first block leads with zero steps, so the last exits at
-    ``(U[n], S[n-1])``.
-
-    ``k`` and ``g`` are each evaluated once, on a ``(width, blocks)`` array
+def _coefficients(case: "CaseSpec", n: int) -> np.ndarray:
+    """``h^2 k`` and ``h^2 g`` as the two ``(width, blocks)`` step tables
+    of :func:`~fracbvp.shooting._march`, each evaluated once on an array
     of the nodes ``j * (1/n)`` that the steps read, bit-equal to
-    ``nodes(n)[j]``; the lead steps read node 1 and their rows are zeroed,
-    so no coefficient is sampled outside ``[0, 1]``.
-
-    Returns the table by step, row and block, the six columns of block
-    exits ``U_phi, U_psi, U_p, S_phi, S_psi, S_p`` as float lists, and
-    ``h^2 k`` and ``h^2 g`` at node ``n - 1``.
-    """
+    ``nodes(n)[j]``; the lead steps read node 1 and are zeroed, so no
+    coefficient is sampled outside ``[0, 1]``."""
     h = 1.0 / n
-    steps = n - 1
-    # steps per block, about sqrt(steps / 8): a step costs four numpy calls
-    # across all blocks and a block one pass of the scalar sweep.  Timed on
-    # case 4 at n = 50..10^5, widths of 0.25-0.5 sqrt(steps) were within 5%
-    # of one another; 0.15 and 1.0 sqrt(steps) were up to 23% and 28% slower
-    width = max(1, math.isqrt(steps // 8))
-    blocks = -(-steps // width)
-    lead = blocks * width - steps
+    width, blocks, lead = _layout(n)
     # the node j read by each step within a block, by block
     x = np.add.outer(np.arange(width, dtype=float),
                      np.arange(1 - lead, n, width, dtype=float))
@@ -125,19 +110,7 @@ def _march(case: "CaseSpec", n: int) -> tuple[np.ndarray, list, tuple]:
     for row, f in zip(coef, (case.k, case.g)):
         np.multiply(0.0 if f is None else f(x), h * h, out=row, dtype=float)
     coef[:, :lead, 0] = 0.0
-    table = np.empty((width, 3, blocks))
-    u = np.zeros((3, blocks))
-    u[0] = 1.0
-    d = np.zeros((3, blocks))
-    d[1] = h
-    dk = np.empty((3, blocks))
-    for kh, gh, row in zip(coef[0], coef[1], table):
-        np.multiply(u, kh, out=dk)
-        d += dk
-        d[2] += gh
-        u = np.add(u, d, out=row)
-    exits = np.vstack((u, d / h)).tolist()
-    return table, exits, tuple(coef[:, -1, -1].tolist())
+    return coef
 
 
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
@@ -146,15 +119,12 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     that are polynomials of degree at most two, second-order otherwise.
 
     Without coupling the forcing is summed twice and matched once against
-    the line ``x``.  With it, the rows are marched in blocks and one
-    forward sweep carries the line ``offset + t direction`` of entry states
-    that the left value allows, in ``(U, S = D/h)``; each block exit
-    normalises ``direction`` and projects it out of ``offset``, so the
-    line never grows with the coupling.  The right row fixes ``t`` and one
-    backward pass gives every block's entry.  ``k`` and ``g`` are sampled
+    the line ``x``.  With it, the rows are marched in blocks and joined by
+    the stabilized sweep that IFOI's coupled solves share
+    (:class:`~fracbvp.shooting._Sweep`), with FDM's rows alone: IFOI's
+    add the remainder of its composed kernel.  ``k`` and ``g`` are sampled
     once, at nodes ``1 .. n-1`` (and ``g`` at every node without
-    coupling); a solve holds numpy arrays and flat lists of floats, no
-    tuple or list per block, so the garbage collector does not run in it.
+    coupling).
 
     :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
     :raises SingularShootingError: when the homogeneous rows meet the
@@ -167,7 +137,9 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
         x = nodes(n)
         out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
         g = 0.0 if case.g is None else case.g(x)
-        np.cumsum(np.broadcast_to(g, x.shape)[1:n], out=out[2:])
+        if np.ndim(g) == 0:  # one float for the whole grid
+            g = np.full(n + 1, g)
+        np.cumsum(g[1:n], out=out[2:])
         np.cumsum(out[2:], out=out[2:])
         out *= h * h
         out += u0
@@ -178,51 +150,10 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
                                (_end_slope(out, h), _end_slope(x, h))) * x
         return GridFunction(out)
 
-    table, exits, (kh, gh) = _march(case, n)
-    width, _, blocks = table.shape
-    lead = blocks * width - (n - 1)
-    # block 0 is entered at (u0, 0) + s ((1 - lead) h, 1), s the slope u'(0);
-    # each block's entry line (a, s) + t (b, r) and its scale and shift are
-    # kept as flat float lists
-    a, s, b, r = u0, 0.0, (1 - lead) * h, 1.0
-    entry_a, entry_s, entry_b, entry_r, scales, shifts = \
-        [], [], [], [], [], []
-    for u_phi, u_psi, u_p, s_phi, s_psi, s_p in zip(*exits):
-        entry_a.append(a)
-        entry_s.append(s)
-        entry_b.append(b)
-        entry_r.append(r)
-        b, r = b * u_phi + r * u_psi, b * s_phi + r * s_psi
-        scale = math.hypot(b, r)
-        b, r = b / scale, r / scale
-        a, s = a * u_phi + s * u_psi + u_p, a * s_phi + s * s_psi + s_p
-        shift = a * b + s * r
-        scales.append(scale)
-        shifts.append(shift)
-        a, s = a - shift * b, s - shift * r
-    # the end slope S[n-1] + h f[n-1] / 2, with U[n-1] = U[n] - h S[n-1],
-    # is S[n-1] (1 - kh/2) + (kh U[n] + gh) / 2h, affine in t on the line
-    t = solve_right_row(case.right_bc, (a, b),
-                        (s * (1.0 - kh / 2.0) + (kh * a + gh) / (2.0 * h),
-                         r * (1.0 - kh / 2.0) + kh * b / (2.0 * h)))
-    ts = [t] * blocks
-    for i in range(blocks - 1, -1, -1):
-        t = (t - shifts[i]) / scales[i]
-        ts[i] = t
-    t = np.array(ts)
-    alpha = np.array(entry_a) + t * np.array(entry_b)
-    beta = np.array(entry_s) + t * np.array(entry_r)
-    phi, psi, p = table.transpose(1, 0, 2)
-    rows = phi * alpha
-    rows += psi * beta
-    rows += p
-    out = np.empty(2 + blocks * width)
-    out[2:].reshape(blocks, width)[...] = rows.T
-    out = out[lead:]
-    out[0], out[1] = u0, u0 + h * beta[0]
-    if not np.isfinite(out).all():
-        raise DivergenceError("the march overflowed", 0, math.inf)
-    return GridFunction(out)
+    kh, gh = _coefficients(case, n)
+    table, exits = _march(kh, gh, h, 3)
+    return GridFunction(_Sweep(n, kh, table, exits).solve(
+        table[:, 2], exits[2::3], gh, u0, case.right_bc))
 
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,

@@ -12,9 +12,14 @@ table of the compositions of stages ``1..j`` kept the same way, whose
 last row is the composition.  Every ``abm`` row is exact on constants, so
 snapshot ``j`` converges at order ``min(2, 1 + c_j)`` or more, ``c_j``
 the cumulative order.  Both keep full memory.  A problem is
-``u'' = g(x) + k(x) u``; a coupling ``k`` is handled by an outer Picard
-iteration around the composed operator, and only its iterates are held
-to the divergence guard.
+``u'' = g(x) + k(x) u``; in an IVP a coupling ``k`` is handled by an
+outer Picard iteration around the composed operator, and only its
+iterates are held to the divergence guard.  A coupled BVP is not solved
+as IVPs: the composed kernel is FDM's double sum plus a remainder, which
+:meth:`ComposedOperator.apply_remainder` applies, so
+:func:`fracbvp.shooting.solve_bvp` solves one system on FDM's sweep and
+corrects it for the remainder, falling back to two IVPs by Picard only
+where that correction stalls.
 """
 
 from __future__ import annotations
@@ -128,7 +133,8 @@ class IvpProblem:
 @dataclass(frozen=True)
 class IfoiTrace:
     """What one solve leaves behind: its Picard iteration count, 0 without
-    coupling."""
+    coupling; for a coupled BVP solved as one system, its correction
+    passes."""
 
     picard_iterations: int
 
@@ -253,9 +259,30 @@ class ComposedOperator:
         size = _fft_size(2 * n + 1)
         return np.fft.rfft(k[: n + 1] * h**2, size), v[: n + 1] * h**2, size
 
+    @functools.cached_property
+    def _remainder(self) -> np.ndarray:
+        """The spectrum of ``h**2 (k - j)``: the composed kernel less
+        FDM's double sum ``J``, the kernel ``j = 0, 1, 2, ...``, built
+        only for coupled BVP solves."""
+        n, h = self.n, 1.0 / self.n
+        k = _prefix_pairs(self.scheme, self.partition,
+                          _length_class(n))[0, -1, : n + 1]
+        return np.fft.rfft((k - np.arange(n + 1)) * h**2, self._built[2])
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``K`` applied to ``n + 1`` samples, in one FFT pair."""
-        spectrum, col0, size = self._built
+        return self._convolve(self._built[0], values)
+
+    def apply_remainder(self, values: np.ndarray) -> np.ndarray:
+        """``K - h**2 J`` applied to ``n + 1`` samples, in one FFT pair:
+        ``h**2 (delta * f + v f[0])`` with ``delta = k - j``, zero at
+        node 0, the correction that :func:`fracbvp.shooting.solve_bvp`
+        iterates on."""
+        return self._convolve(self._remainder, values)
+
+    def _convolve(self, spectrum: np.ndarray, values: np.ndarray,
+                  ) -> np.ndarray:
+        _, col0, size = self._built
         conv = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
         out = conv[: values.size] + col0 * values[0]
         out[0] = 0.0

@@ -42,7 +42,7 @@ MUTANTS = {
         'def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-10,',
         'def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-8,'),
     "block-width": (
-        "fdm.py",
+        "shooting.py",
         "    width = max(1, math.isqrt(steps // 8))",
         "    width = max(1, math.isqrt(steps // 2))"),
     "end-slope-first-order": (
@@ -51,26 +51,46 @@ MUTANTS = {
         "/ (2.0 * h)",
         "    return (values[-1] - values[-2]) / h"),
     "fdm-end-slope-kh": (
-        "fdm.py",
-        "                        (s * (1.0 - kh / 2.0) + (kh * a + gh) "
-        "/ (2.0 * h),",
-        "                        (s + (kh * a + gh) / (2.0 * h),"),
+        "shooting.py",
+        "    return slope * (1.0 - kh / 2.0) + (kh * value + forcing) "
+        "/ (2.0 * h)",
+        "    return slope + (kh * value + forcing) / (2.0 * h)"),
+    "end-slope-two-nodes": (
+        "shooting.py",
+        "    return slope * (1.0 - kh / 2.0) + (kh * value + forcing) "
+        "/ (2.0 * h)",
+        "    return slope"),
     "march-lead-rows": (
         "fdm.py",
         "    coef[:, :lead, 0] = 0.0",
         "    pass"),
     "sweep-offset-after-update": (
-        "fdm.py",
-        "        entry_a.append(a)",
-        "        entry_a.append(a * u_phi + s * u_psi + u_p)"),
+        "shooting.py",
+        "            entry_a.append(a)",
+        "            entry_a.append(a * u_phi + s * u_psi + u_p)"),
     "sweep-scale-index": (
-        "fdm.py",
-        "        t = (t - shifts[i]) / scales[i]",
-        "        t = (t - shifts[i]) / scales[i - 1]"),
+        "shooting.py",
+        "            t = (t - shifts[i]) / scales[i]",
+        "            t = (t - shifts[i]) / scales[i - 1]"),
     "fdm-node-1": (
-        "fdm.py",
-        "    out[0], out[1] = u0, u0 + h * beta[0]",
-        "    out[0], out[1] = u0, (u0 + h * beta[0]) * (1.0 + 1e-9)"),
+        "shooting.py",
+        "        out[0], out[1] = u0, u0 + h * beta[0]",
+        "        out[0], out[1] = u0, (u0 + h * beta[0]) * (1.0 + 1e-9)"),
+    "remainder-minus-one": (
+        "ifoi.py",
+        "        return np.fft.rfft((k - np.arange(n + 1)) * h**2, "
+        "self._built[2])",
+        "        return np.fft.rfft((k - np.arange(n + 1) - 1) * h**2, "
+        "self._built[2])"),
+    "halving-gate": (
+        "shooting.py",
+        "        if not (peak < ifoi.DIVERGENCE_GUARD "
+        "and update <= 0.5 * last):",
+        "        if not peak < ifoi.DIVERGENCE_GUARD:"),
+    "correction-zero-start": (
+        "shooting.py",
+        "    if not u.any():",
+        "    if False:"),
     "abm-series-terms": (
         "fracops.py",
         "_ABM_SERIES_TERMS = 10",

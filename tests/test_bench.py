@@ -603,7 +603,7 @@ def test_benchmark_tracer_reads_every_ivp_solve():
     case = fracbvp.get_case(4)
     tracer = tracing.Tracer()
     with tracer.installed():
-        fracbvp.solve_bvp(case, fracbvp.ComposedOperator(
+        fracbvp.shooting._shoot(case, fracbvp.ComposedOperator(
             case.default_scheme, case.default_partition, 50))
         fracbvp.ifoi.ifoi_solve_ivp(
             fracbvp.IvpProblem(None, None, 0.0, 1.0),

@@ -9,11 +9,12 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      get_case, make_alpha_partition, solve_tridiagonal,
                      sup_error)
 from fracbvp.cases import CaseSpec
-from fracbvp.fdm import _march, _newton_iterate
+from fracbvp.fdm import _newton_iterate
 from fracbvp.ifoi import (ComposedOperator, DivergenceError, IvpProblem,
                           ifoi_solve_ivp)
-from fracbvp.shooting import (SingularShootingError, _end_slope, dirichlet,
-                              left_value, robin, solve_bvp, solve_right_row)
+from fracbvp.shooting import (SingularShootingError, _end_slope, _layout,
+                              dirichlet, left_value, robin, solve_bvp,
+                              solve_right_row)
 
 from oracles import central_march, fdm_dense, rk4_solve_ivp
 
@@ -215,9 +216,8 @@ def test_scalar_valued_coefficients_solve_as_arrays(n, coupled):
 def test_coupling_is_never_sampled_outside_the_interval(n):
     # -sqrt(x) warns below x = 0, and warnings are errors in this suite;
     # the first block of each of these grids leads with zero steps
-    table, _, _ = _march(get_case(4), n)
-    width, _, blocks = table.shape
-    assert blocks * width > n - 1
+    width, blocks, lead = _layout(n)
+    assert lead > 0 and blocks * width == n - 1 + lead
     case = synthetic_case(np.ones_like, dirichlet(1.0), dirichlet(0.0),
                           k=lambda x: -np.sqrt(x))
     got = fdm_linear(case, n).values

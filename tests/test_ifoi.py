@@ -16,7 +16,7 @@ from fracbvp.fracops import stage_kernels
 from fracbvp.grid import nodes
 from fracbvp.ifoi import (COMPOSED_CACHE_SIZE, STAGED_TABLE_LENGTH,
                           TOTAL_ORDER, _prefix_pairs, staged)
-from fracbvp.shooting import (SINGULAR_TOL, _end_slope, left_value,
+from fracbvp.shooting import (SINGULAR_TOL, _end_slope, _shoot, left_value,
                               solve_right_row)
 
 from oracles import (central_march, exp_integral, rk4_solve_ivp,
@@ -474,12 +474,20 @@ def _cosh_case(lam):
 
 
 def _cosh_error(lam):
-    """Sup error of the ``abm`` solve of :func:`_cosh_case` at n = 400; the
-    solve returns only once Picard has settled on both IVPs."""
+    """Sup error of the two-IVP ``abm`` solve of :func:`_cosh_case` at
+    n = 400; the solve returns only once Picard has settled on both
+    IVPs."""
     case = _cosh_case(lam)
-    u, _ = solve_bvp(case, ComposedOperator("abm", case.default_partition,
-                                            400))
+    u, _ = _shoot(case, ComposedOperator("abm", case.default_partition, 400))
     return np.max(np.abs(u.values - case.oracle(u.nodes)))
+
+
+def _cosh_particular(lam, n):
+    """The particular IVP of :func:`_cosh_case`, the one that ends a
+    two-IVP solve, solved by Picard iteration on ``n`` intervals."""
+    case = _cosh_case(lam)
+    return ifoi_solve_ivp(IvpProblem(case.g, case.k, 1.0, 0.0),
+                          ComposedOperator("abm", case.default_partition, n))
 
 
 @pytest.mark.parametrize("lam,error", [(100.0, 6.89e-5)])
@@ -504,9 +512,8 @@ def test_relative_picard_stop_converges_where_rounding_sets_the_error():
 def test_picard_still_diverges_past_the_relative_stop():
     """At ``lam = 350`` the update of ``u1`` stalls at about 9e-2, above
     ``1e-10`` of its size, so Picard does not settle."""
-    case = _cosh_case(350.0)
     with pytest.raises(DivergenceError, match="did not settle"):
-        solve_bvp(case, ComposedOperator("abm", case.default_partition, 400))
+        _cosh_particular(350.0, 400)
 
 
 @pytest.mark.parametrize("n", [400, 4000])
@@ -517,10 +524,84 @@ def test_growing_iterate_ends_at_the_divergence_guard(n):
     n = 4,000).  Under a ``1e12`` guard the same solve runs on to end
     "did not settle", which the status ``diverged`` cannot tell apart, so
     the message is what fixes the guard."""
-    case = _cosh_case(400.0)
     with pytest.raises(DivergenceError,
                        match="solution exceeded the divergence guard"):
-        solve_bvp(case, ComposedOperator("abm", case.default_partition, n))
+        _cosh_particular(400.0, n)
+
+
+def _cos_case(lam):
+    """``u'' = -lam u``, ``u(0) = 1``, ``u(1) = cos(sqrt(lam)) +
+    sin(sqrt(lam))``, whose solution ``cos(sqrt(lam) x) + sin(sqrt(lam)
+    x)`` never exceeds ``sqrt(2)``."""
+    r = np.sqrt(lam)
+    return CaseSpec(id="cos", g=np.zeros_like,
+                    k=lambda x: np.full_like(x, -lam),
+                    left_bc=dirichlet(1.0),
+                    right_bc=dirichlet(np.cos(r) + np.sin(r)),
+                    default_scheme="abm",
+                    default_partition=make_alpha_partition("regular", 10),
+                    oracle=lambda x: np.cos(r * x) + np.sin(r * x))
+
+
+@pytest.mark.parametrize("case", [
+    _cosh_case(1600.0), _cosh_case(1e4), _cos_case(400.0), _cos_case(900.0)],
+    ids=["cosh-1600", "cosh-1e4", "cos-400", "cos-900"])
+def test_strong_couplings_converge_at_second_order(monkeypatch, case):
+    """A coupled BVP is one system on FDM's sweep, so couplings whose IVPs
+    grow past the guard (``cosh``) or make Picard diverge (``cos``) read
+    ``converged``, at ``abm``'s second order over n = 400 -> 1,600 ->
+    6,400: measured 1.90/1.93 (``cosh``, 1,600, errors 9.56e-4, 6.84e-5
+    and 4.69e-6), 1.88/1.91 (``cosh``, 1e4), 1.95/1.97 (``cos``, 400) and
+    1.93/1.96 (``cos``, 900)."""
+    monkeypatch.setattr(bench_mod, "get_case", lambda case_id: case)
+    errors = []
+    for n in (400, 1600, 6400):
+        [report] = run_quiet(RunConfig(case.id, method="ifoi", n=n))
+        assert report.status == "converged"
+        errors.append(report.sup_error)
+    orders = np.log2(np.divide(errors[:-1], errors[1:])) / 2.0
+    assert all(1.85 <= p <= 2.05 for p in orders), orders
+
+
+@pytest.mark.parametrize("n", [40, 200, 4001])
+@pytest.mark.parametrize("scheme", ["abm", "gl", "rect"])
+def test_coupled_solve_is_the_two_ivp_solution(scheme, n):
+    """The correction on the sweep solves the discrete system of the two
+    IVPs plus shooting: case 4 agrees with it to 1e-12 relative (measured
+    at most 2.0e-14 for ``abm``, 2.8e-13 for ``gl`` and 7.6e-13 for
+    ``rect``) and comes back with one trace, its pass count."""
+    case = get_case(4)
+    operator = ComposedOperator(scheme, case.default_partition, n)
+    got, [trace] = solve_bvp(case, operator)
+    want, _ = _shoot(case, operator)
+    assert 1 <= trace.picard_iterations <= 10
+    gap = np.max(np.abs(got.values - want.values))
+    assert gap <= 1e-12 * np.max(np.abs(want.values))
+
+
+def test_a_stalled_correction_hands_the_solve_to_two_ivps(monkeypatch):
+    """Within a relative 1e-6 of the first Dirichlet eigenvalue of
+    ``u'' = -lam u`` on ``abm``'s rows the correction's second update is
+    more than half its first, so the solve goes, after those two passes,
+    to the two IVPs, whose result it returns unchanged."""
+    operator = ComposedOperator("abm", make_alpha_partition("regular", 10),
+                                100)
+    lam, _ = _bisect_eigenvalue(
+        5.0, 15.0, lambda lam: _homogeneous_end(lam, operator))
+    case = CaseSpec(id="near-eigen", g=None, k=_constant(-lam * (1 + 1e-6)),
+                    left_bc=dirichlet(1.0), right_bc=dirichlet(1.0),
+                    default_scheme="abm",
+                    default_partition=operator.partition,
+                    oracle=np.zeros_like)
+    applies = []
+    remainder = ComposedOperator.apply_remainder
+    monkeypatch.setattr(ComposedOperator, "apply_remainder",
+                        lambda self, values: applies.append(1)
+                        or remainder(self, values))
+    got, traces = solve_bvp(case, operator)
+    want, _ = _shoot(case, operator)
+    assert len(applies) == 2 and len(traces) == 2
+    assert np.array_equal(got.values, want.values)
 
 
 def _constant(value):

@@ -9,8 +9,8 @@ from fracbvp import (ComposedOperator, GridFunction, SingularShootingError,
                      make_alpha_partition, solve_bvp, sup_error)
 from fracbvp.cases import CaseSpec, gauss_second_integral
 from fracbvp.ifoi import IfoiTrace, IvpProblem
-from fracbvp.shooting import (BoundaryCondition, _end_slope, dirichlet, robin,
-                              solve_right_row)
+from fracbvp.shooting import (BoundaryCondition, _end_slope, _shoot,
+                              dirichlet, robin, solve_right_row)
 
 from oracles import rk4_dense, rk4_solve_ivp
 
@@ -127,7 +127,7 @@ def test_case4_homogeneous_endpoint_matches_brute_force_integration(
         monkeypatch):
     solved = record_ivps(monkeypatch, classical_ivp)
     case = get_case(4)
-    solve_bvp(case, default_operator(case, 50))
+    _shoot(case, default_operator(case, 50))
     [_, (problem, u2)] = solved
     assert (problem.g, problem.u0, problem.s0) == (None, 0.0, 1.0)
     reference = rk4_dense(lambda x, u: -2.0 * x * u, 0.0, 1.0, 1_000_000)
@@ -137,7 +137,7 @@ def test_case4_homogeneous_endpoint_matches_brute_force_integration(
 def test_case4_homogeneous_endpoint_via_staged_solver(monkeypatch):
     solved = record_ivps(monkeypatch)
     case = get_case(4)
-    _, traces = solve_bvp(case, ComposedOperator(
+    _, traces = _shoot(case, ComposedOperator(
         "abm", make_alpha_partition("regular", 10), 50))
     [_, (_, u2)] = solved
     assert len(traces) == 2
