@@ -6,9 +6,9 @@ backward slope.  ``fdm_linear`` solves every package case: it sums the
 forcing without coupling, and with it marches the rows in blocks joined by
 one stabilized sweep (Ascher, Mattheij & Russell 1995, *Numerical Solution
 of Boundary Value Problems for ODEs*, ch. 4), so a growing coupling never
-enters through a growing IVP.  The march and the sweep live in
-``shooting``: a coupled IFOI BVP is the same rows plus the remainder of
-its composed kernel, solved on the same sweep and corrected pass by pass.
+enters through a growing IVP.  That solve is ``shooting._Sweep``, which
+samples the case: IFOI corrects a coupled BVP from it pass by pass, its
+rows plus the remainder of its composed kernel, on the same sweep.
 ``fdm_newton``, a guarded Thomas sweep per step, is an independent
 reference.  Both read ``u(0)`` by ``shooting.left_value``.
 """
@@ -23,8 +23,7 @@ import numpy as np
 
 from .grid import GridFunction, nodes
 from .ifoi import DivergenceError, IvpProblem
-from .shooting import (_end_slope, _layout, _march, _Sweep, left_value,
-                       solve_right_row)
+from .shooting import _end_slope, _Sweep, left_value, solve_right_row
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -93,38 +92,16 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _coefficients(case: "CaseSpec", n: int) -> np.ndarray:
-    """``h^2 k`` and ``h^2 g`` as the two ``(width, blocks)`` step tables
-    of :func:`~fracbvp.shooting._march`, each evaluated once on an array
-    of the nodes ``j * (1/n)`` that the steps read, bit-equal to
-    ``nodes(n)[j]``; the lead steps read node 1 and are zeroed, so no
-    coefficient is sampled outside ``[0, 1]``."""
-    h = 1.0 / n
-    width, blocks, lead = _layout(n)
-    # the node j read by each step within a block, by block
-    x = np.add.outer(np.arange(width, dtype=float),
-                     np.arange(1 - lead, n, width, dtype=float))
-    x[:lead, 0] = 1.0
-    x *= 1.0 / n
-    coef = np.empty((2, width, blocks))  # h^2 k and h^2 g
-    for row, f in zip(coef, (case.k, case.g)):
-        np.multiply(0.0 if f is None else f(x), h * h, out=row, dtype=float)
-    coef[:, :lead, 0] = 0.0
-    return coef
-
-
 def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     """Central-difference solve of ``u'' = g(x) + k(x) u``, its right
     condition read on the three-node backward slope: exact for solutions
     that are polynomials of degree at most two, second-order otherwise.
 
-    Without coupling the forcing is summed twice and matched once against
-    the line ``x``.  With it, the rows are marched in blocks and joined by
-    the stabilized sweep that IFOI's coupled solves share
-    (:class:`~fracbvp.shooting._Sweep`), with FDM's rows alone: IFOI's
-    add the remainder of its composed kernel.  ``k`` and ``g`` are sampled
-    once, at nodes ``1 .. n-1`` (and ``g`` at every node without
-    coupling).
+    Without coupling ``g`` is sampled once, at every node, summed twice
+    and matched once against the line ``x``.  With it,
+    :class:`~fracbvp.shooting._Sweep` samples ``k`` and ``g`` once, at
+    nodes ``1 .. n-1``, marches the rows in blocks and joins them by the
+    stabilized sweep; IFOI's coupled solves start from this solution.
 
     :raises ValueError: for ``n < 4`` or a left end that is not Dirichlet.
     :raises SingularShootingError: when the homogeneous rows meet the
@@ -132,28 +109,23 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     :raises DivergenceError: when the solution overflows.
     """
     check_grid(n)
-    u0, h = left_value(case), 1.0 / n
-    if case.k is None:
-        x = nodes(n)
-        out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
-        g = 0.0 if case.g is None else case.g(x)
-        if np.ndim(g) == 0:  # one float for the whole grid
-            g = np.full(n + 1, g)
-        np.cumsum(g[1:n], out=out[2:])
-        np.cumsum(out[2:], out=out[2:])
-        out *= h * h
-        out += u0
-        # a cumulative sum that overflows anywhere ends non-finite
-        if not math.isfinite(out[-1]):
-            raise DivergenceError("the sum overflowed", 0, math.inf)
-        out += solve_right_row(case.right_bc, (out[n], x[n]),
-                               (_end_slope(out, h), _end_slope(x, h))) * x
-        return GridFunction(out)
-
-    kh, gh = _coefficients(case, n)
-    table, exits = _march(kh, gh, h, 3)
-    return GridFunction(_Sweep(n, kh, table, exits).solve(
-        table[:, 2], exits[2::3], gh, u0, case.right_bc))
+    if case.k is not None:
+        return GridFunction(_Sweep(case, n).values)
+    u0, h, x = left_value(case), 1.0 / n, nodes(n)
+    out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
+    g = 0.0 if case.g is None else case.g(x)
+    if np.ndim(g) == 0:  # one float for the whole grid
+        g = np.full(n + 1, g)
+    np.cumsum(g[1:n], out=out[2:])
+    np.cumsum(out[2:], out=out[2:])
+    out *= h * h
+    out += u0
+    # a cumulative sum that overflows anywhere ends non-finite
+    if not math.isfinite(out[-1]):
+        raise DivergenceError("the sum overflowed", 0, math.inf)
+    out += solve_right_row(case.right_bc, (out[n], x[n]),
+                           (_end_slope(out, h), _end_slope(x, h))) * x
+    return GridFunction(out)
 
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,

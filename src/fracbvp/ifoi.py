@@ -14,12 +14,15 @@ snapshot ``j`` converges at order ``min(2, 1 + c_j)`` or more, ``c_j``
 the cumulative order.  Both keep full memory.  A problem is
 ``u'' = g(x) + k(x) u``; in an IVP a coupling ``k`` is handled by an
 outer Picard iteration around the composed operator, and only its
-iterates are held to the divergence guard.  A coupled BVP is not solved
-as IVPs: the composed kernel is FDM's double sum plus a remainder, which
-:meth:`ComposedOperator.apply_remainder` applies, so
-:func:`fracbvp.shooting.solve_bvp` solves one system on FDM's sweep and
-corrects it for the remainder, falling back to two IVPs by Picard only
-where that correction stalls.
+iterates are held to the divergence guard.  Each composed kernel is
+FDM's double sum ``j`` plus a remainder the scheme sets: for ``gl``
+``j + 1``, a one-node shift, with a column that the first stage's order
+alone sets; for ``rect`` a lag that tends to ``-m/2``; for ``abm`` a
+summable tail like ``j^-(1 + mu_1)`` (README, "Notes on the numerics").
+:meth:`ComposedOperator.apply_remainder` applies it, so a coupled BVP is
+not solved as IVPs: :func:`fracbvp.shooting.solve_bvp` solves one system
+on FDM's sweep and corrects it for the remainder, falling back to two
+IVPs by Picard only where that correction stalls.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
-"""Two-point BVPs solved by IFOI, and the blocked march and stabilized
-sweep that IFOI and FDM share.
+"""Two-point BVPs solved by IFOI, and FDM's rows: the sweep that samples
+a case and solves them, which FDM calls and IFOI's correction starts from.
 
 A case is ``u'' = g(x) + k(x) u``, linear in ``u``.  Without coupling,
 :func:`solve_bvp` solves one IVP ``u1`` from the left value and zero slope
 and adds the multiple of the line ``x`` that the right condition fixes.
 With it, the BVP is one system: IFOI's composed kernel is FDM's double sum
 plus a remainder, so its rows are FDM's central-difference rows with the
-remainder in the forcing, solved with the left value, a free slope and
-the right condition on FDM's sweep and corrected pass by pass, one FFT
-apply each.  That is the discrete solution of two IVPs plus shooting,
-``u1 + t u2`` with ``u2`` from zero value and unit slope, without their
-growth under a strong coupling.  Where the correction stalls, as near an
+remainder in the forcing.  :class:`_Sweep` samples the case and solves
+FDM's rows once; the correction starts from that solution and runs each
+pass as one FFT apply and one march of the particular row.  Its fixed
+point is the discrete solution of two IVPs plus shooting, ``u1 + t u2``
+with ``u2`` from zero value and unit slope, without their growth under a
+strong coupling.  Where the correction stalls, as near an
 eigenvalue, the solve falls back to those two IVPs, by Picard iteration.
 :func:`left_value` and :func:`solve_right_row` are the end readers that
 FDM shares.
@@ -120,13 +121,24 @@ def _layout(n: int) -> tuple[int, int, int]:
     return width, blocks, blocks * width - steps
 
 
-def _blocked(values: np.ndarray, n: int) -> np.ndarray:
-    """Values at nodes ``1 .. n-1`` as the ``(width, blocks)`` table of the
-    steps that read them, a view, zero on the lead steps."""
+def _coefficients(case: "CaseSpec", n: int) -> np.ndarray:
+    """``h^2 k`` and ``h^2 g`` as the two ``(width, blocks)`` step tables
+    of :func:`_march`, each evaluated once on an array of the nodes
+    ``j * (1/n)`` that the steps read, bit-equal to ``nodes(n)[j]``; the
+    lead steps read node 1 and are zeroed, so no coefficient is sampled
+    outside ``[0, 1]``."""
+    h = 1.0 / n
     width, blocks, lead = _layout(n)
-    out = np.zeros((blocks, width))
-    out.reshape(-1)[lead:] = values
-    return out.T
+    # the node j read by each step within a block, by block
+    x = np.add.outer(np.arange(width, dtype=float),
+                     np.arange(1 - lead, n, width, dtype=float))
+    x[:lead, 0] = 1.0
+    x *= 1.0 / n
+    coef = np.empty((2, width, blocks))  # h^2 k and h^2 g
+    for row, f in zip(coef, (case.k, case.g)):
+        np.multiply(0.0 if f is None else f(x), h * h, out=row, dtype=float)
+    coef[:, :lead, 0] = 0.0
+    return coef
 
 
 def _march(kh: np.ndarray, forcing: np.ndarray, h: float,
@@ -166,25 +178,32 @@ def _rows_end_slope(slope: float, value: float, kh: float, forcing: float,
 
 
 class _Sweep:
-    """The stabilized sweep (Ascher, Mattheij & Russell 1995, ch. 4) of the
-    rows of :func:`_march` on ``n`` intervals from ``U[0] = u0``, the slope
-    ``D[0]/h`` free, closed by a right condition on the three-node backward
-    slope.
+    """FDM's rows of a case on ``n`` intervals, from ``U[0] = u(0)`` with
+    the slope ``D[0]/h`` free to the right condition on the three-node
+    backward slope, solved by the stabilized sweep (Ascher, Mattheij &
+    Russell 1995, ch. 4) of the rows of :func:`_march`.
 
     One forward sweep carries the line ``offset + t direction`` of entry
     states that the left value allows, in ``(U, S)``; each block exit
     normalises ``direction`` and projects it out of ``offset``, so the line
     never grows with the coupling.  The right row fixes ``t`` and one
-    backward pass gives every block's entry.  The direction depends on
-    ``kh`` alone, so it is swept once, here, over the ``phi`` and ``psi``
-    rows of a three-row march; :meth:`solve` sweeps the offset of a
+    backward pass gives every block's entry.  Construction samples the
+    case (:func:`_coefficients`), marches its three rows and sweeps the
+    direction, which depends on ``k`` alone, once each, and keeps FDM's
+    solution as ``values``; :meth:`solve` marches and sweeps only a
     particular row.  Block values are kept as flat float lists, no tuple
     or list per block, so the garbage collector does not run in a solve.
+
+    :raises SingularShootingError: when the homogeneous rows meet the
+        homogeneous right condition.
+    :raises DivergenceError: when the solution overflows.
     """
 
-    def __init__(self, n: int, kh: np.ndarray, table: np.ndarray,
-                 exits: list):
-        self.n, self.h, self.kh = n, 1.0 / n, float(kh[-1, -1])
+    def __init__(self, case: "CaseSpec", n: int):
+        self.n, self.h = n, 1.0 / n
+        self.u0, self.right_bc = left_value(case), case.right_bc
+        self.kh, self.gh = _coefficients(case, n)
+        table, exits = _march(self.kh, self.gh, self.h, 3)
         self.phi, self.psi = table[:, 0], table[:, 1]
         self.homogeneous = exits[0], exits[1], exits[3], exits[4]
         # block 0 is entered at (u0, 0) + t ((1 - lead) h, 1), t = D[0]/h
@@ -201,17 +220,26 @@ class _Sweep:
         self.entry_b = np.array(exit_b[:-1])
         self.entry_r = np.array(exit_r[:-1])
         self.exit_b, self.exit_r, self.scales = exit_b[1:], exit_r[1:], scales
+        self.values = self._join(table[:, 2], exits[2::3], self.gh)
 
-    def solve(self, p: np.ndarray, p_exits: list, forcing: np.ndarray,
-              u0: float, right_bc: BoundaryCondition) -> np.ndarray:
-        """The solution at every node, given the particular row ``p`` of
-        a march, its exits ``(U_p, S_p)`` and the ``forcing`` it marched.
+    def solve(self, extra: np.ndarray) -> np.ndarray:
+        """The solution with ``extra`` added to the forcing at nodes
+        ``1 .. n-1``; it raises as construction does."""
+        width, blocks, lead = _layout(self.n)
+        # by block, then transposed into the step table, zero on lead steps
+        forcing = np.zeros((blocks, width))
+        forcing.reshape(-1)[lead:] = extra
+        forcing = self.gh + forcing.T
+        table, exits = _march(self.kh, forcing, self.h, 1)
+        return self._join(table[:, 0], exits, forcing)
 
-        :raises SingularShootingError: when the homogeneous rows meet the
-            homogeneous right condition.
-        :raises DivergenceError: when the solution overflows.
-        """
-        h, kh, end = self.h, self.kh, float(forcing[-1, -1])
+    def _join(self, p: np.ndarray, p_exits: list,
+              forcing: np.ndarray) -> np.ndarray:
+        """The blocks joined into the solution at every node, given the
+        particular row ``p`` of a march, its exits ``(U_p, S_p)`` and the
+        ``forcing`` it marched: the offset swept, then ``t`` and entries."""
+        h, u0 = self.h, self.u0
+        kh, end = float(self.kh[-1, -1]), float(forcing[-1, -1])
         a, s = u0, 0.0
         entry_a, entry_s, shifts = [], [], []
         for u_phi, u_psi, s_phi, s_psi, u_p, s_p, b, r in zip(
@@ -222,7 +250,7 @@ class _Sweep:
             shift = a * b + s * r
             shifts.append(shift)
             a, s = a - shift * b, s - shift * r
-        t = solve_right_row(right_bc, (a, b),
+        t = solve_right_row(self.right_bc, (a, b),
                             (_rows_end_slope(s, a, kh, end, h),
                              _rows_end_slope(r, b, kh, 0.0, h)))
         blocks, scales = len(shifts), self.scales
@@ -259,10 +287,10 @@ def _correct(case: "CaseSpec", operator: ifoi.ComposedOperator,
     r[1]``, with ``r = h^2 (delta * f + V f[0])``, which
     :meth:`~fracbvp.ifoi.ComposedOperator.apply_remainder` applies.  The
     slope ``s`` is free, so these are FDM's rows with ``r`` in the
-    forcing, solved with IFOI's right row by :class:`_Sweep`.  From FDM's
-    solution (``r = 0``), each pass takes ``r`` from the last solution by
-    one FFT apply and solves the rows again, marching only the particular
-    row, until the update passes Picard's stop.
+    forcing, solved with IFOI's right row by :class:`_Sweep`, which keeps
+    FDM's solution (``r = 0``).  From it each pass takes ``r`` from the
+    last solution by one FFT apply and solves the rows again by
+    :meth:`_Sweep.solve`, until the update passes Picard's stop.
 
     Near an eigenvalue of IFOI's rows the update stalls, so ``None``
     comes back when a pass from the second on does not at least halve
@@ -273,24 +301,17 @@ def _correct(case: "CaseSpec", operator: ifoi.ComposedOperator,
     :raises SingularShootingError: as :class:`_Sweep` does.
     :raises DivergenceError: as :class:`_Sweep` does.
     """
-    n, h, u0 = operator.n, 1.0 / operator.n, left_value(case)
-    x = nodes(n)
-    g = ifoi.IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)
-    k = ifoi.IvpProblem(None, case.k, 0.0, 0.0).rhs(x, 1.0)
-    kh = np.ascontiguousarray(_blocked(k[1:n] * (h * h), n))
-    gh = g[1:n] * (h * h)
-    forcing = _blocked(gh, n)
-    table, exits = _march(kh, forcing, h, 3)
-    sweep = _Sweep(n, kh, table, exits)
-    u = sweep.solve(table[:, 2], exits[2::3], forcing, u0, case.right_bc)
+    sweep = _Sweep(case, operator.n)
+    u = sweep.values
     if not u.any():
         return None
+    x = nodes(operator.n)
+    g = ifoi.IvpProblem(case.g, None, 0.0, 0.0).rhs(x, None)
+    k = ifoi.IvpProblem(None, case.k, 0.0, 0.0).rhs(x, 1.0)
     last = math.inf
     for passes in range(1, ifoi.PICARD_MAX_ITER + 1):
         r = operator.apply_remainder(g + k * u)
-        forcing = _blocked(gh + (r[2:] - 2.0 * r[1:-1] + r[:-2]), n)
-        table, exits = _march(kh, forcing, h, 1)
-        unew = sweep.solve(table[:, 0], exits, forcing, u0, case.right_bc)
+        unew = sweep.solve(r[2:] - 2.0 * r[1:-1] + r[:-2])
         peak = float(np.max(np.abs(unew)))
         update = float(np.max(np.abs(unew - u)))
         if not (peak < ifoi.DIVERGENCE_GUARD and update <= 0.5 * last):

@@ -16,7 +16,12 @@ Two files, from one command run at the repository root::
   of that file.
 
 Regenerate them only for a change that is meant to alter these outputs,
-and log the change and its reason.
+and log the change and its reason.  Regenerating keeps every recorded
+solve that ``test_solve_matches_its_recorded_numbers`` accepts (the same
+n, status and Picard count, values and sup error within ``TOLERANCE``) and
+records anew only those it would reject, and it writes each file only
+when its content changes, so regenerating the SVG digests alone leaves
+``golden_numbers.json`` as it is.
 
 To check that a change keeps every recorded solve bit for bit, without
 writing anything::
@@ -64,6 +69,9 @@ NODES = 41
 #: a chain of stages n = 4,000
 STAGED_GRIDS = (40, 4000)
 ACCEPTANCE_LINES = 10
+#: relative to the solution's sup norm; leaves room for the FFT rounding of
+#: other numpy builds
+TOLERANCE = 1e-12
 _ACCEPTANCE = re.compile(r"^ACCEPTANCE (.+?): (?:PASS|FAIL)  \(")
 
 
@@ -102,9 +110,35 @@ def _digits(v) -> object:
     return None if v is None else f"{v:.16e}"
 
 
-def solve_record(case: str, method: str, n) -> dict:
+def solve_report(case: str, method: str, n):
+    """The report of one ``run_quiet`` solve."""
+    return run_quiet(RunConfig(case, method=method, n=n))[0]
+
+
+def mismatches(want: dict, report) -> list[str]:
+    """The fields of ``report`` that the recorded solve ``want`` rejects:
+    a different n, status or Picard count, or values or a sup error more
+    than ``TOLERANCE`` times the solution's sup norm away."""
+    trace = report.extra.get("traces", (None,))[0]
+    got = {"n": report.params["n"], "status": report.status,
+           "picard_iterations": None if trace is None
+           else trace.picard_iterations}
+    found = [f"{key} {value!r} != {want[key]!r}"
+             for key, value in got.items() if value != want[key]]
+    if found or report.solution is None:
+        return found
+    values = report.solution.values
+    scale = TOLERANCE * float(np.max(np.abs(values)))
+    recorded = np.array([float(v) for v in want["values"]])
+    if not np.max(np.abs(values[want["nodes"]] - recorded)) <= scale:
+        found.append("values")
+    if not abs(report.sup_error - float(want["sup_error"])) <= scale:
+        found.append("sup_error")
+    return found
+
+
+def solve_record(report) -> dict:
     """The recorded outputs of one ``run_quiet`` solve."""
-    report = run_quiet(RunConfig(case, method=method, n=n))[0]
     grid = report.params["n"]
     nodes = np.unique(np.linspace(0, grid, NODES).round().astype(int))
     trace = report.extra.get("traces", (None,))[0]
@@ -126,7 +160,7 @@ def solve_digests() -> tuple[str, dict[str, str]]:
     one SHA-256 of the same fields per solve, by :func:`solve_key`."""
     total, each = hashlib.sha256(), {}
     for case, method, n in recorded_solves():
-        report = run_quiet(RunConfig(case, method=method, n=n))[0]
+        report = solve_report(case, method, n)
         trace = report.extra.get("traces", (None,))[0]
         key = solve_key(case, method, n)
         data = repr((key, report.status, report.sup_error, None
@@ -177,6 +211,15 @@ def acceptance_lines() -> dict[str, str]:
     return lines
 
 
+def write_if_changed(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file already holds it."""
+    if path.exists() and path.read_text(encoding="utf-8") == text:
+        print(f"{path} unchanged")
+        return
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def main() -> None:
     if sys.argv[1:] == ["--digest"]:
         total, each = solve_digests()
@@ -192,15 +235,18 @@ def main() -> None:
         raise SystemExit("usage: make_golden.py [--digest]")
     with tempfile.TemporaryDirectory() as tmp:
         digests = svg_digests(tmp)
-    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
-    numbers = {
-        "solves": {solve_key(*s): solve_record(*s) for s in recorded_solves()},
-        "acceptance": acceptance_lines(),
-    }
-    NUMBERS.write_text(json.dumps(numbers, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(numbers['solves'])} solves and "
-          f"{len(numbers['acceptance'])} ACCEPTANCE lines to {NUMBERS}")
+    write_if_changed(GOLDEN, json.dumps(digests, indent=2) + "\n")
+    recorded = recorded_numbers()["solves"] if NUMBERS.exists() else {}
+    solves = {}
+    for solve in recorded_solves():
+        key, report = solve_key(*solve), solve_report(*solve)
+        if key in recorded and not mismatches(recorded[key], report):
+            solves[key] = recorded[key]
+        else:
+            print(f"recording {key} anew")
+            solves[key] = solve_record(report)
+    numbers = {"solves": solves, "acceptance": acceptance_lines()}
+    write_if_changed(NUMBERS, json.dumps(numbers, indent=1) + "\n")
 
 
 if __name__ == "__main__":

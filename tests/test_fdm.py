@@ -8,8 +8,10 @@ from fracbvp import (NewtonConvergenceError, SingularSystemError,
                      TridiagonalSystem, bench, fdm_linear, fdm_newton,
                      get_case, make_alpha_partition, solve_tridiagonal,
                      sup_error)
+from fracbvp import shooting
 from fracbvp.cases import CaseSpec
 from fracbvp.fdm import _newton_iterate
+from fracbvp.grid import nodes
 from fracbvp.ifoi import (ComposedOperator, DivergenceError, IvpProblem,
                           ifoi_solve_ivp)
 from fracbvp.shooting import (SingularShootingError, _end_slope, _layout,
@@ -171,6 +173,41 @@ def test_coupled_solve_marches_once(case):
         solution = fdm_linear(counted_case, 50)
         assert sorted(calls) == ["g"] * solves + ["k"] * solves
     np.testing.assert_array_equal(solution.values, fdm_linear(case, 50).values)
+
+
+@pytest.mark.parametrize("n", [40, 1026, 20_011])
+@pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
+                         ids=["case4", "affine-robin"])
+def test_ifoi_correction_starts_from_the_fdm_solve(monkeypatch, case, n):
+    """A coupled IFOI solve builds one sweep, whose solution is
+    ``fdm_linear``'s byte for byte, and corrects from it: its first
+    remainder is applied to ``g + k u`` at that solution.  It marches the
+    three rows once and one particular row per correction pass."""
+    want = fdm_linear(case, n).values
+    sweeps, marched, applied = [], [], []
+
+    class Recorded(shooting._Sweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps.append(self)
+
+    march = shooting._march
+    remainder = ComposedOperator.apply_remainder
+    monkeypatch.setattr(shooting, "_Sweep", Recorded)
+    monkeypatch.setattr(shooting, "_march", lambda kh, forcing, h, rows:
+                        marched.append(rows) or march(kh, forcing, h, rows))
+    monkeypatch.setattr(ComposedOperator, "apply_remainder",
+                        lambda self, values: applied.append(values)
+                        or remainder(self, values))
+    operator = ComposedOperator(case.default_scheme, case.default_partition,
+                                n)
+    _, [trace] = solve_bvp(case, operator)
+    [sweep] = sweeps
+    assert sweep.values.tobytes() == want.tobytes()
+    x = nodes(n)
+    np.testing.assert_array_equal(applied[0], case.g(x) + case.k(x) * want)
+    assert trace.picard_iterations >= 1
+    assert marched == [3] + [1] * trace.picard_iterations
 
 
 def test_coupled_solve_runs_no_garbage_collection():

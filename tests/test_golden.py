@@ -7,14 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from fracbvp import RunConfig, run_quiet
-
-from make_golden import (CASES, GOLDEN, recorded_numbers, recorded_solves,
-                         solve_key, svg_digests)
-
-#: relative to the solution's sup norm; leaves room for the FFT rounding of
-#: other numpy builds
-TOLERANCE = 1e-12
+from make_golden import (CASES, GOLDEN, TOLERANCE, mismatches,
+                         recorded_numbers, recorded_solves, solve_key,
+                         solve_report, svg_digests, write_if_changed)
 
 
 def test_traced_plots_match_their_recorded_digests(tmp_path):
@@ -34,14 +29,32 @@ def test_every_recorded_solve_is_run():
                          ids=[solve_key(*s) for s in recorded_solves()])
 def test_solve_matches_its_recorded_numbers(case, method, n):
     want = recorded_numbers()["solves"][solve_key(case, method, n)]
-    report = run_quiet(RunConfig(case, method=method, n=n))[0]
-    trace = report.extra.get("traces", (None,))[0]
-    assert report.params["n"] == want["n"]
-    assert report.status == want["status"]
-    assert (None if trace is None else trace.picard_iterations) \
-        == want["picard_iterations"]
-    values = report.solution.values
-    scale = TOLERANCE * float(np.max(np.abs(values)))
-    recorded = np.array([float(v) for v in want["values"]])
-    assert np.max(np.abs(values[want["nodes"]] - recorded)) <= scale
-    assert abs(report.sup_error - float(want["sup_error"])) <= scale
+    assert mismatches(want, solve_report(case, method, n)) == []
+
+
+def test_regenerating_replaces_only_a_solve_the_test_rejects():
+    """``make_golden.py`` keeps a recorded solve that the test above
+    accepts and records anew one it rejects: values moved by half of
+    ``TOLERANCE`` are kept, twice it or a different status are not."""
+    want = recorded_numbers()["solves"][solve_key("4", "fdm", 40)]
+    report = solve_report("4", "fdm", 40)
+    scale = TOLERANCE * float(np.max(np.abs(report.solution.values)))
+
+    def moved(by):
+        return dict(want, values=[f"{float(v) + by:.16e}"
+                                  for v in want["values"]])
+
+    assert mismatches(want, report) == []
+    assert mismatches(moved(0.5 * scale), report) == []
+    assert mismatches(moved(2.0 * scale), report) == ["values"]
+    assert mismatches(dict(want, status="diverged"), report) \
+        == ["status 'converged' != 'diverged'"]
+
+
+def test_a_recorded_file_is_written_only_when_it_changes(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    for text in ("a\n", "a\n", "b\n"):
+        write_if_changed(path, text)
+    assert path.read_text(encoding="utf-8") == "b\n"
+    assert capsys.readouterr().out.splitlines() \
+        == [f"wrote {path}", f"{path} unchanged", f"wrote {path}"]

@@ -9,8 +9,8 @@ from fracbvp import (AlphaPartition, CaseSpec, ComposedOperator, GridFunction,
                      DivergenceError, IvpProblem, RunConfig,
                      SingularShootingError, apply_scheme,
                      dirichlet, fdm_linear,
-                     get_case, ifoi_solve_ivp, make_alpha_partition,
-                     robin, run_quiet, solve_bvp)
+                     get_case, gl_coefficients, ifoi_solve_ivp,
+                     make_alpha_partition, robin, run_quiet, solve_bvp)
 from fracbvp.cases import gauss_forcing
 from fracbvp.fracops import stage_kernels
 from fracbvp.grid import nodes
@@ -991,3 +991,107 @@ def test_shared_operator_solves_like_a_fresh_one():
         fresh, _ = ifoi_solve_ivp(problem,
                                   ComposedOperator("gl", partition, 50))
         np.testing.assert_array_equal(solution.values, fresh.values)
+
+
+# ---------------------------------------------------------------------------
+# one account of the composed operators: FDM's double sum J, the kernel
+# j + 1 of (1 - z)^-2, plus a remainder set by the scheme
+# ---------------------------------------------------------------------------
+
+#: the composed pair of a length class at h = 1, built without the process's
+#: cache, which these long classes would otherwise fill
+_composed_pair = _prefix_pairs.__wrapped__
+
+
+@pytest.mark.parametrize("m", [1, 5, 10])
+@pytest.mark.parametrize("spacing", ["regular", "quadratic"])
+def test_gl_composed_kernel_is_the_double_sum(spacing, m):
+    """GL weights are the coefficients of ``(1 - z)^-mu`` (Lubich 1986),
+    so any schedule of total order 2 composes to ``(1 - z)^-2``, whose
+    coefficients are ``j + 1``: the composed ``gl`` kernel is FDM's double
+    sum read one node ahead, to 1e-13 relative in every length class up to
+    2^17 (measured at most 3.7e-14)."""
+    partition = make_alpha_partition(spacing, m)
+    for length in (1 << e for e in range(4, 18)):
+        kernel = _composed_pair("gl", partition, length)[0, -1]
+        j = np.arange(length, dtype=float)
+        assert np.max(np.abs(kernel - (j + 1.0)) / (j + 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [5, 10])
+@pytest.mark.parametrize("spacing", ["regular", "quadratic"])
+def test_rect_composed_kernel_lags_by_half_the_stage_count(spacing, m):
+    """Each ``rect`` stage freezes the integrand at the left of its cell,
+    so ``m`` of them lag: ``P_j - j`` rises toward ``-m/2`` from below
+    over j = 10^2 ... 10^5 (regular-10 read -6.32, -5.82, -5.52 and -5.33;
+    the gap to ``-m/2`` at 10^5 is at most 0.52 of that at 10^2), which is
+    why ``rect``'s error grows with the stage count."""
+    kernel = _composed_pair("rect", make_alpha_partition(spacing, m),
+                            1 << 17)[0, -1]
+    j = np.array([10**2, 10**3, 10**4, 10**5])
+    gap = kernel[j] - j + m / 2.0
+    assert np.all(gap < 0.0) and np.all(np.diff(gap) > 0.0)
+    assert gap[0] > -0.2 * m and gap[-1] >= 0.6 * gap[0]
+
+
+@pytest.mark.parametrize("spacing", ["regular", "quadratic"])
+def test_rect_case2_error_grows_with_the_stage_count(spacing):
+    """The lag of ``m/2`` nodes shows in a solve: case 2 (``rect``) at
+    n = 1,000 errs more with each stage added, by about ``m h`` times a
+    factor that rises slowly with ``m`` (measured 1.56-2.29 on regular
+    and 1.56-2.37 on quadratic schedules of 1, 2, 5, 10 and 20 stages)."""
+    n, stages = 1000, np.array([1, 2, 5, 10, 20])
+    errors = np.array([
+        run_quiet(RunConfig("case2", method="ifoi", n=n, m=m,
+                            spacing=spacing))[0].sup_error for m in stages])
+    assert np.all(np.diff(errors) > 0.0)
+    factor = errors / (stages / n)
+    assert 1.5 <= factor.min() and factor.max() <= 2.5, factor
+
+
+@pytest.mark.parametrize("m,band", [(10, (0.0853, 0.0855)),
+                                    (5, (0.0363, 0.0366))])
+def test_abm_composed_remainder_decays_past_the_first_stage_order(m, band):
+    """On a regular schedule the ``abm`` remainder ``delta_j = P_j - j``
+    decays like ``j^-(1 + mu_1)``: ``delta_j j^(1 + mu_1)`` stays within
+    a band over j = 10^2 ... 10^4 (measured 0.08535-0.08545 on regular-10,
+    0.03639-0.03652 on regular-5), so ``sum |delta_j|`` is bounded: each
+    doubling of the length adds ``2^-mu_1`` times what the one before it
+    added, within 2% (the sum read 0.81-0.85 on regular-10 and 0.49-0.50
+    on regular-5 over 2^10 ... 2^14 terms).  That is why ``abm`` stays
+    second order (Diethelm, Ford & Freed 2002)."""
+    partition = make_alpha_partition("regular", m)
+    mu_1 = partition.cumulative[1]
+    sums = []
+    for length in (1 << e for e in range(10, 15)):
+        delta = _composed_pair("abm", partition, length)[0, -1] \
+            - np.arange(length)
+        sums.append(np.sum(np.abs(delta)))
+    j = np.arange(10**2, 10**4 + 1)
+    scaled = delta[j] * j ** (1.0 + mu_1)
+    assert band[0] <= scaled.min() and scaled.max() <= band[1]
+    added = np.diff(sums)
+    assert np.all(added > 0.0)
+    ratios = added[1:] / added[:-1]
+    assert np.all(np.abs(ratios / 2.0**-mu_1 - 1.0) <= 0.02), ratios
+
+
+@pytest.mark.parametrize("n", [200, 1000, 4000])
+def test_gl_solve_satisfies_fdm_rows_read_one_node_ahead(n):
+    """With the ``gl`` kernel ``j + 1`` and the column ``V``, minus the GL
+    kernel of order ``2 - mu_1`` at ``h^2``, an IFOI-``gl`` solve of case 1
+    satisfies ``u[i+1] - 2 u[i] + u[i-1] = h^2 g[i+1] + g[0] (V[i+1] -
+    2 V[i] + V[i-1])`` at nodes 1 .. n-1, FDM's row with the forcing read
+    one node ahead plus a start term that only ``mu_1`` sets, to the
+    rounding of ``u / h^2``: 32 ulp of max|u| before the division by
+    ``h^2`` (measured 10-16 ulp, 3.5e-10 of max|g| at n = 1,000)."""
+    case = get_case(1)
+    assert case.default_scheme == "gl"
+    operator = ComposedOperator("gl", case.default_partition, n)
+    u = solve_bvp(case, operator)[0].values
+    g, h = case.g(nodes(n)), 1.0 / n
+    mu_1 = case.default_partition.cumulative[1]
+    v = -gl_coefficients(mu_1 - 2.0, n + 1) * h**2
+    residual = (u[2:] - 2.0 * u[1:-1] + u[:-2]) - h**2 * g[2:] \
+        - g[0] * (v[2:] - 2.0 * v[1:-1] + v[:-2])
+    assert np.max(np.abs(residual)) <= 32 * np.spacing(np.max(np.abs(u)))
