@@ -2,28 +2,29 @@
 
 Both solve the same rows: ``u(0)`` given, central second differences on
 ``u'' = g(x) + k(x) u`` inside, and the right condition on the three-node
-backward slope.  ``fdm_linear`` solves every package case: it sums the
-forcing without coupling, and with it marches the rows in blocks joined by
-one stabilized sweep (Ascher, Mattheij & Russell 1995, *Numerical Solution
-of Boundary Value Problems for ODEs*, ch. 4), so a growing coupling never
-enters through a growing IVP.  That solve is ``shooting._Sweep``, which
-samples the case: IFOI corrects a coupled BVP from it pass by pass, its
-rows plus the remainder of its composed kernel, on the same sweep.
+backward slope.  ``fdm_linear`` solves every package case by marching the
+rows in blocks.  With a coupling the blocks are joined by one stabilized
+sweep (Ascher, Mattheij & Russell 1995, *Numerical Solution of Boundary
+Value Problems for ODEs*, ch. 4), so a growing coupling never enters
+through a growing IVP.  That solve is ``shooting._Sweep``, which samples
+the case: IFOI corrects a coupled BVP from it pass by pass, its rows plus
+the remainder of its composed kernel, on the same sweep.  Without one the
+join has a closed form, two exclusive cumulative sums over the blocks'
+forcing sums and first moments (``shooting._forcing_only``).
 ``fdm_newton``, a guarded Thomas sweep per step, is an independent
 reference.  Both read ``u(0)`` by ``shooting.left_value``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import GridFunction, nodes
-from .ifoi import DivergenceError, IvpProblem
-from .shooting import _end_slope, _Sweep, left_value, solve_right_row
+from .ifoi import IvpProblem
+from .shooting import _forcing_only, _Sweep, left_value
 
 if TYPE_CHECKING:
     from .cases import CaseSpec
@@ -97,8 +98,10 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     condition read on the three-node backward slope: exact for solutions
     that are polynomials of degree at most two, second-order otherwise.
 
-    Without coupling ``g`` is sampled once, at every node, summed twice
-    and matched once against the line ``x``.  With it,
+    Without coupling, :func:`~fracbvp.shooting._forcing_only` samples
+    ``g`` once, at nodes ``1 .. n-1``, sums it in blocks, fixes every
+    block's entry and the match against the line ``x`` from the block sums
+    and marches the blocks once.  With it,
     :class:`~fracbvp.shooting._Sweep` samples ``k`` and ``g`` once, at
     nodes ``1 .. n-1``, marches the rows in blocks and joins them by the
     stabilized sweep; IFOI's coupled solves start from this solution.
@@ -109,23 +112,9 @@ def fdm_linear(case: "CaseSpec", n: int) -> GridFunction:
     :raises DivergenceError: when the solution overflows.
     """
     check_grid(n)
-    if case.k is not None:
-        return GridFunction(_Sweep(case, n).values)
-    u0, h, x = left_value(case), 1.0 / n, nodes(n)
-    out = np.zeros(n + 1)  # summed in place: fresh arrays fault pages
-    g = 0.0 if case.g is None else case.g(x)
-    if np.ndim(g) == 0:  # one float for the whole grid
-        g = np.full(n + 1, g)
-    np.cumsum(g[1:n], out=out[2:])
-    np.cumsum(out[2:], out=out[2:])
-    out *= h * h
-    out += u0
-    # a cumulative sum that overflows anywhere ends non-finite
-    if not math.isfinite(out[-1]):
-        raise DivergenceError("the sum overflowed", 0, math.inf)
-    out += solve_right_row(case.right_bc, (out[n], x[n]),
-                           (_end_slope(out, h), _end_slope(x, h))) * x
-    return GridFunction(out)
+    if case.k is None:
+        return GridFunction(_forcing_only(case, n))
+    return GridFunction(_Sweep(case, n).values)
 
 
 def _newton_iterate(case: "CaseSpec", n: int, tol: float,

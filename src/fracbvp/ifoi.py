@@ -255,12 +255,25 @@ class ComposedOperator:
                              f"composes to the zero operator, need n >= m")
 
     @functools.cached_property
-    def _built(self) -> tuple[np.ndarray, np.ndarray, int]:
+    def _size(self) -> int:
+        return _fft_size(2 * self.n + 1)
+
+    @functools.cached_property
+    def _col0(self) -> np.ndarray:
+        """``h**2 v``, the composed column-0 correction."""
         n, h = self.n, 1.0 / self.n
-        k, v = _prefix_pairs(self.scheme, self.partition,
-                             _length_class(n))[:, -1]
-        size = _fft_size(2 * n + 1)
-        return np.fft.rfft(k[: n + 1] * h**2, size), v[: n + 1] * h**2, size
+        v = _prefix_pairs(self.scheme, self.partition,
+                          _length_class(n))[1, -1, : n + 1]
+        return v * h**2
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """The spectrum of ``h**2 k``, the composed kernel, built only for
+        :meth:`apply`."""
+        n, h = self.n, 1.0 / self.n
+        k = _prefix_pairs(self.scheme, self.partition,
+                          _length_class(n))[0, -1, : n + 1]
+        return np.fft.rfft(k * h**2, self._size)
 
     @functools.cached_property
     def _remainder(self) -> np.ndarray:
@@ -270,11 +283,11 @@ class ComposedOperator:
         n, h = self.n, 1.0 / self.n
         k = _prefix_pairs(self.scheme, self.partition,
                           _length_class(n))[0, -1, : n + 1]
-        return np.fft.rfft((k - np.arange(n + 1)) * h**2, self._built[2])
+        return np.fft.rfft((k - np.arange(n + 1)) * h**2, self._size)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``K`` applied to ``n + 1`` samples, in one FFT pair."""
-        return self._convolve(self._built[0], values)
+        return self._convolve(self._spectrum, values)
 
     def apply_remainder(self, values: np.ndarray) -> np.ndarray:
         """``K - h**2 J`` applied to ``n + 1`` samples, in one FFT pair:
@@ -285,9 +298,9 @@ class ComposedOperator:
 
     def _convolve(self, spectrum: np.ndarray, values: np.ndarray,
                   ) -> np.ndarray:
-        _, col0, size = self._built
+        size = self._size
         conv = np.fft.irfft(np.fft.rfft(values, size) * spectrum, size)
-        out = conv[: values.size] + col0 * values[0]
+        out = conv[: values.size] + self._col0 * values[0]
         out[0] = 0.0
         return out
 

@@ -13,6 +13,8 @@ point is the discrete solution of two IVPs plus shooting, ``u1 + t u2``
 with ``u2`` from zero value and unit slope, without their growth under a
 strong coupling.  Where the correction stalls, as near an
 eigenvalue, the solve falls back to those two IVPs, by Picard iteration.
+Without coupling, FDM's rows are solved on the same block layout by
+:func:`_forcing_only`, whose join is two cumulative sums over the blocks.
 :func:`left_value` and :func:`solve_right_row` are the end readers that
 FDM shares.
 
@@ -107,34 +109,45 @@ def solve_right_row(right_bc: BoundaryCondition, end_value: tuple,
     return float((right_bc.value - slope * d - weight * a) / denom)
 
 
-def _layout(n: int) -> tuple[int, int, int]:
-    """Steps per block, blocks and lead steps of the march of the rows at
-    nodes ``1 .. n-1``: the first block leads with ``lead`` zero steps, so
-    the last exits at ``(U[n], S[n-1])``."""
+def _layout(n: int, ratio: int = 8) -> tuple[int, int, int]:
+    """Steps per block, about ``sqrt(steps / ratio)``, blocks and lead
+    steps of a march of the rows at nodes ``1 .. n-1``: the first block
+    leads with ``lead`` zero steps, so the last exits at ``(U[n],
+    S[n-1])``.  ``ratio`` is set by what a step costs against a block."""
     steps = n - 1
-    # steps per block, about sqrt(steps / 8): a step costs four numpy calls
-    # across all blocks and a block one pass of the scalar sweep.  Timed on
-    # case 4 at n = 50..10^5, widths of 0.25-0.5 sqrt(steps) were within 5%
-    # of one another; 0.15 and 1.0 sqrt(steps) were up to 23% and 28% slower
-    width = max(1, math.isqrt(steps // 8))
+    # ratio 8 for the coupled march: a step costs four numpy calls across
+    # all blocks and a block one pass of the scalar sweep.  Timed on case 4
+    # at n = 50..10^5, widths of 0.25-0.5 sqrt(steps) were within 5% of one
+    # another; 0.15 and 1.0 sqrt(steps) were up to 23% and 28% slower.
+    # ratio 128 for the forcing-only march (:func:`_forcing_only`), whose
+    # step is two numpy calls and whose blocks are joined by two cumulative
+    # sums: at n = 6e4..1e5 ratios of 64 and 256 were up to 16% and 8%
+    # slower; at 2e4, 64 was 7% faster and 256 7% slower
+    width = max(1, math.isqrt(steps // ratio))
     blocks = -(-steps // width)
     return width, blocks, blocks * width - steps
 
 
-def _coefficients(case: "CaseSpec", n: int) -> np.ndarray:
-    """``h^2 k`` and ``h^2 g`` as the two ``(width, blocks)`` step tables
-    of :func:`_march`, each evaluated once on an array of the nodes
-    ``j * (1/n)`` that the steps read, bit-equal to ``nodes(n)[j]``; the
-    lead steps read node 1 and are zeroed, so no coefficient is sampled
-    outside ``[0, 1]``."""
-    h = 1.0 / n
-    width, blocks, lead = _layout(n)
-    # the node j read by each step within a block, by block
+def _step_nodes(n: int, width: int, lead: int) -> np.ndarray:
+    """The node ``j * (1/n)`` that each step of a march on a layout of
+    :func:`_layout` reads, as a ``(width, blocks)`` table bit-equal to
+    ``nodes(n)[j]``; the lead steps read node 1, so no coefficient is
+    sampled outside ``[0, 1]``."""
     x = np.add.outer(np.arange(width, dtype=float),
                      np.arange(1 - lead, n, width, dtype=float))
     x[:lead, 0] = 1.0
     x *= 1.0 / n
-    coef = np.empty((2, width, blocks))  # h^2 k and h^2 g
+    return x
+
+
+def _coefficients(case: "CaseSpec", n: int) -> np.ndarray:
+    """``h^2 k`` and ``h^2 g`` as the two ``(width, blocks)`` step tables
+    of :func:`_march`, each evaluated once on :func:`_step_nodes`, zero on
+    the lead steps."""
+    h = 1.0 / n
+    width, _, lead = _layout(n)
+    x = _step_nodes(n, width, lead)
+    coef = np.empty((2,) + x.shape)  # h^2 k and h^2 g
     for row, f in zip(coef, (case.k, case.g)):
         np.multiply(0.0 if f is None else f(x), h * h, out=row, dtype=float)
     coef[:, :lead, 0] = 0.0
@@ -272,6 +285,62 @@ class _Sweep:
         if not np.isfinite(out).all():
             raise ifoi.DivergenceError("the march overflowed", 0, math.inf)
         return out
+
+
+def _forcing_only(case: "CaseSpec", n: int) -> np.ndarray:
+    """FDM's rows of a case without coupling on ``n`` intervals, solved in
+    blocks: with ``k = 0`` the homogeneous rows are ``1`` and ``x``, so
+    the sweep that joins the coupled blocks has a closed form.
+
+    ``g`` is sampled once into a ``(width, blocks)`` step table, zero on
+    the lead steps.  A block marched from ``(U, D) = (0, 0)`` exits at
+    ``D`` its forcing sum and ``U`` its first moment, so two exclusive
+    cumulative sums over the blocks give every block's particular entry
+    and the last exit, and the right row fixes ``t`` in ``+ t x``; the
+    sums run in units of ``g``, scaled by ``h^2`` once, as a cumulative
+    sum of the samples would.  One march from the true entries, ``D +=
+    h^2 g``, ``U += D`` in every block at once, writes the solution.
+
+    :raises SingularShootingError: when the line ``x`` meets the
+        homogeneous right condition.
+    :raises DivergenceError: when the sums or the solution overflow.
+    """
+    h, u0 = 1.0 / n, left_value(case)
+    out = np.empty(n + 1)  # first: a grid too large fails on its own shape
+    width, blocks, lead = _layout(n, 128)
+    table = _step_nodes(n, width, lead)
+    entry_x = table[0].copy()  # the node each block enters at; block 0's
+    entry_x[0] = (1 - lead) * h  # lead steps read node 1
+    table[...] = 0.0 if case.g is None else case.g(table)
+    table[:lead, 0] = 0.0
+    # D and U of the particular row at each block's entry, then the exit
+    d = np.zeros(blocks + 1)
+    u = np.zeros(blocks + 1)
+    np.add.accumulate(np.add.reduce(table), out=d[1:])
+    moment = np.einsum("sb,s->b", table, np.arange(width, 0.0, -1.0))
+    moment += width * d[:-1]
+    np.add.accumulate(moment, out=u[1:])
+    end, s = table[-1, -1] * h * h, float(d[-1]) * h
+    a = u0 + float(u[-1]) * h * h
+    if not (math.isfinite(a) and math.isfinite(s)):
+        raise ifoi.DivergenceError("the sum overflowed", 0, math.inf)
+    t = solve_right_row(case.right_bc, (a, n * h),
+                        (_rows_end_slope(s, a, 0.0, end, h), 1.0))
+    table *= h * h
+    u = u[:-1] * (h * h)
+    u += t * entry_x
+    u += u0
+    d = d[:-1] * (h * h)
+    d += t * h
+    for row in table:
+        d += row
+        u = np.add(u, d, out=row)
+    if not np.isfinite(u).all():
+        raise ifoi.DivergenceError("the march overflowed", 0, math.inf)
+    out[0], out[1] = u0, u0 + h * t
+    out[2:2 + width - lead] = table[lead:, 0]
+    out[2 + width - lead:].reshape(blocks - 1, width)[...] = table[:, 1:].T
+    return out
 
 
 def _correct(case: "CaseSpec", operator: ifoi.ComposedOperator,

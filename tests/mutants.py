@@ -43,8 +43,8 @@ MUTANTS = {
         'def fdm_newton(case: "CaseSpec", n: int, tol: float = 1e-8,'),
     "block-width": (
         "shooting.py",
-        "    width = max(1, math.isqrt(steps // 8))",
-        "    width = max(1, math.isqrt(steps // 2))"),
+        "def _layout(n: int, ratio: int = 8) -> tuple[int, int, int]:",
+        "def _layout(n: int, ratio: int = 2) -> tuple[int, int, int]:"),
     "end-slope-first-order": (
         "shooting.py",
         "    return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) "
@@ -79,9 +79,9 @@ MUTANTS = {
     "remainder-minus-one": (
         "ifoi.py",
         "        return np.fft.rfft((k - np.arange(n + 1)) * h**2, "
-        "self._built[2])",
+        "self._size)",
         "        return np.fft.rfft((k - np.arange(n + 1) - 1) * h**2, "
-        "self._built[2])"),
+        "self._size)"),
     "halving-gate": (
         "shooting.py",
         "        if not (peak < ifoi.DIVERGENCE_GUARD "
@@ -205,6 +205,30 @@ MUTANTS = {
         "ifoi.py",
         "        np.negative(rows[1], out=rows[1])",
         "        pass"),
+    "forcing-entries-inclusive": (
+        "shooting.py",
+        "    u = u[:-1] * (h * h)",
+        "    u = u[1:] * (h * h)"),
+    "forcing-end-slope-term": (
+        "shooting.py",
+        "                        (_rows_end_slope(s, a, 0.0, end, h), 1.0))",
+        "                        (_rows_end_slope(s, a, 0.0, 0.0, h), 1.0))"),
+    "forcing-lead-steps": (
+        "shooting.py",
+        "    table[:lead, 0] = 0.0",
+        "    pass"),
+    "forcing-entries-line": (
+        "shooting.py",
+        "    u += t * entry_x",
+        "    pass"),
+    "forcing-sum-overflow": (
+        "shooting.py",
+        "    if not (math.isfinite(a) and math.isfinite(s)):",
+        "    if False:"),
+    "forcing-march-overflow": (
+        "shooting.py",
+        "    if not np.isfinite(u).all():",
+        "    if False:"),
     "correction-own-start": (
         "shooting.py",
         "    u = sweep.values",

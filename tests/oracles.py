@@ -284,3 +284,38 @@ def fdm_dense(g, k, left: float, right: tuple[float, float, float],
                          h * r - p * (1.5 * d[-1] - 0.5 * d[-2]) - h * q * u[n]]
         u = u + np.linalg.solve(matrix, residual)
     return u
+
+
+def compensated_rows(g, left: float, right: tuple[float, float, float],
+                     n: int) -> np.ndarray:
+    """The central-difference solution of ``u'' = g(x)`` on the nodes
+    ``j / n``, the rows of :func:`fdm_dense` with ``k = 0``, by running
+    sums in units of ``g``, each carried with its Kahan-Neumaier
+    compensation: ``D[i] = g[1] + ... + g[i]`` and ``P[i+1] = D[1] + ... +
+    D[i]``, then ``u = left + h^2 P + t x`` with ``t`` from the right row
+    ``p (3 U[n] - 4 U[n-1] + U[n-2]) / 2h + q U[n] = r``, whose slope is
+    ``h^2 (3 D[n-1] - D[n-2]) / 2h`` on ``h^2 P`` and 1 on ``x``."""
+
+    def add(total, comp, value):
+        new = total + value
+        if abs(total) >= abs(value):
+            return new, comp + ((total - new) + value)
+        return new, comp + ((value - new) + total)
+
+    h = 1.0 / n
+    x = np.arange(n + 1) * h
+    samples = np.broadcast_to(g(x), x.shape).tolist()
+    d = [0.0]
+    summed = np.zeros(n + 1)
+    d_sum = d_comp = p_sum = p_comp = 0.0
+    for i in range(1, n):
+        d_sum, d_comp = add(d_sum, d_comp, samples[i])
+        d.append(d_sum + d_comp)
+        p_sum, p_comp = add(p_sum, p_comp, d_sum)
+        p_sum, p_comp = add(p_sum, p_comp, d_comp)
+        summed[i + 1] = p_sum + p_comp
+    summed *= h * h
+    slope = h * (3.0 * d[-1] - d[-2]) / 2.0
+    p, q, r = right
+    t = (r - p * slope - q * (left + summed[n])) / (p + q * x[n])
+    return left + summed + t * x

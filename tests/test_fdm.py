@@ -18,7 +18,8 @@ from fracbvp.shooting import (SingularShootingError, _end_slope, _layout,
                               dirichlet, left_value, robin, solve_bvp,
                               solve_right_row)
 
-from oracles import central_march, fdm_dense, rk4_solve_ivp
+from oracles import (central_march, compensated_rows, fdm_dense,
+                     rk4_solve_ivp)
 
 
 def synthetic_case(g, left, right, k=None):
@@ -153,6 +154,36 @@ def test_blocked_march_equals_plain_march(case, n):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+FORCED_ROBIN = replace(AFFINE_ROBIN, k=None)
+
+
+# the coupled test's grids, and at the forcing-only width rule every lead of
+# widths 2 (n = 1010, 1025) and 3 (n = 1200, 1201, 1202), lead 7 at 10,002
+# and lead 18 at 99,991; up to n = 512 a block is one step
+@pytest.mark.parametrize("n", list(range(4, 71))
+                         + [102, 1010, 1024, 1025, 1026, 1200, 1201, 1202,
+                            4100, 10_000, 10_002, 99_991])
+@pytest.mark.parametrize("case", [get_case(1), get_case(2), get_case(3),
+                                  FORCED_ROBIN],
+                         ids=["case1", "case2", "case3", "forced-robin"])
+def test_forcing_only_blocks_solve_the_rows(case, n):
+    # up to n = 1026 the dense rows (measured within 2.6e-15 of max|u|);
+    # past it the same rows summed with compensation, which the blocked
+    # sums meet within 5.4e-15 of max|u| up to n = 99,991, where the plain
+    # cumulative sums they replace, whose Robin end slope came from rounded
+    # values, were 1.3e-11 off (forced-robin, n = 99,991)
+    right = case.right_bc
+    if n <= 1026:
+        want, rtol = dense_rows(case, n), 1e-13
+    else:
+        want = compensated_rows(case.g, left_value(case),
+                                (right.slope, right.weight, right.value), n)
+        rtol = 2e-14
+    got = fdm_linear(case, n).values
+    assert got.shape == (n + 1,)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
                          ids=["case4", "affine-robin"])
 def test_coupled_solve_marches_once(case):
@@ -208,6 +239,24 @@ def test_ifoi_correction_starts_from_the_fdm_solve(monkeypatch, case, n):
     np.testing.assert_array_equal(applied[0], case.g(x) + case.k(x) * want)
     assert trace.picard_iterations >= 1
     assert marched == [3] + [1] * trace.picard_iterations
+
+
+@pytest.mark.parametrize("n", [40, 2000])
+@pytest.mark.parametrize("case", [get_case(4), AFFINE_ROBIN],
+                         ids=["case4", "affine-robin"])
+def test_coupled_solve_transforms_no_kernel(monkeypatch, case, n):
+    """A coupled IFOI solve that the correction settles applies only the
+    remainder: one transform of the remainder's kernel and one of the data
+    per pass, none of the composed kernel."""
+    scheme, partition = case.default_scheme, case.default_partition
+    solve_bvp(case, ComposedOperator(scheme, partition, n))  # builds pairs
+    operator = ComposedOperator(scheme, partition, n)
+    rfft, transformed = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args: transformed.append(
+        np.shape(a)) or rfft(a, *args))
+    _, [trace] = solve_bvp(case, operator)
+    assert trace.picard_iterations >= 1
+    assert transformed == [(n + 1,)] * (1 + trace.picard_iterations)
 
 
 def test_coupled_solve_runs_no_garbage_collection():
@@ -272,6 +321,26 @@ def test_overflowing_march_reads_as_divergence():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DivergenceError):
         fdm_linear(case, 50)
+
+
+@pytest.mark.parametrize("n", [100, 20_011])
+def test_overflowing_forcing_only_sum_reads_as_divergence(n):
+    # the forcing is summed in its own units, as a cumulative sum of the
+    # samples is: 1e305 sums past the largest float by n = 60
+    case = synthetic_case(lambda x: np.full_like(x, 1e305),
+                          dirichlet(0.0), robin(2.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="the sum overflowed"):
+        fdm_linear(case, n)
+
+
+def test_overflowing_forcing_only_march_reads_as_divergence():
+    # finite sums, but the line through u(0) = 1e308 and u(1) = -1e308
+    # overflows on the way
+    case = synthetic_case(None, dirichlet(1e308), dirichlet(-1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="the march overflowed"):
+        fdm_linear(case, 40)
 
 
 @pytest.mark.parametrize("n", [40, 100, 400, 1000])
